@@ -36,7 +36,7 @@ from .compiler import (
     Step,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .dynamics import NoiseParams, evolve_master_equation, run_ensemble, trajectory_stream
+from .dynamics import NoiseParams, evolve_master_equation, run_ensemble
 from .metrics import compute_step_metrics, round_end_series
 from .qstate import StateVector, trace_distance
 from .ratemodel import (
@@ -97,7 +97,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     schedule = _schedule_for(cfg.protocol)
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
     initial = StateVector.basis(schedule.n_qubits, 0)
-    store, per_step = cfg.resolved_store(len(schedule))
+    store = cfg.resolved_store(len(schedule))
     acc, _ = run_ensemble(
         initial,
         cfg.rounds,
@@ -107,7 +107,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         master_seed=cfg.master_seed,
         n_sub=cfg.n_sub,
         store=store,
-        per_step_rho=per_step,
     )
     rows = compute_step_metrics(acc)
     out = Path(cfg.out)
@@ -258,8 +257,7 @@ def cmd_rate_model(args) -> int:
         n_pts = 200
         for j in range(n_pts + 1):
             t = args.t_max * j / n_pts
-            pops = integrate_cooling(P, rates, t) if t > 0 else P
-            row = [t] + list(pops)
+            row = [t] + list(integrate_cooling(P, rates, t))
             if rates.B == 0:
                 row += list(cooling_closed_form(args.initial, rates.A, t))
             rows.append(row)
@@ -297,7 +295,8 @@ def cmd_rate_model(args) -> int:
         print(f"wrote {out / 'chain.csv'}")
         p0_seq = [s.P0 for s in states]
         p_ss, delta = fit_decay_constant(p0_seq, args.skip)
-        print(f"first-round weight-0 (first-order) = {_fmt(first_round_weight0(0.0, params.alpha, params.beta))}")
+        first_order = params.F_a * (1.0 - 3.0 * params.alpha - params.beta) + params.beta
+        print(f"first-round weight-0 (first-order) = {_fmt(first_order)}")
         print(f"steady state: chain fixed point = {_fmt(chain_steady_state(flows).P0)}")
         print(f"              symmetric-ratio closed form = {_fmt(steady_weight0_ratio(flows))}")
         print(f"              matched second-order series = {_fmt(steady_weight0_series(params.alpha))}")
@@ -334,12 +333,12 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     oracle = None
     if cfg.oracle:
         oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds)
+        f2_oracle = oracle.f2_series()[:, -1, 0]
     rows = []
     for rnd in range(cfg.rounds):
         row = [rnd + 1, float(sim[rnd]), chain[rnd + 1].P0]
         if oracle is not None:
-            f2o = oracle.f2_series()[rnd, -1, 0]
-            row += [float(f2o), trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd))]
+            row += [float(f2_oracle[rnd]), trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd))]
         rows.append(row)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -49,17 +49,17 @@ class ExperimentConfig:
         if self.store not in STORE_MODES:
             raise ConfigError(f"store must be one of {STORE_MODES}, got {self.store!r}")
 
-    def resolved_store(self, n_steps: int) -> tuple[str, bool]:
-        """Concrete accumulator settings (store mode, per-step matrices) for
-        the `auto` policy, bounded by memory growth with round count."""
+    def resolved_store(self, n_steps: int) -> str:
+        """Concrete accumulator store mode for the `auto` policy, bounded by
+        memory growth with round count."""
         if self.store != "auto":
-            return self.store, True
+            return self.store
         cells = self.rounds * n_steps
         if cells <= 2048:
-            return "full", True
+            return "full"
         if cells <= 32768:
-            return "reduced", True
-        return "scalar", True
+            return "reduced"
+        return "scalar"
 
 
 _BOOL_STATES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

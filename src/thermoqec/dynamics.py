@@ -1,10 +1,12 @@
 """Evolution of the register under a gate schedule coupled to both reservoirs.
 
-Two routes are provided:
+Two routes are provided, both reading one table of schedule-derived
+operators (`_SchedulePlan`: jump permutations, cold-channel weights,
+measurement projectors, correction permutations, ground-pattern masks):
 
-* a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps),
-  with a scalar per-trajectory path and a vectorized ensemble path that
-  consume random numbers identically, and
+* a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
+  with one batched kernel: `run_ensemble` runs it on batches of
+  trajectories, `run_round` on one trajectory for one round, and
 * a dense fixed-step RK4 integrator for the full master equation, used as
   the exact oracle.
 
@@ -35,7 +37,10 @@ composition. Per step, each trajectory consumes one uniform per substep for
 the bit-flip channel (plus one per fired flip for the qubit choice), then,
 when the cold coupling is active, one per substep against the no-jump
 survival (plus one per cold jump for the channel choice), then one per
-measurement. The scalar and vectorized paths consume identically.
+measurement. A trajectory's buffer of uniforms is refilled only when read
+past its end, so `run_round`, whose buffer holds one uniform, advances the
+caller's generator by exactly the uniforms it uses and rounds chained on one
+generator reproduce the ensemble's trajectory.
 
 Because bit-flip jump decisions are state-independent, steps without cold
 coupling apply the exact full-step unitary to jump-free trajectories in a
@@ -49,11 +54,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import GateSchedule, Step, step_unitary
+from .compiler import GateSchedule, Step, step_hamiltonian, step_unitary
 from .qstate import DensityMatrix, StateVector, bit_mask
 
 DEFAULT_N_SUB = 20
-DEFAULT_ORACLE_DT = 1.0 / 200.0
+ORACLE_SUBSTEPS = 200  # RK4 steps per schedule step
 
 JUMP_BIT_FLIP = "bit_flip"
 JUMP_COOL = "cool"
@@ -116,7 +121,6 @@ class TrajectoryRecord:
     index: int
     jumps: list[tuple[float, int, str]] = field(default_factory=list)
     outcomes: list[tuple[int, ...]] = field(default_factory=list)
-    snapshots: list[np.ndarray] | None = None
 
     def times_ordered(self) -> bool:
         times = [t for t, _, _ in self.jumps]
@@ -173,58 +177,55 @@ class _SchedulePlan:
 
         # cold channels: per-ancilla occupations and the no-jump decay factor
         anc = schedule.ancilla_qubits
-        if anc:
-            self.anc_bits = np.stack([((idx >> (n - 1 - a)) & 1).astype(float) for a in anc])
-            self.anc_perms = np.stack([idx ^ bit_mask(a, n) for a in anc])
-        else:
-            self.anc_bits = np.zeros((0, self.dim))
-            self.anc_perms = np.zeros((0, self.dim), dtype=np.int64)
+        self.anc_bits = np.array([(idx >> (n - 1 - a)) & 1 for a in anc], dtype=float).reshape(-1, self.dim)
+        self.anc_perms = np.array([idx ^ bit_mask(a, n) for a in anc], dtype=np.int64).reshape(-1, self.dim)
+        # total cold-channel rate per basis state (the oracle's anticommutator)
         a_rate, b_rate = noise.rate_down, noise.rate_up
-        weights = (a_rate * self.anc_bits + b_rate * (1.0 - self.anc_bits)).sum(axis=0)
-        self.cool_decay = np.exp(-0.5 * self.dt * weights)
+        self.cool_weights = (a_rate * self.anc_bits + b_rate * (1.0 - self.anc_bits)).sum(axis=0)
+        self.cool_decay = np.exp(-0.5 * self.dt * self.cool_weights)
 
-        # measurement / correction bookkeeping
+        # measurement projectors (row = measured pattern) and, per measured
+        # pattern, the basis permutation of its correction's flip set
         self.measure_onehot: list[np.ndarray | None] = []
         self.corr_perms: list[np.ndarray | None] = []
         for step in schedule.steps:
+            onehot = perms = None
             if step.measure is not None:
-                k = len(step.measure)
-                pattern = np.zeros(self.dim, dtype=np.int64)
-                for pos, q in enumerate(step.measure):
-                    pattern |= ((idx >> (n - 1 - q)) & 1) << (k - 1 - pos)
-                onehot = np.zeros((2**k, self.dim))
-                onehot[pattern, idx] = 1.0
-                self.measure_onehot.append(onehot)
-            else:
-                self.measure_onehot.append(None)
+                onehot = np.zeros((2 ** len(step.measure), self.dim))
+                onehot[_pattern_index(idx, step.measure, n), idx] = 1.0
             if step.correction is not None:
-                n_pat = len(step.correction)
-                perms = np.empty((n_pat, self.dim), dtype=np.int64)
-                for bits, flips in step.correction.items():
-                    pat = 0
-                    for b in bits:
-                        pat = (pat << 1) | int(b)
-                    mask = 0
-                    for q in flips:
-                        mask ^= bit_mask(q, n)
-                    perms[pat] = idx ^ mask
-                self.corr_perms.append(perms)
-            else:
-                self.corr_perms.append(None)
+                k = len(next(iter(step.correction)))
+                flips = [step.correction[_pattern_bits(p, k)] for p in range(2**k)]
+                masks = np.array([sum(bit_mask(q, n) for q in f) for f in flips], dtype=np.int64)
+                perms = idx[None, :] ^ masks[:, None]
+            self.measure_onehot.append(onehot)
+            self.corr_perms.append(perms)
 
-        self.data_ground = _pattern_index(idx, schedule.data_qubits, n) == 0
-        self.anc_ground = _pattern_index(idx, anc, n) == 0 if anc else np.ones(self.dim, bool)
+        # ground patterns of the data and ancilla registers, and the basis
+        # order that groups each register's pattern for the reduced matrices
+        data_pat = _pattern_index(idx, schedule.data_qubits, n)
+        anc_pat = _pattern_index(idx, anc, n)
+        self.data_ground = data_pat == 0
+        self.anc_ground = anc_pat == 0
+        self.data_sort = np.argsort(data_pat, kind="stable")
+        self.anc_sort = np.argsort(anc_pat, kind="stable")
 
 
 def _pattern_index(idx: np.ndarray, qubits, n: int) -> np.ndarray:
+    """Bits of `qubits` in basis indices `idx`, packed first qubit first."""
     pat = np.zeros_like(idx)
     for pos, q in enumerate(qubits):
         pat |= ((idx >> (n - 1 - q)) & 1) << (len(qubits) - 1 - pos)
     return pat
 
 
+def _pattern_bits(pattern: int, k: int) -> tuple[int, ...]:
+    """Inverse of the packing: the k bits of a measured pattern."""
+    return tuple((int(pattern) >> (k - 1 - p)) & 1 for p in range(k))
+
+
 # ---------------------------------------------------------------------------
-# scalar trajectory path (reference implementation, used by unit tests)
+# trajectories
 # ---------------------------------------------------------------------------
 
 
@@ -243,7 +244,7 @@ def trajectory_substep(
     operation: it draws one uniform for the bit-flip channel (plus one for
     the qubit choice when it fires) and, with the cold coupling active, one
     against the no-jump survival (plus one for the channel choice when a
-    cold jump fires). The round-level drivers consume the same draws but
+    cold jump fires). The batched kernel consumes the same draws but
     grouped per step, which changes nothing statistically.
     """
     n = state.n_qubits
@@ -300,121 +301,37 @@ def run_round(
     n_sub: int = DEFAULT_N_SUB,
     t0: float = 0.0,
     record: TrajectoryRecord | None = None,
-    snapshots: bool = False,
 ):
-    """Execute one full round on a single trajectory.
+    """Execute one full round on a single trajectory drawing from `rng`.
 
-    Returns (final state, per-step samples with columns
-    [f2_data, f2_ancilla], record). Samples are taken after each step;
-    snapshots=True additionally stores each post-step amplitude vector on
-    the record.
+    Runs the batched kernel on one trajectory; `rng` advances by exactly the
+    uniforms used, so rounds can be chained on one generator. Returns (final
+    state, per-step samples with columns [f2_data, f2_ancilla], record).
+    Samples are taken after each step.
     """
     plan = _SchedulePlan(schedule, noise, n_sub)
-    psi = state.amplitudes.astype(complex)
-    if psi.shape != (plan.dim,):
+    if state.amplitudes.shape != (plan.dim,):
         raise ValueError("state dimension does not match the schedule register")
-    samples = np.zeros((len(schedule), 2))
     if record is None:
         record = TrajectoryRecord(master_seed=-1, index=-1)
-    if snapshots and record.snapshots is None:
-        record.snapshots = []
-    outcome = None
-    for s, step in enumerate(schedule.steps):
-        psi, outcome = _scalar_step(psi, plan, s, outcome, rng, record, t0 + s)
-        prob = np.abs(psi) ** 2
-        samples[s, 0] = prob[plan.data_ground].sum()
-        samples[s, 1] = prob[plan.anc_ground].sum()
-        if snapshots:
-            record.snapshots.append(psi.copy())
-    return StateVector(schedule.n_qubits, psi), samples, record
-
-
-def _scalar_step(psi, plan: _SchedulePlan, s: int, outcome, rng, record, t):
-    step = plan.schedule.steps[s]
-    n = plan.n_qubits
-    cooling = bool(plan.cooling_on[s])
-    a_rate, b_rate = plan.noise.rate_down, plan.noise.rate_up
-    anc_count = plan.anc_bits.shape[0]
-    hot_mask = rng.random(plan.n_sub) < plan.p_hot
-
-    if not cooling:
-        powers = plan.sub_powers[s]
-        if not hot_mask.any():
-            if plan.full_unitaries[s] is not None:
-                psi = plan.full_unitaries[s] @ psi
-        else:
-            prev = 0
-            for k in np.nonzero(hot_mask)[0]:
-                if powers is not None and k + 1 - prev > 0:
-                    psi = powers[k + 1 - prev] @ psi
-                q = min(int(rng.random() * n), n - 1)
-                psi = psi[plan.flip_perms[q]]
-                record.jumps.append((t + (k + 1) * plan.dt, int(q), JUMP_BIT_FLIP))
-                prev = k + 1
-            if powers is not None and plan.n_sub - prev > 0:
-                psi = powers[plan.n_sub - prev] @ psi
-    else:
-        u3 = rng.random(plan.n_sub)
-        u_dt = plan.sub_unitaries[s]
-        for k in range(plan.n_sub):
-            if u_dt is not None:
-                psi = u_dt @ psi
-            if hot_mask[k]:
-                q = min(int(rng.random() * n), n - 1)
-                psi = psi[plan.flip_perms[q]]
-                record.jumps.append((t + (k + 1) * plan.dt, int(q), JUMP_BIT_FLIP))
-            decayed = psi * plan.cool_decay
-            survival = float(np.vdot(decayed, decayed).real)
-            if u3[k] < survival:
-                psi = decayed / np.sqrt(survival)
-            else:
-                occ = (np.abs(psi) ** 2) @ plan.anc_bits.T
-                chan = np.concatenate([a_rate * occ, b_rate * (1.0 - occ)])
-                total = chan.sum()
-                u4 = rng.random() * total
-                if total < 1e-300:
-                    psi = decayed / np.linalg.norm(decayed)
-                else:
-                    c = min(int(np.searchsorted(np.cumsum(chan), u4, side="right")), 2 * anc_count - 1)
-                    a = int(c) % anc_count
-                    cool = int(c) < anc_count
-                    keep = plan.anc_bits[a] if cool else 1.0 - plan.anc_bits[a]
-                    psi = psi[plan.anc_perms[a]] * (1.0 - keep)
-                    psi = psi / np.linalg.norm(psi)
-                    q = plan.schedule.ancilla_qubits[a]
-                    kind = JUMP_COOL if cool else JUMP_HEAT
-                    record.jumps.append((t + (k + 1) * plan.dt, q, kind))
-
-    if step.measure is not None:
-        onehot = plan.measure_onehot[s]
-        probs = onehot @ (np.abs(psi) ** 2)
-        total = probs.sum()
-        if total < 1e-14:
-            raise ValueError("state has vanishing total probability at measurement")
-        u = rng.random() * total
-        outcome = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
-        psi = psi * onehot[outcome]
-        psi = psi / np.linalg.norm(psi)
-        k = len(step.measure)
-        record.outcomes.append(tuple((outcome >> (k - 1 - p)) & 1 for p in range(k)))
-    if step.correction is not None:
-        if outcome is None:
-            raise ValueError("correction marker before any measurement")
-        psi = psi[plan.corr_perms[s][outcome]]
-        psi = psi / np.linalg.norm(psi)
-    return psi, outcome
-
-
-# ---------------------------------------------------------------------------
-# vectorized ensemble path
-# ---------------------------------------------------------------------------
+    acc = EnsembleAccumulator(
+        1, len(schedule), schedule.n_qubits, schedule.data_qubits, schedule.ancilla_qubits, store="scalar"
+    )
+    states = state.amplitudes.astype(complex)[None, :]
+    states = _run_batch(states, 1, plan, _StreamBank([rng], chunk=1), acc, [record], t0)
+    samples = np.stack([acc.f2_data[0], acc.f2_anc[0]], axis=1)
+    return StateVector(schedule.n_qubits, states[0]), samples, record
 
 
 class _StreamBank:
-    """Per-trajectory uniform buffers drawn from independent Philox streams."""
+    """Per-trajectory buffers of `chunk` uniforms, one generator per row.
 
-    def __init__(self, master_seed: int, indices, chunk: int = 1024):
-        self.gens = [trajectory_stream(master_seed, int(i)) for i in indices]
+    A row is refilled just before a read past its end, so each generator
+    advances by whole chunks and no further than the uniforms read require.
+    """
+
+    def __init__(self, gens, chunk: int = 1024):
+        self.gens = list(gens)
         self.chunk = chunk
         self.size = len(self.gens)
         self.buf = np.empty((self.size, chunk))
@@ -428,17 +345,16 @@ class _StreamBank:
             self.pos[r] = 0
 
     def draw_all(self) -> np.ndarray:
+        empty = np.nonzero(self.pos >= self.chunk)[0]
+        if empty.size:
+            self._refill(empty)
         vals = self.buf[np.arange(self.size), self.pos]
         self.pos += 1
-        full = np.nonzero(self.pos >= self.chunk)[0]
-        if full.size:
-            self._refill(full)
         return vals
 
     def draw_block(self, count: int) -> np.ndarray:
         """`count` consecutive uniforms per trajectory, shape (size, count)."""
-        short = np.nonzero(self.pos + count > self.chunk)[0]
-        if short.size:
+        if np.any(self.pos + count > self.chunk):
             # consume the leftovers row by row so the stream stays contiguous
             out = np.empty((self.size, count))
             for j in range(count):
@@ -446,24 +362,21 @@ class _StreamBank:
             return out
         vals = self.buf[np.arange(self.size)[:, None], self.pos[:, None] + np.arange(count)]
         self.pos += count
-        full = np.nonzero(self.pos >= self.chunk)[0]
-        if full.size:
-            self._refill(full)
         return vals
 
     def draw_one(self, row: int) -> float:
-        val = self.buf[row, self.pos[row]]
-        self.pos[row] += 1
         if self.pos[row] >= self.chunk:
             self._refill([row])
+        val = self.buf[row, self.pos[row]]
+        self.pos[row] += 1
         return float(val)
 
     def draw_rows(self, rows: np.ndarray) -> np.ndarray:
+        empty = rows[self.pos[rows] >= self.chunk]
+        if empty.size:
+            self._refill(empty)
         vals = self.buf[rows, self.pos[rows]]
         self.pos[rows] += 1
-        full = rows[self.pos[rows] >= self.chunk]
-        if full.size:
-            self._refill(full)
         return vals
 
 
@@ -612,37 +525,34 @@ def run_ensemble(
         store,
         per_step_rho,
     )
-    records: list[TrajectoryRecord] | None = [] if record else None
+    records = [TrajectoryRecord(master_seed, int(i)) for i in indices] if record else None
     for lo in range(0, n_traj, batch_size):
         batch = indices[lo : lo + batch_size]
-        batch_records = _run_batch(initial, rounds, plan, master_seed, batch, acc, record)
-        if record:
-            records.extend(batch_records)
+        states = np.tile(initial.amplitudes.astype(complex), (len(batch), 1))
+        bank = _StreamBank([trajectory_stream(master_seed, int(i)) for i in batch])
+        _run_batch(states, rounds, plan, bank, acc, records[lo : lo + batch_size] if record else None)
     return acc, records
 
 
-def _run_batch(initial, rounds, plan: _SchedulePlan, master_seed, indices, acc, record):
-    B = len(indices)
-    n = plan.n_qubits
-    states = np.tile(initial.amplitudes.astype(complex), (B, 1))
-    bank = _StreamBank(master_seed, indices)
-    records = [TrajectoryRecord(master_seed, int(i)) for i in indices] if record else None
+def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None, t0=0.0):
+    """Advance the trajectories `states` (one row each, drawing from the same
+    row of `bank`) through `rounds` rounds starting at time t0.
 
+    Post-step samples are added to `acc`; jumps and measurement outcomes are
+    appended to `records` when given. Returns the final states.
+    """
+    B = states.shape[0]
+    n = plan.n_qubits
     anc_count = plan.anc_bits.shape[0]
     a_rate, b_rate = plan.noise.rate_down, plan.noise.rate_up
     dd = 2 ** len(plan.schedule.data_qubits)
     da = 2 ** len(plan.schedule.ancilla_qubits)
-    data_sort = np.argsort(
-        _pattern_index(np.arange(plan.dim), plan.schedule.data_qubits, n), kind="stable"
-    )
-    anc_sort = np.argsort(
-        _pattern_index(np.arange(plan.dim), plan.schedule.ancilla_qubits, n), kind="stable"
-    )
+    record = records is not None
 
-    outcome = np.zeros(B, dtype=np.int64)
+    outcome = None
     for rnd in range(rounds):
         for s, step in enumerate(plan.schedule.steps):
-            t = rnd * len(plan.schedule) + s
+            t = t0 + rnd * len(plan.schedule) + s
             u_dt = plan.sub_unitaries[s]
             cooling = bool(plan.cooling_on[s])
             hot_mask = bank.draw_block(plan.n_sub) < plan.p_hot  # (B, n_sub)
@@ -726,11 +636,11 @@ def _run_batch(initial, rounds, plan: _SchedulePlan, master_seed, indices, acc, 
                 states = states * onehot[outcome]
                 states /= np.linalg.norm(states, axis=1, keepdims=True)
                 if record:
-                    k = len(step.measure)
                     for r in range(B):
-                        bits = tuple((int(outcome[r]) >> (k - 1 - p)) & 1 for p in range(k))
-                        records[r].outcomes.append(bits)
+                        records[r].outcomes.append(_pattern_bits(outcome[r], len(step.measure)))
             if step.correction is not None:
+                if outcome is None:
+                    raise ValueError("correction marker before any measurement")
                 perms = plan.corr_perms[s]
                 for pat in np.unique(outcome):
                     rows = np.nonzero(outcome == pat)[0]
@@ -742,14 +652,14 @@ def _run_batch(initial, rounds, plan: _SchedulePlan, master_seed, indices, acc, 
             acc.f2_anc[rnd, s] += prob[:, plan.anc_ground].sum()
             if acc.store != "scalar" and (acc.per_step_rho or s == len(plan.schedule) - 1):
                 si = s if acc.per_step_rho else 0
-                blocks = states[:, data_sort].reshape(B, dd, plan.dim // dd)
+                blocks = states[:, plan.data_sort].reshape(B, dd, plan.dim // dd)
                 acc.rho_data[rnd, si] += np.einsum("rai,rbi->ab", blocks, blocks.conj())
-                blocks = states[:, anc_sort].reshape(B, da, plan.dim // da)
+                blocks = states[:, plan.anc_sort].reshape(B, da, plan.dim // da)
                 acc.rho_anc[rnd, si] += np.einsum("rai,rbi->ab", blocks, blocks.conj())
                 if acc.store == "full":
                     acc.rho_total[rnd, si] += np.einsum("ra,rb->ab", states, states.conj())
     acc.count += B
-    return records
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -764,85 +674,56 @@ class OracleResult:
     schedule: GateSchedule
     rounds: int
     rho_steps: np.ndarray  # (rounds, n_steps, dim, dim), sampled after each step
+    data_ground: np.ndarray = field(repr=False)  # the schedule plan's ground masks
+    anc_ground: np.ndarray = field(repr=False)
 
     def rho(self, rnd: int, step: int = -1) -> DensityMatrix:
         return DensityMatrix(self.schedule.n_qubits, self.rho_steps[rnd, step])
 
     def f2_series(self) -> np.ndarray:
         """Columns [f2_data, f2_ancilla] per (round, step)."""
-        n = self.schedule.n_qubits
-        idx = np.arange(2**n)
-        dg = _pattern_index(idx, self.schedule.data_qubits, n) == 0
-        ag = _pattern_index(idx, self.schedule.ancilla_qubits, n) == 0
         diag = np.einsum("rsii->rsi", self.rho_steps).real
-        return np.stack([diag[:, :, dg].sum(axis=2), diag[:, :, ag].sum(axis=2)], axis=2)
-
-
-def _step_hamiltonian(step: Step, n: int) -> np.ndarray | None:
-    """Hermitian generator of one step (sum of angle * generator terms)."""
-    if not step.terms:
-        return None
-    from .compiler import PUSHING_GATE, _GENERATORS
-
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    for term in step.terms:
-        if term.kind == PUSHING_GATE:
-            i, j = term.qubits
-            a = (idx >> (n - 1 - i)) & 1
-            b = (idx >> (n - 1 - j)) & 1
-            h += np.diag(np.asarray(term.alphas)[2 * a + b].astype(complex))
-        else:
-            g = _GENERATORS[term.kind]
-            (q,) = term.qubits
-            left = np.eye(2**q, dtype=complex)
-            right = np.eye(2 ** (n - q - 1), dtype=complex)
-            h += term.strength * np.kron(np.kron(left, g), right)
-    return h
+        return np.stack(
+            [diag[:, :, self.data_ground].sum(axis=2), diag[:, :, self.anc_ground].sum(axis=2)], axis=2
+        )
 
 
 def evolve_master_equation(
     rho: DensityMatrix,
     schedule: GateSchedule,
     noise: NoiseParams,
-    dt: float = DEFAULT_ORACLE_DT,
     rounds: int = 1,
 ) -> OracleResult:
     """Integrate the full master equation through `rounds` rounds.
 
-    Classical 4th-order fixed-step integration with piecewise-constant
-    Hamiltonian. Measurement and correction markers act at the end of their
-    step as the deterministic sum-over-outcomes map: the measurement splits
-    the state into per-outcome conditional blocks, each block keeps evolving
-    under the noise, and the correction applies each outcome's flip set to
-    its own block before re-summing. The output is therefore the exact
-    trajectory-ensemble limit, including errors that strike between
-    measurement and correction.
+    Classical 4th-order integration with ORACLE_SUBSTEPS fixed steps per
+    schedule step and a piecewise-constant Hamiltonian. Jump operators,
+    cooling windows, measurement projectors and corrections come from the
+    same schedule plan as the trajectory kernel. Measurement and correction
+    markers act at the end of their step as the deterministic
+    sum-over-outcomes map: the measurement splits the state into per-outcome
+    conditional blocks, each block keeps evolving under the noise, and the
+    correction applies each outcome's flip set to its own block before
+    re-summing. The output is therefore the exact trajectory-ensemble limit,
+    including errors that strike between measurement and correction.
     """
     n = schedule.n_qubits
     dim = 2**n
     if rho.n_qubits != n:
         raise ValueError("density matrix dimension does not match the schedule")
-    idx = np.arange(dim)
-    hams = [_step_hamiltonian(s, n) for s in schedule.steps]
-    cooling_on = noise.cooling_profile(schedule) & (noise.Gamma_c > 0)
-
-    flip_perms = [idx ^ bit_mask(q, n) for q in range(n)]
-    anc = schedule.ancilla_qubits
+    plan = _SchedulePlan(schedule, noise, n_sub=1)  # the oracle reads no per-substep entries
+    hams = [step_hamiltonian(s, n) for s in schedule.steps]
     a_rate, b_rate = noise.rate_down, noise.rate_up
-    anc_bits = [((idx >> (n - 1 - a)) & 1).astype(float) for a in anc]
-    anc_masks = [bit_mask(a, n) for a in anc]
-    weights = sum(a_rate * b + b_rate * (1.0 - b) for b in anc_bits) if anc else np.zeros(dim)
-    wsum = 0.5 * (weights[:, None] + weights[None, :])
+    wsum = 0.5 * (plan.cool_weights[:, None] + plan.cool_weights[None, :])
     gamma = noise.gamma_h
 
+    # per ancilla: the ground-ground block and its image with the ancilla excited
     ground_ix = []
     excited_ix = []
-    for a, mask in enumerate(anc_masks):
-        g = idx[anc_bits[a] == 0]
+    for bits, perm in zip(plan.anc_bits, plan.anc_perms):
+        g = np.nonzero(bits == 0)[0]
         ground_ix.append(np.ix_(g, g))
-        excited_ix.append(np.ix_(g ^ mask, g ^ mask))
+        excited_ix.append(np.ix_(perm[g], perm[g]))
 
     def rhs(r: np.ndarray, h: np.ndarray | None, cooled: bool) -> np.ndarray:
         out = np.zeros_like(r)
@@ -850,26 +731,25 @@ def evolve_master_equation(
             out += -1j * (h @ r - r @ h)
         if gamma > 0:
             acc = np.zeros_like(r)
-            for perm in flip_perms:
+            for perm in plan.flip_perms:
                 acc += r[np.ix_(perm, perm)]
             out += gamma * (acc - n * r)
-        if cooled and anc:
+        if cooled:
             sandwich = np.zeros_like(r)
-            for a in range(len(anc)):
+            for gix, eix in zip(ground_ix, excited_ix):
                 tmp = np.zeros_like(r)
-                tmp[ground_ix[a]] = r[excited_ix[a]]
+                tmp[gix] = r[eix]
                 sandwich += a_rate * tmp
                 tmp = np.zeros_like(r)
-                tmp[excited_ix[a]] = r[ground_ix[a]]
+                tmp[eix] = r[gix]
                 sandwich += b_rate * tmp
             out += sandwich - wsum * r
         return out
 
-    n_sub = max(1, round(1.0 / dt))
-    h_sub = 1.0 / n_sub
+    h_sub = 1.0 / ORACLE_SUBSTEPS
 
     def evolve_step(r: np.ndarray, h, cooled: bool) -> np.ndarray:
-        for _ in range(n_sub):
+        for _ in range(ORACLE_SUBSTEPS):
             k1 = rhs(r, h, cooled)
             k2 = rhs(r + 0.5 * h_sub * k1, h, cooled)
             k3 = rhs(r + 0.5 * h_sub * k2, h, cooled)
@@ -883,7 +763,7 @@ def evolve_master_equation(
     for rnd in range(rounds):
         for s, step in enumerate(schedule.steps):
             h = hams[s]
-            cooled = bool(cooling_on[s])
+            cooled = bool(plan.cooling_on[s])
             if blocks is not None:
                 blocks = [evolve_step(b, h, cooled) for b in blocks]
                 r = sum(blocks)
@@ -892,42 +772,17 @@ def evolve_master_equation(
             if step.measure is not None:
                 if blocks is not None:
                     r = sum(blocks)
-                onehot = _measure_projectors(step.measure, n)
-                blocks = [(p[:, None] * r) * p[None, :] for p in onehot]
+                blocks = [(p[:, None] * r) * p[None, :] for p in plan.measure_onehot[s]]
                 r = sum(blocks)
             if step.correction is not None:
                 if blocks is None:
                     raise ValueError("correction marker before any measurement")
-                perms = _correction_perms(step.correction, n)
                 r = np.zeros((dim, dim), dtype=complex)
-                for pat, block in enumerate(blocks):
-                    r += block[np.ix_(perms[pat], perms[pat])]
+                for perm, block in zip(plan.corr_perms[s], blocks):
+                    r += block[np.ix_(perm, perm)]
                 blocks = None
             low = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
             if low < -1e-6:
                 raise RuntimeError(f"oracle lost positivity (min eigenvalue {low})")
             series[rnd, s] = r
-    return OracleResult(schedule, rounds, series)
-
-
-def _measure_projectors(qubits, n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    k = len(qubits)
-    pattern = _pattern_index(idx, qubits, n)
-    onehot = np.zeros((2**k, 2**n))
-    onehot[pattern, idx] = 1.0
-    return onehot
-
-
-def _correction_perms(correction: dict, n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    perms = np.empty((len(correction), 2**n), dtype=np.int64)
-    for bits, flips in correction.items():
-        pat = 0
-        for b in bits:
-            pat = (pat << 1) | int(b)
-        mask = 0
-        for q in flips:
-            mask ^= bit_mask(q, n)
-        perms[pat] = idx ^ mask
-    return perms
+    return OracleResult(schedule, rounds, series, plan.data_ground, plan.anc_ground)

@@ -113,15 +113,9 @@ def cooling_closed_form(initial_state: int, A: float, t: float) -> np.ndarray:
         raise ValueError("initial state must be one of 0..7")
     if A < 0 or t < 0:
         raise ValueError("A and t must be non-negative")
-    x = np.exp(-A * t)  # per-bit survival
-    out = np.zeros(8)
-    for state in range(8):
-        if state & ~initial_state:
-            continue  # B = 0 cannot excite new bits
-        stay = bin(state).count("1")
-        decayed = bin(initial_state).count("1") - stay
-        out[state] = x**stay * (1.0 - x) ** decayed
-    return out
+    P = np.zeros(8)
+    P[initial_state] = 1.0
+    return integrate_cooling(P, CoolingRates(A, 0.0), t)
 
 
 def slow_cooling_fidelity(p, x: float, literal_quadratic: bool = False) -> float:
@@ -332,17 +326,21 @@ def first_round_weight0(n_c: float, alpha: float, beta: float) -> float:
     return ancilla_steady_fidelity(n_c) * (1.0 - 3.0 * alpha - beta) + beta
 
 
-def integrate_cooling(P0, rates: CoolingRates, t: float, n_steps: int = 400) -> np.ndarray:
-    """Fixed-step RK4 integration of the cooling chain."""
-    P = _check_populations(P0).copy()
-    h = t / n_steps
-    for _ in range(n_steps):
-        k1 = cooling_rhs(P, rates)
-        k2 = cooling_rhs(P + 0.5 * h * k1, rates)
-        k3 = cooling_rhs(P + 0.5 * h * k2, rates)
-        k4 = cooling_rhs(P + h * k3, rates)
-        P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return P
+def integrate_cooling(P0, rates: CoolingRates, t: float) -> np.ndarray:
+    """Exact populations after cooling for time t from populations P0.
+
+    The three ancilla bits relax independently, so the map is the Kronecker
+    cube of one bit's 2x2 transfer matrix: the excited probability follows
+    p1(t) = p_ss + (p1(0) - p_ss) exp(-(A+B) t) with p_ss = B/(A+B).
+    """
+    P = _check_populations(P0)
+    k = rates.A + rates.B
+    if k == 0:
+        return P.copy()
+    relaxed = -np.expm1(-k * t)  # weight moved toward the bit's steady state
+    up, down = rates.B / k * relaxed, rates.A / k * relaxed
+    bit = np.array([[1.0 - up, down], [up, 1.0 - down]])  # [final, initial]
+    return np.kron(np.kron(bit, bit), bit) @ P
 
 
 def fit_decay_constant(sequence, skip: int) -> tuple[float, float]:

@@ -72,9 +72,9 @@ class TestConfig:
             ExperimentConfig(store="everything")
 
     def test_auto_store_policy(self):
-        assert ExperimentConfig(rounds=5).resolved_store(16)[0] == "full"
-        assert ExperimentConfig(rounds=500).resolved_store(16)[0] == "reduced"
-        assert ExperimentConfig(rounds=5000).resolved_store(16)[0] == "scalar"
+        assert ExperimentConfig(rounds=5).resolved_store(16) == "full"
+        assert ExperimentConfig(rounds=500).resolved_store(16) == "reduced"
+        assert ExperimentConfig(rounds=5000).resolved_store(16) == "scalar"
 
 
 class TestCliRun:
@@ -146,6 +146,16 @@ class TestCliRateModel:
         assert code == 0
         out = capsys.readouterr().out
         assert "delta0" in out and (tmp_path / "chain.csv").exists()
+
+    def test_chain_first_order_line_uses_ancilla_fidelity(self, tmp_path, capsys):
+        code = main([
+            "rate-model", "chain", "--F-a", "0.9", "--alpha", "1e-3", "--skip", "40",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        line = next(s for s in capsys.readouterr().out.splitlines() if "first-round weight-0" in s)
+        # F_a * (1 - 3*alpha - beta) + beta = 0.9 * (1 - 0.004) + 0.001 with beta = alpha
+        assert float(line.split("=")[1]) == pytest.approx(0.8974, abs=1e-12)
 
     def test_cooling_curve(self, tmp_path):
         code = main([

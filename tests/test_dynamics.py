@@ -196,12 +196,15 @@ class TestSeedDeterminism:
         for rnd in range(2):
             state, samples, rec = run_round(state, MEASURED, noise, rng, t0=16 * rnd, record=rec)
             grids.append(samples)
-        _, recs = run_ensemble(
+        acc, recs = run_ensemble(
             StateVector.basis(6, 0), 2, MEASURED, noise, 1, master_seed=7,
             traj_indices=[5], record=True,
         )
         assert recs[0].jumps == rec.jumps
         assert recs[0].outcomes == rec.outcomes
+        for rnd, samples in enumerate(grids):
+            assert np.max(np.abs(samples[:, 0] - acc.f2_data[rnd])) < 1e-12
+            assert np.max(np.abs(samples[:, 1] - acc.f2_anc[rnd])) < 1e-12
 
     def test_cold_coupling_off_equals_zero_rate(self):
         base = dict(gamma_h=2e-3, n_c=0.3)

@@ -85,8 +85,30 @@ class TestCoolingChain:
         for start in (0, 3, 7):
             P = np.zeros(8)
             P[start] = 1.0
-            out = integrate_cooling(P, rates, 40.0 / rates.A, n_steps=4000)
+            out = integrate_cooling(P, rates, 40.0 / rates.A)
             assert np.max(np.abs(out - ss)) < 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    def test_map_composes_over_time(self, seed, t1, t2):
+        rng = np.random.default_rng(seed)
+        P = random_populations(rng)
+        rates = CoolingRates.from_reservoir(rng.uniform(0.1, 5), rng.uniform(0, 1))
+        whole = integrate_cooling(P, rates, t1 + t2)
+        split = integrate_cooling(integrate_cooling(P, rates, t1), rates, t2)
+        assert np.max(np.abs(whole - split)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
+    def test_time_derivative_is_the_rate_equation(self, seed, t):
+        # central difference of the exact map against the generator at B > 0
+        rng = np.random.default_rng(seed)
+        P = random_populations(rng)
+        rates = CoolingRates.from_reservoir(rng.uniform(0.1, 5), rng.uniform(0.01, 1))
+        h = 1e-5
+        mid = t + h
+        deriv = (integrate_cooling(P, rates, mid + h) - integrate_cooling(P, rates, mid - h)) / (2 * h)
+        assert np.max(np.abs(deriv - cooling_rhs(integrate_cooling(P, rates, mid), rates))) < 1e-6
 
 
 class TestAncillaSteadyFidelity:
