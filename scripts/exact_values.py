@@ -14,21 +14,19 @@ exact rational algebra on the package's own event and flow tables.
 
 round-map builds the exact measured round as a 64x64 stochastic matrix on
 basis populations: a round that starts diagonal ends diagonal (the script
-checks this), so the map follows from 64 one-round runs of the
-master-equation oracle, one per basis state (several seconds each). Its
-fixed point is the exact long-time state. `--save` and `--load` keep the
-matrix, with the per-step diagonals of each run, in an .npz file.
+checks this), so the map follows from 64 one-round runs of the exact
+master-equation oracle, one per basis state (about 2 s in all). Its fixed
+point is the exact long-time state.
 """
 
 import argparse
 import sys
-import time
 import types
 
 import numpy as np
 
 import thermoqec as tq
-from thermoqec.dynamics import NoiseParams, evolve_master_equation, run_ensemble
+from thermoqec.dynamics import NoiseParams, _pattern_index, evolve_master_equation, run_ensemble
 from thermoqec.qstate import DensityMatrix, StateVector
 from thermoqec.ratemodel import (
     RoundEventParams,
@@ -67,16 +65,6 @@ def chain_series(args) -> int:
     return 0
 
 
-def _bits(qubits, n: int) -> np.ndarray:
-    """Pattern index of `qubits` (first listed = most significant) for
-    every basis state of an n-qubit register."""
-    idx = np.arange(2**n)
-    out = np.zeros(2**n, dtype=int)
-    for q in qubits:
-        out = (out << 1) | ((idx >> (n - 1 - q)) & 1)
-    return out
-
-
 def build_round_map(noise: NoiseParams, schedule) -> tuple[np.ndarray, np.ndarray]:
     """M[j, i] = P(round ends in basis state i | starts in j), and the
     per-step basis populations D[j, step, i] of each one-round run."""
@@ -84,7 +72,6 @@ def build_round_map(noise: NoiseParams, schedule) -> tuple[np.ndarray, np.ndarra
     dim = 2**n
     M = np.zeros((dim, dim))
     D = np.zeros((dim, len(schedule.steps), dim))
-    t0 = time.perf_counter()
     for j in range(dim):
         rho = np.zeros((dim, dim), dtype=complex)
         rho[j, j] = 1.0
@@ -95,35 +82,41 @@ def build_round_map(noise: NoiseParams, schedule) -> tuple[np.ndarray, np.ndarra
             raise RuntimeError(f"round from basis state {j} ends with coherence {off:.2e}")
         M[j] = np.diag(end).real
         D[j] = np.einsum("sii->si", res.rho_steps[0]).real
-        print(f"  basis state {j + 1}/{dim}: {time.perf_counter() - t0:.0f} s", file=sys.stderr, flush=True)
     return M, D
 
 
-def round_map(args) -> int:
+def round_map_values(check: str) -> dict[str, float]:
+    """Fixed point of the exact measured-round map of one acceptance check:
+    round-end data populations, relaxation time and readout populations."""
     schedule = tq.build_measured_round()
-    if args.load:
-        z = np.load(args.load)
-        M, D = z["M"], z["D"]
-    else:
-        M, D = build_round_map(ROUND_MAP_NOISE[args.check], schedule)
-    if args.save:
-        np.savez(args.save, M=M, D=D)
+    M, D = build_round_map(ROUND_MAP_NOISE[check], schedule)
     n = schedule.n_qubits
-    data = _bits(schedule.data_qubits, n)
-    anc = _bits(schedule.ancilla_qubits, n)
-
+    data = _pattern_index(np.arange(2**n), schedule.data_qubits, n)
+    anc = _pattern_index(np.arange(2**n), schedule.ancilla_qubits, n)
     evals, vecs = np.linalg.eig(M.T)
     order = np.argsort(-np.abs(evals))
     pi = np.real(vecs[:, order[0]])
     pi /= pi.sum()
-    relax = -1.0 / np.log(np.abs(evals[order[1]]))
-    print(f"check {args.check}: max |row sum - 1| {np.abs(M.sum(axis=1) - 1).max():.1e}")
-    print(f"fixed point: round-end data P(000) {pi[data == 0].sum():.4f}, P(111) {pi[data == 7].sum():.4f}")
-    print(f"relaxation time -1/ln|lambda_2| = {relax:.1f} rounds")
     readout = pi @ D[:, READOUT_STEP, :]
+    return {
+        "row_sum_error": np.abs(M.sum(axis=1) - 1).max(),
+        "data_000": pi[data == 0].sum(),
+        "data_111": pi[data == 7].sum(),
+        "relaxation_rounds": -1.0 / np.log(np.abs(evals[order[1]])),
+        "readout_ancilla_000": readout[anc == 0].sum(),
+        "readout_data_000": readout[data == 0].sum(),
+        "readout_parity_00": readout[(anc & 3) == 0].sum(),
+    }
+
+
+def round_map(args) -> int:
+    v = round_map_values(args.check)
+    print(f"check {args.check}: max |row sum - 1| {v['row_sum_error']:.1e}")
+    print(f"fixed point: round-end data P(000) {v['data_000']:.4f}, P(111) {v['data_111']:.4f}")
+    print(f"relaxation time -1/ln|lambda_2| = {v['relaxation_rounds']:.1f} rounds")
     print(
-        f"at the readout (step {READOUT_STEP + 1}): ancilla 000 {readout[anc == 0].sum():.4f}, "
-        f"data 000 {readout[data == 0].sum():.4f}, parity ancillas 00 {readout[(anc & 3) == 0].sum():.4f}"
+        f"at the readout (step {READOUT_STEP + 1}): ancilla 000 {v['readout_ancilla_000']:.4f}, "
+        f"data 000 {v['readout_data_000']:.4f}, parity ancillas 00 {v['readout_parity_00']:.4f}"
     )
     return 0
 
@@ -149,8 +142,6 @@ def main(argv=None) -> int:
     p.set_defaults(run=chain_series)
     p = sub.add_parser("round-map", help="5a and 8: fixed point of the exact measured-round map")
     p.add_argument("check", choices=sorted(ROUND_MAP_NOISE))
-    p.add_argument("--save", help="write the map to this .npz file")
-    p.add_argument("--load", help="read the map from this .npz file instead of building it")
     p.set_defaults(run=round_map)
     p = sub.add_parser("substep-bias", help="post-cooling ancilla P(000) against n_sub")
     p.add_argument("--seed", type=int, default=20260811)

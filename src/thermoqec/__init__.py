@@ -1,7 +1,7 @@
 """Quantum-trajectory simulation of a three-qubit bit-flip repetition code
 operating between a hot (error-inducing) and a cold (ancilla-resetting)
-thermal reservoir, with a dense master-equation oracle and closed-form rate
-models."""
+thermal reservoir, with an exact master-equation oracle (per-step channels
+on disjoint qubit groups) and closed-form rate models."""
 
 __version__ = "0.1.0"
 

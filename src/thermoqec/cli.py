@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from .ratemodel import (
     first_round_weight0,
     fit_decay_constant,
     flow_coefficients,
+    flow_matrix,
     integrate_cooling,
     iterate_round_chain,
     perturbative_weight0,
@@ -294,7 +296,10 @@ def cmd_rate_model(args) -> int:
         _write_table(out / "chain.csv", ["round", "P0", "Pa", "Pb", "P7", "P0_series"], rows)
         print(f"wrote {out / 'chain.csv'}")
         p0_seq = [s.P0 for s in states]
-        p_ss, delta = fit_decay_constant(p0_seq, args.skip)
+        # fit from the round where the faster modes are 1e-10 of the slow one
+        lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(flows))), reverse=True)
+        skip = math.ceil(np.log(1e-10) / np.log(max(lam[2], 1e-300) / lam[1]))
+        p_ss, delta = fit_decay_constant(p0_seq, skip)
         first_order = params.F_a * (1.0 - 3.0 * params.alpha - params.beta) + params.beta
         print(f"first-round weight-0 (first-order) = {_fmt(first_order)}")
         print(f"steady state: chain fixed point = {_fmt(chain_steady_state(flows).P0)}")
@@ -391,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--beta", type=float, default=None)
     c.add_argument("--F-a", dest="F_a", type=float, default=1.0)
     c.add_argument("--rounds", type=int, default=4000)
-    c.add_argument("--skip", type=int, default=4)
     c.add_argument("--out", default="results")
     return parser
 

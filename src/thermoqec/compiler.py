@@ -134,44 +134,30 @@ def term_unitary(term: ControlTerm, n_qubits: int) -> np.ndarray:
     return _term_matrix(term, n_qubits, scale=1.0)
 
 
-def _embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """A single-qubit operator acting on `qubit` of the full register."""
-    left = np.eye(2**qubit, dtype=complex)
-    right = np.eye(2 ** (n_qubits - qubit - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
-def _pushing_phases(term: ControlTerm, n_qubits: int) -> np.ndarray:
-    """Pushing-gate phase alpha_ab of every basis state (the diagonal of its
-    generator), with (a, b) the bits of the term's qubit pair."""
-    i, j = term.qubits
-    idx = np.arange(2**n_qubits)
-    a = (idx >> (n_qubits - 1 - i)) & 1
-    b = (idx >> (n_qubits - 1 - j)) & 1
-    return np.asarray(term.alphas)[2 * a + b]
+def term_generator(term: ControlTerm) -> np.ndarray:
+    """Hermitian generator of one term on its own qubits, first listed most
+    significant: the term's unitary is exp(-i * generator)."""
+    if term.kind == PUSHING_GATE:
+        return np.diag(np.asarray(term.alphas, dtype=complex))
+    return term.strength * _GENERATORS[term.kind]
 
 
 def _term_matrix(term: ControlTerm, n_qubits: int, scale: float) -> np.ndarray:
+    dim = 2**n_qubits
     if term.kind == PUSHING_GATE:
-        return np.diag(np.exp(-1j * scale * _pushing_phases(term, n_qubits)))
+        i, j = term.qubits
+        idx = np.arange(dim)
+        a = (idx >> (n_qubits - 1 - i)) & 1
+        b = (idx >> (n_qubits - 1 - j)) & 1
+        alphas = np.asarray(term.alphas)
+        return np.diag(np.exp(-1j * scale * alphas[2 * a + b]))
     g = _GENERATORS[term.kind]
     theta = scale * term.strength
     u2 = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * g
-    return _embed(u2, term.qubits[0], n_qubits)
-
-
-def step_hamiltonian(step: Step, n_qubits: int) -> np.ndarray | None:
-    """Hermitian generator of one step (sum of angle * generator terms), or
-    None for a step without control terms."""
-    if not step.terms:
-        return None
-    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for term in step.terms:
-        if term.kind == PUSHING_GATE:
-            h += np.diag(_pushing_phases(term, n_qubits).astype(complex))
-        else:
-            h += term.strength * _embed(_GENERATORS[term.kind], term.qubits[0], n_qubits)
-    return h
+    (q,) = term.qubits
+    left = np.eye(2**q, dtype=complex)
+    right = np.eye(2 ** (n_qubits - q - 1), dtype=complex)
+    return np.kron(np.kron(left, u2), right)
 
 
 def step_unitary(step: Step, n_qubits: int, scale: float = 1.0) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Evolution of the register under a gate schedule coupled to both reservoirs.
 
 Two routes are provided, both reading one table of schedule-derived
-operators (`_SchedulePlan`: jump permutations, cold-channel weights,
-measurement projectors, correction permutations, ground-pattern masks):
+operators (`_SchedulePlan`: cooling windows, measurement projectors,
+correction permutations, ground-pattern masks, and the kernel's jumps):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
   with one batched kernel: `run_ensemble` runs it on batches of
   trajectories, `run_round` on one trajectory for one round, and
-* a dense fixed-step RK4 integrator for the full master equation, used as
-  the exact oracle.
+* the exact master-equation propagator, used as the oracle: within a step
+  the Lindbladian is a sum of commuting terms on disjoint qubit groups, so
+  each step's map is a tensor product of small exact channels.
 
 Noise model per unit time (tau = 1 per schedule step):
   * every qubit suffers sigma_x jumps at rate gamma_h,
@@ -54,11 +55,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import GateSchedule, Step, step_hamiltonian, step_unitary
-from .qstate import DensityMatrix, StateVector, bit_mask
+from .compiler import GateSchedule, Step, step_unitary, term_generator
+from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask
 
 DEFAULT_N_SUB = 20
-ORACLE_SUBSTEPS = 200  # RK4 steps per schedule step
 
 JUMP_BIT_FLIP = "bit_flip"
 JUMP_COOL = "cool"
@@ -179,10 +179,8 @@ class _SchedulePlan:
         anc = schedule.ancilla_qubits
         self.anc_bits = np.array([(idx >> (n - 1 - a)) & 1 for a in anc], dtype=float).reshape(-1, self.dim)
         self.anc_perms = np.array([idx ^ bit_mask(a, n) for a in anc], dtype=np.int64).reshape(-1, self.dim)
-        # total cold-channel rate per basis state (the oracle's anticommutator)
-        a_rate, b_rate = noise.rate_down, noise.rate_up
-        self.cool_weights = (a_rate * self.anc_bits + b_rate * (1.0 - self.anc_bits)).sum(axis=0)
-        self.cool_decay = np.exp(-0.5 * self.dt * self.cool_weights)
+        rates = (noise.rate_down * self.anc_bits + noise.rate_up * (1.0 - self.anc_bits)).sum(axis=0)
+        self.cool_decay = np.exp(-0.5 * self.dt * rates)
 
         # measurement projectors (row = measured pattern) and, per measured
         # pattern, the basis permutation of its correction's flip set
@@ -688,87 +686,99 @@ class OracleResult:
         )
 
 
+def _expm(g: np.ndarray) -> np.ndarray:
+    """exp(g) of a small matrix: a degree-18 Taylor series of g / 2**s, with
+    s chosen so that the scaled norm is at most 1/2, squared s times."""
+    squarings = int(np.ceil(np.log2(max(np.linalg.norm(g, np.inf), 1.0)))) + 1
+    g = g / 2**squarings
+    out = term = np.eye(len(g), dtype=complex)
+    for k in range(1, 19):
+        term = term @ g / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _step_channels(step: Step, n: int, noise: NoiseParams, cooled: set[int]) -> list:
+    """Exact one-step map as (qubits, channel) factors on disjoint groups:
+    each term's qubits form a group and every other qubit one of its own.
+    A channel acts on the group's row-major vec(rho), reshaped to (2,)*4k."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|, the cooling jump
+    grouped = {q for term in step.terms for q in term.qubits}
+    groups = [(term.qubits, term_generator(term)) for term in step.terms]
+    groups += [((q,), np.zeros((2, 2))) for q in range(n) if q not in grouped]
+    factors = []
+    for qubits, h in groups:
+        k = len(qubits)
+        eye = np.eye(2**k)
+        gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for i, q in enumerate(qubits):
+            jumps = [(noise.gamma_h, PAULI_X)]
+            if q in cooled:
+                jumps += [(noise.rate_down, lower), (noise.rate_up, lower.T)]
+            for rate, op in jumps:
+                op = np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (k - 1 - i)))
+                odo = op.conj().T @ op
+                gen += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(odo, eye) - 0.5 * np.kron(eye, odo.T))
+        factors.append((qubits, _expm(gen).reshape((2,) * 4 * k)))
+    return factors
+
+
+def _apply_channels(r: np.ndarray, factors) -> np.ndarray:
+    """Apply one step's group channels to an n-qubit density matrix."""
+    n = len(r).bit_length() - 1
+    t = r.reshape((2,) * 2 * n)
+    for qubits, chan in factors:
+        axes = list(qubits) + [n + q for q in qubits]
+        k2 = 2 * len(qubits)
+        t = np.moveaxis(np.tensordot(chan, t, axes=(list(range(k2, 2 * k2)), axes)), list(range(k2)), axes)
+    return t.reshape(r.shape)
+
+
 def evolve_master_equation(
     rho: DensityMatrix,
     schedule: GateSchedule,
     noise: NoiseParams,
     rounds: int = 1,
 ) -> OracleResult:
-    """Integrate the full master equation through `rounds` rounds.
+    """Propagate the full master equation exactly through `rounds` rounds.
 
-    Classical 4th-order integration with ORACLE_SUBSTEPS fixed steps per
-    schedule step and a piecewise-constant Hamiltonian. Jump operators,
-    cooling windows, measurement projectors and corrections come from the
-    same schedule plan as the trajectory kernel. Measurement and correction
-    markers act at the end of their step as the deterministic
-    sum-over-outcomes map: the measurement splits the state into per-outcome
-    conditional blocks, each block keeps evolving under the noise, and the
-    correction applies each outcome's flip set to its own block before
-    re-summing. The output is therefore the exact trajectory-ensemble limit,
-    including errors that strike between measurement and correction.
+    Within one step the control Hamiltonian is constant and its terms act on
+    disjoint qubits, while the bit-flip and cooling dissipators act on single
+    qubits, so the step's Lindbladian is a sum of commuting terms on
+    disjoint groups and its propagator is the tensor product of the groups'
+    exact channels (each a 4x4 or 16x16 superoperator exponential), applied
+    to rho one group at a time. Cooling windows, measurement projectors and
+    corrections come from the same schedule plan as the trajectory kernel.
+    Measurement and correction markers act at the end of their step as the
+    deterministic sum-over-outcomes map: the measurement splits the state
+    into per-outcome conditional blocks, each block keeps evolving under the
+    noise, and the correction applies each outcome's flip set to its own
+    block before re-summing. The output is therefore the exact
+    trajectory-ensemble limit, including errors that strike between
+    measurement and correction.
     """
     n = schedule.n_qubits
     dim = 2**n
     if rho.n_qubits != n:
         raise ValueError("density matrix dimension does not match the schedule")
     plan = _SchedulePlan(schedule, noise, n_sub=1)  # the oracle reads no per-substep entries
-    hams = [step_hamiltonian(s, n) for s in schedule.steps]
-    a_rate, b_rate = noise.rate_down, noise.rate_up
-    wsum = 0.5 * (plan.cool_weights[:, None] + plan.cool_weights[None, :])
-    gamma = noise.gamma_h
-
-    # per ancilla: the ground-ground block and its image with the ancilla excited
-    ground_ix = []
-    excited_ix = []
-    for bits, perm in zip(plan.anc_bits, plan.anc_perms):
-        g = np.nonzero(bits == 0)[0]
-        ground_ix.append(np.ix_(g, g))
-        excited_ix.append(np.ix_(perm[g], perm[g]))
-
-    def rhs(r: np.ndarray, h: np.ndarray | None, cooled: bool) -> np.ndarray:
-        out = np.zeros_like(r)
-        if h is not None:
-            out += -1j * (h @ r - r @ h)
-        if gamma > 0:
-            acc = np.zeros_like(r)
-            for perm in plan.flip_perms:
-                acc += r[np.ix_(perm, perm)]
-            out += gamma * (acc - n * r)
-        if cooled:
-            sandwich = np.zeros_like(r)
-            for gix, eix in zip(ground_ix, excited_ix):
-                tmp = np.zeros_like(r)
-                tmp[gix] = r[eix]
-                sandwich += a_rate * tmp
-                tmp = np.zeros_like(r)
-                tmp[eix] = r[gix]
-                sandwich += b_rate * tmp
-            out += sandwich - wsum * r
-        return out
-
-    h_sub = 1.0 / ORACLE_SUBSTEPS
-
-    def evolve_step(r: np.ndarray, h, cooled: bool) -> np.ndarray:
-        for _ in range(ORACLE_SUBSTEPS):
-            k1 = rhs(r, h, cooled)
-            k2 = rhs(r + 0.5 * h_sub * k1, h, cooled)
-            k3 = rhs(r + 0.5 * h_sub * k2, h, cooled)
-            k4 = rhs(r + h_sub * k3, h, cooled)
-            r = r + (h_sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return r
+    anc = set(schedule.ancilla_qubits)
+    channels = [
+        _step_channels(step, n, noise, anc if plan.cooling_on[s] else set()) for s, step in enumerate(schedule.steps)
+    ]
 
     blocks: list[np.ndarray] | None = None  # conditional states between markers
     r = rho.elements.astype(complex).copy()
     series = np.zeros((rounds, len(schedule), dim, dim), dtype=complex)
     for rnd in range(rounds):
         for s, step in enumerate(schedule.steps):
-            h = hams[s]
-            cooled = bool(plan.cooling_on[s])
             if blocks is not None:
-                blocks = [evolve_step(b, h, cooled) for b in blocks]
+                blocks = [_apply_channels(b, channels[s]) for b in blocks]
                 r = sum(blocks)
             else:
-                r = evolve_step(r, h, cooled)
+                r = _apply_channels(r, channels[s])
             if step.measure is not None:
                 if blocks is not None:
                     r = sum(blocks)

@@ -8,12 +8,16 @@ contradicts; they are implemented as stated and fail with diagnostic output
 rather than being loosened. `scripts/exact_values.py` computes the exact
 values they print: for 7a the expansion of the weight-class chain's fixed
 point, for 5a and 8 the fixed point of the exact measured-round map.
+Deterministic companions of 5a and 8 pin those exact values at 1e-6, so
+engine regressions show without sampling noise.
 
 9a takes its noise allowances from a delete-one-group jackknife of the
 pooled entropy estimates over 20 groups of trajectories.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +76,15 @@ def leave_out(total: EnsembleAccumulator, part: EnsembleAccumulator) -> Ensemble
         rho_data=total.rho_data - part.rho_data,
         rho_anc=total.rho_anc - part.rho_anc,
     )
+
+
+def exact_values():
+    """scripts/exact_values.py, which builds the exact measured-round map."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "exact_values.py"
+    spec = importlib.util.spec_from_file_location("exact_values", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def jackknife_se(leave_one_out: np.ndarray) -> np.ndarray:
@@ -182,6 +195,13 @@ class TestCriterion5SteadyStatePlateaus:
             f"(scripts/exact_values.py round-map 5a)",
         )
 
+    def test_exact_round_map_fixed_point(self):
+        # deterministic companion of 5a: pins the exact model's long-time state
+        v = exact_values().round_map_values("5a")
+        assert v["data_000"] == pytest.approx(0.59800040, abs=1e-6)
+        assert v["data_111"] == pytest.approx(0.28736946, abs=1e-6)
+        assert v["relaxation_rounds"] == pytest.approx(45.796930, rel=1e-6)
+
     def test_heavy_heating_plateau(self):
         noise = NoiseParams(0.1, 3.0, 1e-2)
         acc, _ = run_ensemble(
@@ -286,6 +306,11 @@ class TestCriterion8SlowCoolingSelfConsistency:
             f"lands close by coincidence)",
         )
         assert ok, "stated slow-cooling fixed point is unreachable for the full register"
+
+    def test_exact_round_map_readout_fidelity(self):
+        # deterministic companion of 8: pins the exact model's readout value
+        v = exact_values().round_map_values("8")
+        assert v["readout_ancilla_000"] == pytest.approx(0.48979954, abs=1e-6)
 
 
 class TestCriterion9EntropyCycle:

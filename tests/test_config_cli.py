@@ -149,13 +149,18 @@ class TestCliRateModel:
 
     def test_chain_first_order_line_uses_ancilla_fidelity(self, tmp_path, capsys):
         code = main([
-            "rate-model", "chain", "--F-a", "0.9", "--alpha", "1e-3", "--skip", "40",
+            "rate-model", "chain", "--F-a", "0.9", "--alpha", "1e-3",
             "--out", str(tmp_path),
         ])
         assert code == 0
-        line = next(s for s in capsys.readouterr().out.splitlines() if "first-round weight-0" in s)
+        out = capsys.readouterr().out.splitlines()
+        line = next(s for s in out if "first-round weight-0" in s)
         # F_a * (1 - 3*alpha - beta) + beta = 0.9 * (1 - 0.004) + 0.001 with beta = alpha
         assert float(line.split("=")[1]) == pytest.approx(0.8974, abs=1e-12)
+        # the fit starts once the fast modes have decayed, so it finds the slow mode
+        fitted = float(next(s for s in out if "fitted delta0" in s).split("=")[-1])
+        exact = float(next(s for s in out if s.startswith("eigenvalue delta0")).split("=")[1])
+        assert fitted == pytest.approx(exact, abs=1e-10)
 
     def test_cooling_curve(self, tmp_path):
         code = main([

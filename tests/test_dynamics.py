@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import thermoqec as tq
-from thermoqec.compiler import ControlTerm, GateSchedule, Step, schedule_net_unitary
+from thermoqec.compiler import (
+    HADAMARD_PULSE,
+    PUSHING_GATE,
+    X_ROTATION,
+    Z_ROTATION,
+    ControlTerm,
+    GateSchedule,
+    Step,
+    schedule_net_unitary,
+)
 from thermoqec.dynamics import (
     JUMP_BIT_FLIP,
     NoiseParams,
@@ -12,7 +21,15 @@ from thermoqec.dynamics import (
     trajectory_stream,
     trajectory_substep,
 )
-from thermoqec.qstate import PAULI_X, StateVector, apply_single_qubit_unitary, trace_distance
+from thermoqec.qstate import (
+    HADAMARD,
+    PAULI_X,
+    PAULI_Z,
+    DensityMatrix,
+    StateVector,
+    apply_single_qubit_unitary,
+    trace_distance,
+)
 
 MEASURED = tq.build_measured_round()
 MEASUREMENT_FREE = tq.build_measurement_free_round()
@@ -325,6 +342,70 @@ class TestMasterEquationOracle:
                               per_step_rho=False)
         td = trace_distance(acc.mean_rho("total", 0), oracle.rho(0))
         assert td < 5 / np.sqrt(2000)
+
+
+def dense_step_generator(step: Step, n: int, noise: NoiseParams, cooled) -> np.ndarray:
+    """Lindbladian of one step on the whole register, acting on the
+    column-stacked vec(rho): vec(A rho B) = (B^T kron A) vec(rho)."""
+    dim = 2**n
+    idx = np.arange(dim)
+    eye = np.eye(dim)
+
+    def embed(op, q):
+        return np.kron(np.kron(np.eye(2**q), op), np.eye(2 ** (n - 1 - q)))
+
+    h = np.zeros((dim, dim), dtype=complex)
+    generators = {X_ROTATION: PAULI_X, Z_ROTATION: PAULI_Z, HADAMARD_PULSE: HADAMARD}
+    for term in step.terms:
+        if term.kind == PUSHING_GATE:
+            a, b = ((idx >> (n - 1 - q)) & 1 for q in term.qubits)
+            h += np.diag(np.asarray(term.alphas)[2 * a + b])
+        else:
+            h += term.strength * embed(generators[term.kind], term.qubits[0])
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    jumps = [(noise.gamma_h, embed(PAULI_X, q)) for q in range(n)]
+    for q in cooled:
+        lower = embed(np.array([[0, 1], [0, 0]], dtype=complex), q)  # excited -> ground
+        jumps += [(noise.rate_down, lower), (noise.rate_up, lower.T)]
+    for rate, op in jumps:
+        odo = op.conj().T @ op
+        gen += rate * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, odo) - 0.5 * np.kron(odo.T, eye))
+    return gen
+
+
+class TestDenseGeneratorCrossCheck:
+    """The oracle's step map against the exponential of the dense 1024x1024
+    Lindbladian of the whole measurement-free register, with no grouping."""
+
+    @pytest.mark.parametrize(
+        "s, kinds", [(0, set()), (1, {HADAMARD_PULSE}), (2, {PUSHING_GATE})],
+        ids=["cooling-window", "hadamard", "pushing-gate"],
+    )
+    def test_step_map_matches_dense_exponential(self, s, kinds):
+        step = MEASUREMENT_FREE.steps[s]
+        assert {term.kind for term in step.terms} == kinds
+        sched = GateSchedule(5, MEASUREMENT_FREE.data_qubits, MEASUREMENT_FREE.ancilla_qubits, (step,))
+        # cooling on throughout, so cooled ancillas also sit inside term groups
+        noise = NoiseParams(2e-2, 3.0, 0.1, cooling_gate="always")
+        rng = np.random.default_rng(40 + s)
+        a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+
+        gen = dense_step_generator(step, 5, noise, sched.ancilla_qubits) / 16
+        v = rho.flatten(order="F")
+        for _ in range(16):  # exp(L) = exp(L/16)^16, each slice by its Taylor series
+            term = total = v
+            k = 0
+            while np.abs(term).max() > 1e-18:
+                k += 1
+                term = gen @ term / k
+                total = total + term
+            v = total
+        expect = v.reshape(32, 32, order="F")
+
+        out = evolve_master_equation(DensityMatrix(5, rho), sched, noise).rho_steps[0, 0]
+        assert np.abs(out - expect).max() < 1e-12
 
 
 class TestMonteCarloConvergence:
