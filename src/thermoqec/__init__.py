@@ -24,7 +24,6 @@ from .dynamics import (
     run_ensemble,
     run_round,
     trajectory_stream,
-    trajectory_substep,
 )
 from .metrics import RoundMetrics, compute_step_metrics
 from .qstate import (
@@ -66,6 +65,5 @@ __all__ = [
     "squared_fidelity",
     "trace_distance",
     "trajectory_stream",
-    "trajectory_substep",
     "von_neumann_entropy",
 ]

@@ -299,6 +299,10 @@ def cmd_rate_model(args) -> int:
         # fit from the round where the faster modes are 1e-10 of the slow one
         lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(flows))), reverse=True)
         skip = math.ceil(np.log(1e-10) / np.log(max(lam[2], 1e-300) / lam[1]))
+        tail = p0_seq[skip:]
+        if len(tail) > 1 and min(tail) == max(tail):
+            print(f"P0 = {_fmt(p0_seq[-1])} is constant from round {skip}: no decay to fit")
+            return 0
         p_ss, delta = fit_decay_constant(p0_seq, skip)
         first_order = params.F_a * (1.0 - 3.0 * params.alpha - params.beta) + params.beta
         print(f"first-round weight-0 (first-order) = {_fmt(first_order)}")
@@ -308,7 +312,8 @@ def cmd_rate_model(args) -> int:
         print(f"fitted plateau = {_fmt(p_ss)}  fitted delta0 = {_fmt(delta)}")
         print(f"eigenvalue delta0 = {_fmt(chain_decay_constant(flows))}")
         print(f"series delta0 = 1 + 42*alpha^2 = {_fmt(decay_constant_series(params.alpha))}")
-        print(f"(delta0 - 1)/alpha^2 = {_fmt((delta - 1) / params.alpha**2)}")
+        if params.alpha > 0:
+            print(f"(delta0 - 1)/alpha^2 = {_fmt((delta - 1) / params.alpha**2)}")
         return 0
     raise ConfigError(f"unknown rate-model subcommand {args.model!r}")
 

@@ -129,11 +129,6 @@ class CompiledUnitary:
         object.__setattr__(self, "matrix", m)
 
 
-def term_unitary(term: ControlTerm, n_qubits: int) -> np.ndarray:
-    """Dense unitary of a single term on the full register."""
-    return _term_matrix(term, n_qubits, scale=1.0)
-
-
 def term_generator(term: ControlTerm) -> np.ndarray:
     """Hermitian generator of one term on its own qubits, first listed most
     significant: the term's unitary is exp(-i * generator)."""

@@ -4,8 +4,9 @@ section, schema-validated with unknown keys rejected."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 PROTOCOLS = ("measured", "measurement_free")
 COOLING_MODES = ("window", "always", "off")
@@ -81,12 +82,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     if sections != ["experiment"]:
         raise ConfigError(f"expected exactly one [experiment] section, found {sections}")
 
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    known = get_type_hints(ExperimentConfig)
     values: dict = {}
     for key, raw in parser.items("experiment"):
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in {path}")
-        values[key] = _convert(key, raw)
+        values[key] = _convert(key, raw, known[key])
     if overrides:
         for key, val in overrides.items():
             if key not in known:
@@ -100,20 +101,20 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         raise ConfigError(str(exc)) from exc
 
 
-def _convert(key: str, raw: str):
+def _convert(key: str, raw: str, kind: type):
     raw = raw.strip()
-    if key in ("rounds", "n_traj", "master_seed", "n_sub"):
+    if kind is int:
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-    if key in ("gamma_h", "Gamma_c", "n_c"):
+    if kind is float:
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
-    if key == "oracle":
+    if kind is bool:
         if raw.lower() not in _BOOL_STATES:
-            raise ConfigError(f"oracle must be a boolean, got {raw!r}")
+            raise ConfigError(f"{key} must be a boolean, got {raw!r}")
         return _BOOL_STATES[raw.lower()]
     return raw

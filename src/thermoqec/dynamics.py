@@ -25,6 +25,10 @@ exp(-dt/2 * (A on excited + B on ground ancilla components)).
 Jump draws use the exact per-substep survival (1 - exp(-rate*dt), and the
 norm of the decayed state for the cold channels) rather than the first-order
 product rate*dt, so single-channel decay statistics carry no substep bias.
+A substep (dt = 1/n_sub) holds at most one bit flip, so the kernel rejects
+n_qubits * gamma_h * dt >= 1. The cold coupling follows NoiseParams'
+cooling_gate: the schedule's cooling windows ("window"), every step
+("always") or none ("off").
 
 Measurement and correction markers act at the end of their step, after the
 step's noise evolution: the readout of step s sees s full steps of error
@@ -59,6 +63,7 @@ from .compiler import GateSchedule, Step, step_unitary, term_generator
 from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask
 
 DEFAULT_N_SUB = 20
+BATCH_SIZE = 8192  # trajectories per kernel call; bounds the working memory
 
 JUMP_BIT_FLIP = "bit_flip"
 JUMP_COOL = "cool"
@@ -71,25 +76,24 @@ class NoiseParams:
 
     cooling_gate selects when the cold coupling is active: "window" follows
     the schedule's cooling-window markers, "always" keeps it on for every
-    step, "off" disables it, or an explicit 0/1 sequence with one entry per
-    step may be given.
+    step and "off" disables it.
+
+    The trajectory kernel needs substeps fine enough for at most one bit
+    flip each: it rejects n_qubits * gamma_h / n_sub >= 1.
     """
 
     gamma_h: float
     Gamma_c: float
     n_c: float
-    cooling_gate: str | tuple[int, ...] = "window"
+    cooling_gate: str = "window"
 
     def __post_init__(self):
         for name in ("gamma_h", "Gamma_c", "n_c"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
-        if isinstance(self.cooling_gate, str):
-            if self.cooling_gate not in ("window", "always", "off"):
-                raise ValueError(f"unknown cooling_gate policy {self.cooling_gate!r}")
-        else:
-            object.__setattr__(self, "cooling_gate", tuple(int(bool(b)) for b in self.cooling_gate))
+        if self.cooling_gate not in ("window", "always", "off"):
+            raise ValueError(f"unknown cooling_gate policy {self.cooling_gate!r}")
 
     @property
     def rate_down(self) -> float:
@@ -101,16 +105,9 @@ class NoiseParams:
 
     def cooling_profile(self, schedule: GateSchedule) -> np.ndarray:
         """Per-step boolean p(t) resolved against a schedule."""
-        n = len(schedule)
         if self.cooling_gate == "window":
             return np.array([s.cooling_window for s in schedule.steps], dtype=bool)
-        if self.cooling_gate == "always":
-            return np.ones(n, dtype=bool)
-        if self.cooling_gate == "off":
-            return np.zeros(n, dtype=bool)
-        if len(self.cooling_gate) != n:
-            raise ValueError("explicit cooling_gate length must match the schedule")
-        return np.array(self.cooling_gate, dtype=bool)
+        return np.full(len(schedule), self.cooling_gate == "always")
 
 
 @dataclass
@@ -148,9 +145,9 @@ class _SchedulePlan:
         self.dim = 2**n
         idx = np.arange(self.dim)
 
-        # per-substep unitary, its powers (for replaying jump interleavings)
-        # and the exact full-step unitary for jump-free trajectories
-        self.sub_unitaries: list[np.ndarray | None] = []
+        # powers of the per-substep unitary (for replaying jump
+        # interleavings) and the exact full-step unitary for jump-free
+        # trajectories
         self.sub_powers: list[list[np.ndarray] | None] = []
         self.full_unitaries: list[np.ndarray | None] = []
         for s in schedule.steps:
@@ -159,11 +156,9 @@ class _SchedulePlan:
                 powers = [np.eye(self.dim, dtype=complex)]
                 for _ in range(n_sub):
                     powers.append(u_dt @ powers[-1])
-                self.sub_unitaries.append(u_dt)
                 self.sub_powers.append(powers)
                 self.full_unitaries.append(step_unitary(s, n, scale=1.0))
             else:
-                self.sub_unitaries.append(None)
                 self.sub_powers.append(None)
                 self.full_unitaries.append(None)
 
@@ -227,70 +222,6 @@ def _pattern_bits(pattern: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def trajectory_substep(
-    state: StateVector,
-    terms,
-    dt: float,
-    noise: NoiseParams,
-    cooling_on: bool,
-    rng: np.random.Generator,
-    ancilla_qubits=(),
-):
-    """Advance one trajectory by one substep; returns (state, jump events).
-
-    Events are (qubit, kind) pairs. This is the self-contained reference
-    operation: it draws one uniform for the bit-flip channel (plus one for
-    the qubit choice when it fires) and, with the cold coupling active, one
-    against the no-jump survival (plus one for the channel choice when a
-    cold jump fires). The batched kernel consumes the same draws but
-    grouped per step, which changes nothing statistically.
-    """
-    n = state.n_qubits
-    if dt * n * noise.gamma_h >= 1.0:
-        raise ValueError("substep too large for the bit-flip rate")
-    idx = np.arange(2**n)
-    psi = state.amplitudes
-    if terms:
-        psi = step_unitary(Step(tuple(terms)), n, scale=dt) @ psi
-    events: list[tuple[int, str]] = []
-
-    p_hot = 1.0 - np.exp(-n * noise.gamma_h * dt)
-    if rng.random() < p_hot:
-        q = min(int(rng.random() * n), n - 1)
-        psi = psi[idx ^ bit_mask(q, n)]
-        events.append((q, JUMP_BIT_FLIP))
-
-    if cooling_on and noise.Gamma_c > 0 and len(ancilla_qubits) > 0:
-        a_rate, b_rate = noise.rate_down, noise.rate_up
-        bits = [((idx >> (n - 1 - a)) & 1).astype(float) for a in ancilla_qubits]
-        weights = sum(a_rate * b + b_rate * (1.0 - b) for b in bits)
-        decayed = psi * np.exp(-0.5 * dt * weights)
-        survival = float(np.vdot(decayed, decayed).real / np.vdot(psi, psi).real)
-        if dt * (a_rate + b_rate) * len(ancilla_qubits) >= 1.0:
-            raise ValueError("substep too large for the cold-channel rates")
-        if rng.random() < survival:
-            psi = decayed
-        else:
-            prob = np.abs(psi) ** 2
-            prob = prob / prob.sum()
-            occ = np.array([float(b @ prob) for b in bits])
-            chan = np.concatenate([a_rate * occ, b_rate * (1.0 - occ)])
-            total = chan.sum()
-            if total < 1e-300:
-                psi = decayed
-            else:
-                u = rng.random() * total
-                c = int(np.searchsorted(np.cumsum(chan), u, side="right"))
-                c = min(c, len(chan) - 1)
-                a = ancilla_qubits[c % len(ancilla_qubits)]
-                kind = JUMP_COOL if c < len(ancilla_qubits) else JUMP_HEAT
-                keep = bits[c % len(ancilla_qubits)] if kind == JUMP_COOL else 1.0 - bits[c % len(ancilla_qubits)]
-                psi = psi[idx ^ bit_mask(a, n)] * (1.0 - keep)
-                events.append((a, kind))
-
-    return StateVector(n, psi / np.linalg.norm(psi)), events
-
-
 def run_round(
     state: StateVector,
     schedule: GateSchedule,
@@ -342,21 +273,14 @@ class _StreamBank:
             self.buf[r] = self.gens[r].random(self.chunk)
             self.pos[r] = 0
 
-    def draw_all(self) -> np.ndarray:
-        empty = np.nonzero(self.pos >= self.chunk)[0]
-        if empty.size:
-            self._refill(empty)
-        vals = self.buf[np.arange(self.size), self.pos]
-        self.pos += 1
-        return vals
-
     def draw_block(self, count: int) -> np.ndarray:
         """`count` consecutive uniforms per trajectory, shape (size, count)."""
         if np.any(self.pos + count > self.chunk):
             # consume the leftovers row by row so the stream stays contiguous
+            rows = np.arange(self.size)
             out = np.empty((self.size, count))
             for j in range(count):
-                out[:, j] = self.draw_all()
+                out[:, j] = self.draw_rows(rows)
             return out
         vals = self.buf[np.arange(self.size)[:, None], self.pos[:, None] + np.arange(count)]
         self.pos += count
@@ -497,7 +421,6 @@ def run_ensemble(
     per_step_rho: bool = True,
     record: bool = False,
     traj_indices=None,
-    batch_size: int = 8192,
 ):
     """Average `n_traj` independent trajectories over `rounds` rounds.
 
@@ -524,11 +447,11 @@ def run_ensemble(
         per_step_rho,
     )
     records = [TrajectoryRecord(master_seed, int(i)) for i in indices] if record else None
-    for lo in range(0, n_traj, batch_size):
-        batch = indices[lo : lo + batch_size]
+    for lo in range(0, n_traj, BATCH_SIZE):
+        batch = indices[lo : lo + BATCH_SIZE]
         states = np.tile(initial.amplitudes.astype(complex), (len(batch), 1))
         bank = _StreamBank([trajectory_stream(master_seed, int(i)) for i in batch])
-        _run_batch(states, rounds, plan, bank, acc, records[lo : lo + batch_size] if record else None)
+        _run_batch(states, rounds, plan, bank, acc, records[lo : lo + BATCH_SIZE] if record else None)
     return acc, records
 
 
@@ -537,10 +460,14 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     row of `bank`) through `rounds` rounds starting at time t0.
 
     Post-step samples are added to `acc`; jumps and measurement outcomes are
-    appended to `records` when given. Returns the final states.
+    appended to `records` when given. Returns the final states. Raises
+    ValueError when a substep is too coarse for at most one bit flip.
     """
     B = states.shape[0]
     n = plan.n_qubits
+    if n * plan.noise.gamma_h * plan.dt >= 1.0:
+        raise ValueError("substep too large for the bit-flip rate: need n_qubits * gamma_h / n_sub < 1")
+    all_rows = np.arange(B)
     anc_count = plan.anc_bits.shape[0]
     a_rate, b_rate = plan.noise.rate_down, plan.noise.rate_up
     dd = 2 ** len(plan.schedule.data_qubits)
@@ -551,7 +478,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     for rnd in range(rounds):
         for s, step in enumerate(plan.schedule.steps):
             t = t0 + rnd * len(plan.schedule) + s
-            u_dt = plan.sub_unitaries[s]
+            powers = plan.sub_powers[s]
             cooling = bool(plan.cooling_on[s])
             hot_mask = bank.draw_block(plan.n_sub) < plan.p_hot  # (B, n_sub)
 
@@ -565,7 +492,6 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                         states[clean] = states[clean] @ plan.full_unitaries[s].T
                     else:
                         states = states @ plan.full_unitaries[s].T
-                powers = plan.sub_powers[s]
                 for r in jumpers:
                     psi = states[r]
                     prev = 0
@@ -583,8 +509,8 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
             else:
                 u3_block = bank.draw_block(plan.n_sub)
                 for k in range(plan.n_sub):
-                    if u_dt is not None:
-                        states = states @ u_dt.T
+                    if powers is not None:
+                        states = states @ powers[1].T
                     hot = np.nonzero(hot_mask[:, k])[0]
                     if hot.size:
                         u2 = bank.draw_rows(hot)
@@ -628,7 +554,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 if np.any(total < 1e-14):
                     raise ValueError("state with vanishing probability at measurement")
                 cum = np.cumsum(probs, axis=1)
-                u = bank.draw_all() * total[:, 0]
+                u = bank.draw_rows(all_rows) * total[:, 0]
                 outcome = (cum < u[:, None]).sum(axis=1)
                 np.clip(outcome, 0, probs.shape[1] - 1, out=outcome)
                 states = states * onehot[outcome]

@@ -21,11 +21,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def bit_of(index: int, qubit: int, n_qubits: int) -> int:
-    """Bit value of `qubit` in basis index `index` (qubit 0 = MSB)."""
-    return (index >> (n_qubits - 1 - qubit)) & 1
-
-
 def bit_mask(qubit: int, n_qubits: int) -> int:
     return 1 << (n_qubits - 1 - qubit)
 

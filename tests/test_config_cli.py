@@ -49,6 +49,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="gamma_h"):
             load_config(write(tmp_path, GOOD.replace("gamma_h = 1e-3", "gamma_h = fast")))
 
+    @pytest.mark.parametrize(
+        "line, bad_line, message",
+        [
+            ("rounds = 2", "rounds = two", "rounds must be an integer, got 'two'"),
+            ("n_c = 0.01", "n_c = cold", "n_c must be a number, got 'cold'"),
+            ("oracle = false", "oracle = maybe", "oracle must be a boolean, got 'maybe'"),
+        ],
+        ids=["int", "float", "bool"],
+    )
+    def test_bad_value_message(self, tmp_path, line, bad_line, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, GOOD.replace(line, bad_line)))
+        assert str(err.value) == message
+
     def test_bad_protocol_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="protocol"):
             load_config(write(tmp_path, GOOD.replace("measured", "teleported")))
@@ -161,6 +175,18 @@ class TestCliRateModel:
         fitted = float(next(s for s in out if "fitted delta0" in s).split("=")[-1])
         exact = float(next(s for s in out if s.startswith("eigenvalue delta0")).split("=")[1])
         assert fitted == pytest.approx(exact, abs=1e-10)
+
+    def test_chain_without_errors_has_no_decay_to_fit(self, tmp_path, capsys):
+        code = main(["rate-model", "chain", "--alpha", "0", "--out", str(tmp_path)])
+        assert code == 0 and (tmp_path / "chain.csv").exists()
+        assert capsys.readouterr().out.splitlines()[-1] == "P0 = 1 is constant from round 1: no decay to fit"
+
+    def test_chain_with_ancilla_errors_only(self, tmp_path, capsys):
+        # alpha = 0 but F_a < 1: the chain still decays, and the fit runs
+        code = main(["rate-model", "chain", "--alpha", "0", "--F-a", "0.9", "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fitted delta0" in out and "(delta0 - 1)/alpha^2" not in out
 
     def test_cooling_curve(self, tmp_path):
         code = main([

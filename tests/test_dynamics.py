@@ -19,7 +19,6 @@ from thermoqec.dynamics import (
     run_ensemble,
     run_round,
     trajectory_stream,
-    trajectory_substep,
 )
 from thermoqec.qstate import (
     HADAMARD,
@@ -28,6 +27,7 @@ from thermoqec.qstate import (
     DensityMatrix,
     StateVector,
     apply_single_qubit_unitary,
+    partial_trace,
     trace_distance,
 )
 
@@ -63,46 +63,12 @@ class TestNoiseParams:
         assert prof[0] and not prof[1:].any()
         assert NoiseParams(0, 1, 0, cooling_gate="always").cooling_profile(MEASURED).all()
         assert not NoiseParams(0, 1, 0, cooling_gate="off").cooling_profile(MEASURED).any()
-        explicit = NoiseParams(0, 1, 0, cooling_gate=(1,) * 16)
-        assert explicit.cooling_profile(MEASURED).all()
-        with pytest.raises(ValueError):
-            NoiseParams(0, 1, 0, cooling_gate=(1, 0)).cooling_profile(MEASURED)
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             NoiseParams(0, 1, 0, cooling_gate="sometimes")
-
-
-class TestTrajectorySubstep:
-    def test_closed_system_is_unitary(self):
-        rng = trajectory_stream(0, 0)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = StateVector(2, amps / np.linalg.norm(amps))
-        term = ControlTerm("x_rotation", (0,), np.pi / 2)
-        out = state
-        for _ in range(20):
-            out, events = trajectory_substep(out, (term,), 0.05, ZERO_NOISE, False, rng)
-            assert events == []
-        expected = schedule_net_unitary(GateSchedule(2, (0, 1), (), (Step((term,)),))).matrix
-        assert np.linalg.norm(out.amplitudes - expected @ state.amplitudes) < 1e-10
-        assert abs(out.norm() - 1.0) < 1e-12
-
-    def test_rejects_oversized_substep(self):
-        state = StateVector.basis(1, 0)
         with pytest.raises(ValueError):
-            trajectory_substep(state, (), 1.0, NoiseParams(2.0, 0, 0), False, trajectory_stream(0, 0))
-
-    def test_flip_events_recorded(self):
-        state = StateVector.basis(1, 0)
-        rng = trajectory_stream(1, 1)
-        flips = 0
-        for _ in range(3000):
-            state, events = trajectory_substep(state, (), 1.0, NoiseParams(5e-2, 0, 0), False, rng)
-            for q, kind in events:
-                assert kind == JUMP_BIT_FLIP and q == 0
-                flips += 1
-        p = 1 - np.exp(-5e-2)
-        assert abs(flips - 3000 * p) < 3 * np.sqrt(3000 * p * (1 - p))
+            NoiseParams(0, 1, 0, cooling_gate=(1,) * 16)  # per-step sequences are not a policy
 
 
 class TestPoissonStatistics:
@@ -120,6 +86,27 @@ class TestPoissonStatistics:
         # dispersion consistent with Poisson: var/mean near 1
         assert 0.8 < counts.var() / counts.mean() < 1.2
         assert all(r.times_ordered() for r in recs)
+        assert all(q == 0 and kind == JUMP_BIT_FLIP for r in recs for _, q, kind in r.jumps)
+
+
+class TestSubstepGuard:
+    # 2 qubits at n_sub = 4: the bound n_qubits * gamma_h / n_sub < 1 is gamma_h < 2
+    SCHEDULE = idle_schedule(2, 1)
+
+    def run(self, driver, gamma_h):
+        noise = NoiseParams(gamma_h, 0.0, 0.0)
+        if driver == "ensemble":
+            return run_ensemble(StateVector.basis(2, 0), 1, self.SCHEDULE, noise, 3, n_sub=4)
+        return run_round(StateVector.basis(2, 0), self.SCHEDULE, noise, trajectory_stream(0, 0), n_sub=4)
+
+    @pytest.mark.parametrize("driver", ["ensemble", "round"])
+    def test_rejects_substep_too_coarse_for_one_flip(self, driver):
+        with pytest.raises(ValueError, match="substep"):
+            self.run(driver, 2.0)
+
+    @pytest.mark.parametrize("driver", ["ensemble", "round"])
+    def test_runs_just_under_the_bound(self, driver):
+        self.run(driver, 1.99)
 
 
 class TestCoolingDecay:
@@ -146,6 +133,27 @@ class TestCoolingDecay:
 
 
 class TestRunRound:
+    # a random data state and a ground-state ancilla under one step of a
+    # pushing gate and an x rotation on the data qubits
+    CLOSED = GateSchedule(4, (0, 1, 2), (3,), (Step((
+        ControlTerm(PUSHING_GATE, (0, 1), alphas=(0.1, 0.7, -0.4, 1.3)),
+        ControlTerm(X_ROTATION, (2,), 0.9),
+    )),))
+
+    @pytest.mark.parametrize(
+        "noise", [ZERO_NOISE, NoiseParams(0.0, 3.0, 0.0, cooling_gate="always")], ids=["plain", "cooling"]
+    )
+    def test_closed_system_matches_net_unitary(self, noise):
+        # with cooling on, the step runs all n_sub substeps; at n_c = 0 the
+        # ground-state ancilla never jumps and its no-jump factor is 1
+        rng = np.random.default_rng(9)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi = np.kron(amps / np.linalg.norm(amps), [1.0, 0.0])
+        out, _, rec = run_round(StateVector(4, psi), self.CLOSED, noise, trajectory_stream(0, 0))
+        assert rec.jumps == []
+        expected = schedule_net_unitary(self.CLOSED).matrix @ psi
+        assert np.abs(out.amplitudes - expected).max() < 1e-12
+
     def test_fresh_ancilla_zero_noise_identity(self):
         out, samples, _ = run_round(
             StateVector.basis(6, 0), MEASURED, ZERO_NOISE, trajectory_stream(0, 0)
@@ -248,6 +256,19 @@ class TestAccumulator:
         rho = acc.mean_rho("total", 0, -1)
         evals = np.linalg.eigvalsh(rho.elements)
         assert abs(evals[-1] - 1.0) < 1e-10  # still a pure projector
+
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_reduced_matrices_are_partial_traces(self, schedule):
+        noise = NoiseParams(2e-2, 3.0, 0.1)
+        acc, _ = run_ensemble(
+            StateVector.basis(schedule.n_qubits, 0), 2, schedule, noise, 20, master_seed=17, store="full"
+        )
+        for rnd in range(2):
+            for step in range(len(schedule)):
+                total = acc.mean_rho("total", rnd, step)
+                for which, qubits in (("data", schedule.data_qubits), ("ancilla", schedule.ancilla_qubits)):
+                    expect = partial_trace(total, qubits).elements
+                    assert np.abs(acc.mean_rho(which, rnd, step).elements - expect).max() < 1e-12
 
     def test_mean_trace_one(self):
         noise = NoiseParams(5e-3, 3.0, 1e-2)
