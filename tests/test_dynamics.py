@@ -89,6 +89,21 @@ class TestPoissonStatistics:
         assert all(q == 0 and kind == JUMP_BIT_FLIP for r in recs for _, q, kind in r.jumps)
 
 
+class TestTrajectorySubstep:
+    def test_flip_events_recorded(self):
+        # one trajectory, 3000 unit substeps at rate 5e-2: each substep
+        # flips the qubit with probability 1 - exp(-5e-2), and every flip
+        # lands in the record as a JUMP_BIT_FLIP on qubit 0
+        _, _, record = run_round(
+            StateVector.basis(1, 0), idle_schedule(1, 3000), NoiseParams(5e-2, 0, 0),
+            trajectory_stream(1, 1), n_sub=1,
+        )
+        assert record.jumps and all(q == 0 and kind == JUMP_BIT_FLIP for _, q, kind in record.jumps)
+        assert record.times_ordered()
+        p = 1 - np.exp(-5e-2)
+        assert abs(len(record.jumps) - 3000 * p) < 3 * np.sqrt(3000 * p * (1 - p))
+
+
 class TestSubstepGuard:
     # 2 qubits at n_sub = 4: the bound n_qubits * gamma_h / n_sub < 1 is gamma_h < 2
     SCHEDULE = idle_schedule(2, 1)
