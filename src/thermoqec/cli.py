@@ -69,8 +69,16 @@ def _fmt(x) -> str:
     return "nan" if x != x else f"{x:.12g}"
 
 
-def _schedule_for(protocol: str) -> GateSchedule:
-    return build_measured_round() if protocol == "measured" else build_measurement_free_round()
+def _schedule_for(cfg: ExperimentConfig) -> GateSchedule:
+    """The protocol's round, once the substeps are known to be fine enough
+    for the trajectory kernel (at most one bit flip per substep)."""
+    schedule = build_measured_round() if cfg.protocol == "measured" else build_measurement_free_round()
+    if schedule.n_qubits * cfg.gamma_h >= cfg.n_sub:
+        raise ConfigError(
+            f"n_sub = {cfg.n_sub} too coarse for gamma_h = {_fmt(cfg.gamma_h)}: "
+            f"need n_qubits * gamma_h < n_sub ({schedule.n_qubits} qubits)"
+        )
+    return schedule
 
 
 def _write_metrics_csv(path: Path, rows) -> None:
@@ -96,7 +104,7 @@ def _write_metrics_csv(path: Path, rows) -> None:
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    schedule = _schedule_for(cfg.protocol)
+    schedule = _schedule_for(cfg)
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
     initial = StateVector.basis(schedule.n_qubits, 0)
     store = cfg.resolved_store(len(schedule))
@@ -321,7 +329,7 @@ def cmd_rate_model(args) -> int:
 def cmd_compare(cfg: ExperimentConfig) -> int:
     if cfg.protocol != "measured":
         raise ConfigError("compare mode models the measured protocol only")
-    schedule = _schedule_for(cfg.protocol)
+    schedule = _schedule_for(cfg)
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
     initial = StateVector.basis(schedule.n_qubits, 0)
     store = "full" if cfg.oracle else "scalar"

@@ -51,6 +51,11 @@ Because bit-flip jump decisions are state-independent, steps without cold
 coupling apply the exact full-step unitary to jump-free trajectories in a
 single product and replay the substep interleaving only for trajectories
 that actually jumped; the sampled distribution is unchanged.
+
+The post-step density-matrix sums are matrix products over the whole batch:
+the total is states^T @ conj(states), and each register's reduction is
+X @ X^dagger, where X lays the batch out register-major (one row per
+register pattern, one column per trajectory and rest-of-register pattern).
 """
 
 from __future__ import annotations
@@ -576,12 +581,13 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
             acc.f2_anc[rnd, s] += prob[:, plan.anc_ground].sum()
             if acc.store != "scalar" and (acc.per_step_rho or s == len(plan.schedule) - 1):
                 si = s if acc.per_step_rho else 0
-                blocks = states[:, plan.data_sort].reshape(B, dd, plan.dim // dd)
-                acc.rho_data[rnd, si] += np.einsum("rai,rbi->ab", blocks, blocks.conj())
-                blocks = states[:, plan.anc_sort].reshape(B, da, plan.dim // da)
-                acc.rho_anc[rnd, si] += np.einsum("rai,rbi->ab", blocks, blocks.conj())
+                for grid, sort, d in ((acc.rho_data, plan.data_sort, dd), (acc.rho_anc, plan.anc_sort, da)):
+                    # register-major block: column (r, i) holds trajectory r's
+                    # amplitudes over the register's patterns at rest index i
+                    x = states[:, sort].reshape(B, d, -1).transpose(1, 0, 2).reshape(d, -1)
+                    grid[rnd, si] += x @ x.conj().T
                 if acc.store == "full":
-                    acc.rho_total[rnd, si] += np.einsum("ra,rb->ab", states, states.conj())
+                    acc.rho_total[rnd, si] += states.T @ states.conj()
     acc.count += B
     return states
 

@@ -1,5 +1,11 @@
 """Turn ensemble accumulators into the plotted per-step quantities:
-data/ancilla fidelities and the three von Neumann entropies (bits)."""
+data/ancilla fidelities and the three von Neumann entropies (bits).
+
+The entropies of one round come from one stacked eigenvalue call per
+register on the round's (steps, d, d) matrices (the round-end slice when
+only round-end matrices were accumulated); the grid is never stacked whole,
+so the working memory stays one round's matrices.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from math import nan
 import numpy as np
 
 from .dynamics import EnsembleAccumulator
-from .qstate import StateVector, squared_fidelity, von_neumann_entropy
+from .qstate import EIG_FLOOR
 
 
 @dataclass(frozen=True)
@@ -29,50 +35,62 @@ class RoundMetrics:
     n_traj: int
 
 
-def compute_step_metrics(acc: EnsembleAccumulator, reference: StateVector | None = None) -> list[RoundMetrics]:
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """Entropies -tr(rho log2 rho) in bits of a (k, d, d) stack of mean
+    density matrices, with the checks of `DensityMatrix` and
+    `von_neumann_entropy`: Hermitian within 1e-9, unit trace within 1e-8,
+    no eigenvalue below EIG_FLOOR. Eigenvalues at or below 1e-14 contribute
+    zero, and the result is clamped at +0."""
+    adj = mats.conj().swapaxes(1, 2)
+    if np.max(np.abs(mats - adj)) > 1e-9:
+        raise ValueError("density matrix is not Hermitian")
+    herm = np.add(mats, adj, out=adj)
+    herm *= 0.5
+    tr = np.trace(herm, axis1=1, axis2=2).real
+    bad = np.abs(tr - 1.0) > 1e-8
+    if np.any(bad):
+        raise ValueError(f"density matrix trace is {tr[bad][0]}, expected 1")
+    evals = np.linalg.eigvalsh(herm)
+    if evals[:, 0].min() < EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {evals[:, 0].min()} below tolerance")
+    p = np.where(evals > 1e-14, evals, 1.0)  # a dropped eigenvalue adds 1 * log2(1) = 0
+    s = -np.sum(p * np.log2(p), axis=1)
+    return np.where(s > 0.0, s, 0.0)
+
+
+def compute_step_metrics(acc: EnsembleAccumulator) -> list[RoundMetrics]:
     """Per-step metric rows from an accumulator.
 
-    The data fidelity is the overlap with `reference` (default: the
-    all-ground data pattern, i.e. the initial logical state); the ancilla
-    fidelity is the population of the all-ground ancilla pattern.
+    The data fidelity is the population of the all-ground data pattern (the
+    initial logical state); the ancilla fidelity is the population of the
+    all-ground ancilla pattern.
     """
     if acc.count < 1:
         raise ValueError("empty accumulator")
-    n_data = len(acc.data_qubits)
-    if reference is None:
-        reference = StateVector.basis(n_data, 0)
-    if reference.n_qubits != n_data:
-        raise ValueError("reference must live on the data register")
-    default_ref = bool(np.allclose(reference.amplitudes, StateVector.basis(n_data, 0).amplitudes))
-
     steps_per_round = acc.n_steps
+    # steps whose matrices were accumulated, in the grids' step order
+    rho_steps = list(range(steps_per_round)) if acc.per_step_rho else [steps_per_round - 1]
+    grids = {"total": acc.rho_total, "data": acc.rho_data, "ancilla": acc.rho_anc}
     rows: list[RoundMetrics] = []
     f2d = np.clip(acc.mean_f2_data(), 0.0, 1.0)
     f2a = np.clip(acc.mean_f2_anc(), 0.0, 1.0)
     for rnd in range(acc.n_rounds):
+        ent = {}
+        for which, grid in grids.items():
+            ent[which] = np.full(steps_per_round, nan)
+            if grid is not None:
+                ent[which][rho_steps] = _entropies(grid[rnd] / acc.count)
         for step in range(steps_per_round):
-            s_total = s_data = s_anc = nan
-            f2 = f2d[rnd, step]
-            has_rho = acc.store != "scalar" and (acc.per_step_rho or step == steps_per_round - 1)
-            if has_rho:
-                rho_data = acc.mean_rho("data", rnd, step)
-                rho_anc = acc.mean_rho("ancilla", rnd, step)
-                s_data = max(0.0, von_neumann_entropy(rho_data))
-                s_anc = max(0.0, von_neumann_entropy(rho_anc))
-                if not default_ref:
-                    f2 = squared_fidelity(rho_data, reference)
-                if acc.store == "full":
-                    s_total = max(0.0, von_neumann_entropy(acc.mean_rho("total", rnd, step)))
             rows.append(
                 RoundMetrics(
                     round_index=rnd,
                     step_index=step,
                     time=float((rnd * steps_per_round + step + 1)),
-                    f2_data=float(f2),
+                    f2_data=float(f2d[rnd, step]),
                     f2_ancilla=float(f2a[rnd, step]),
-                    s_total=s_total,
-                    s_data=s_data,
-                    s_ancilla=s_anc,
+                    s_total=float(ent["total"][step]),
+                    s_data=float(ent["data"][step]),
+                    s_ancilla=float(ent["ancilla"][step]),
                     n_traj=acc.count,
                 )
             )
@@ -83,11 +101,3 @@ def round_end_series(rows: list[RoundMetrics], field: str = "f2_data") -> np.nda
     """Value of one metric at the last step of each round."""
     steps = max(r.step_index for r in rows) + 1
     return np.array([getattr(r, field) for r in rows if r.step_index == steps - 1])
-
-
-def codespace_weight(acc: EnsembleAccumulator, rnd: int, step: int = -1) -> float:
-    """Diagnostic: total population of the two codewords (all-zero and
-    all-one data patterns) at a sample point. Requires stored matrices."""
-    rho = acc.mean_rho("data", rnd, step)
-    dim = rho.elements.shape[0]
-    return float(rho.elements[0, 0].real + rho.elements[dim - 1, dim - 1].real)

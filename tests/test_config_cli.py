@@ -137,6 +137,25 @@ class TestCliRun:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, protocol",
+        [("run", "measured"), ("run", "measurement_free"), ("compare", "measured")],
+        ids=["run-measured", "run-mf", "compare"],
+    )
+    def test_substep_too_coarse_exit_2(self, tmp_path, capsys, command, protocol):
+        # n_qubits * gamma_h >= n_sub: 6 (or 5) qubits at gamma_h = 1 against 5 substeps
+        text = GOOD.replace("measured", protocol).replace("gamma_h = 1e-3", "gamma_h = 1.0")
+        cfg = write(tmp_path, text + "n_sub = 5\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error: n_sub = 5 too coarse" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any simulation
+
+    def test_substep_just_fine_enough_runs(self, tmp_path):
+        text = GOOD.replace("measured", "measurement_free").replace("gamma_h = 1e-3", "gamma_h = 0.99")
+        cfg = write(tmp_path, text.replace("n_traj = 20", "n_traj = 2") + "n_sub = 5\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestCliVerifyGates:
     def test_passes_by_default(self, capsys):

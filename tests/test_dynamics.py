@@ -11,10 +11,15 @@ from thermoqec.compiler import (
     GateSchedule,
     Step,
     schedule_net_unitary,
+    step_unitary,
 )
 from thermoqec.dynamics import (
     JUMP_BIT_FLIP,
+    EnsembleAccumulator,
     NoiseParams,
+    _run_batch,
+    _SchedulePlan,
+    _StreamBank,
     evolve_master_equation,
     run_ensemble,
     run_round,
@@ -284,6 +289,36 @@ class TestAccumulator:
                 for which, qubits in (("data", schedule.data_qubits), ("ancilla", schedule.ancilla_qubits)):
                     expect = partial_trace(total, qubits).elements
                     assert np.abs(acc.mean_rho(which, rnd, step).elements - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("per_step_rho", [True, False], ids=["per_step", "round_end"])
+    def test_matrix_sums_match_explicit_outer_products(self, per_step_rho):
+        # noiseless measurement-free round: every step is its unitary, so the
+        # batch's states after each step are known without the kernel
+        n, steps = MEASUREMENT_FREE.n_qubits, len(MEASUREMENT_FREE)
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=(4, 2**n)) + 1j * rng.normal(size=(4, 2**n))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        acc = EnsembleAccumulator(
+            1, steps, n, MEASUREMENT_FREE.data_qubits, MEASUREMENT_FREE.ancilla_qubits, "full", per_step_rho
+        )
+        plan = _SchedulePlan(MEASUREMENT_FREE, ZERO_NOISE, 4)
+        bank = _StreamBank([np.random.default_rng(i) for i in range(4)])
+        _run_batch(psi.copy(), 1, plan, bank, acc)
+        u = np.eye(2**n, dtype=complex)
+        for s, step in enumerate(MEASUREMENT_FREE.steps):
+            u = step_unitary(step, n) @ u
+            if not per_step_rho and s < steps - 1:
+                continue
+            states = psi @ u.T
+            expect = sum(np.outer(v, v.conj()) for v in states)
+            si = s if per_step_rho else 0
+            assert np.abs(acc.rho_total[0, si] - expect).max() < 1e-12
+            mean = DensityMatrix(n, expect / 4)
+            for grid, qubits in (
+                (acc.rho_data, MEASUREMENT_FREE.data_qubits),
+                (acc.rho_anc, MEASUREMENT_FREE.ancilla_qubits),
+            ):
+                assert np.abs(grid[0, si] / 4 - partial_trace(mean, qubits).elements).max() < 1e-12
 
     def test_mean_trace_one(self):
         noise = NoiseParams(5e-3, 3.0, 1e-2)

@@ -1,10 +1,14 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
 import thermoqec as tq
+from thermoqec.cli import main
 from thermoqec.dynamics import EnsembleAccumulator, NoiseParams, run_ensemble
-from thermoqec.metrics import codespace_weight, compute_step_metrics, round_end_series
-from thermoqec.qstate import StateVector
+from thermoqec.metrics import compute_step_metrics, round_end_series
+from thermoqec.qstate import EIG_FLOOR, StateVector, squared_fidelity, von_neumann_entropy
 
 MEASURED = tq.build_measured_round()
 
@@ -56,7 +60,8 @@ class TestComputeStepMetrics:
         acc = make_accumulator(rho_data, rho_anc)
         row = compute_step_metrics(acc)[0]
         assert row.f2_data == pytest.approx(0.5, abs=1e-12)
-        assert codespace_weight(acc, 0, -1) == pytest.approx(1.0, abs=1e-12)
+        rho = acc.mean_rho("data", 0, 0).elements
+        assert rho[0, 0].real + rho[7, 7].real == pytest.approx(1.0, abs=1e-12)
 
     def test_alternate_reference_state(self):
         rho_data = np.zeros((8, 8), dtype=complex)
@@ -64,8 +69,8 @@ class TestComputeStepMetrics:
         rho_anc = np.zeros((8, 8), dtype=complex)
         rho_anc[0, 0] = 1.0
         acc = make_accumulator(rho_data, rho_anc, f2_data=0.0)
-        row = compute_step_metrics(acc, reference=StateVector.from_bits("111"))[0]
-        assert row.f2_data == pytest.approx(1.0, abs=1e-12)
+        f2 = squared_fidelity(acc.mean_rho("data", 0, 0), StateVector.from_bits("111"))
+        assert f2 == pytest.approx(1.0, abs=1e-12)
 
     def test_entropies_nan_without_matrices(self):
         acc, _ = run_ensemble(
@@ -107,6 +112,72 @@ class TestComputeStepMetrics:
         ends = round_end_series(compute_step_metrics(acc))
         assert ends.shape == (3,)
         assert np.allclose(ends, 1.0, atol=1e-9)
+
+
+class TestStackedEntropies:
+    @pytest.mark.parametrize("store", ["full", "reduced"])
+    @pytest.mark.parametrize("per_step_rho", [True, False], ids=["per_step", "round_end"])
+    def test_match_per_matrix_entropy(self, store, per_step_rho):
+        acc, _ = run_ensemble(
+            StateVector.basis(6, 0), 2, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
+            master_seed=23, store=store, per_step_rho=per_step_rho,
+        )
+        rows = compute_step_metrics(acc)
+        assert len(rows) == 2 * 16
+        fields = (("total", "s_total"), ("data", "s_data"), ("ancilla", "s_ancilla"))
+        for r in rows:
+            for which, name in fields:
+                value = getattr(r, name)
+                has_rho = (per_step_rho or r.step_index == 15) and (store == "full" or which != "total")
+                if not has_rho:
+                    assert math.isnan(value)
+                    continue
+                expect = max(0.0, von_neumann_entropy(acc.mean_rho(which, r.round_index, r.step_index)))
+                assert value == pytest.approx(expect, abs=1e-12)
+        assert max(r.s_data for r in rows if r.step_index == 15) > 0.01  # the run is noisy
+
+    def test_trace_not_one_rejected(self):
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = 1.0
+        acc = make_accumulator(rho * 1.01, rho)
+        with pytest.raises(ValueError, match="trace"):
+            compute_step_metrics(acc)
+
+    def test_eigenvalue_below_floor_rejected(self):
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = 1.0
+        bad = np.diag([0.5, 0.5 - 10 * EIG_FLOOR, 10 * EIG_FLOOR, 0, 0, 0, 0, 0]).astype(complex)
+        acc = make_accumulator(rho, bad)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            compute_step_metrics(acc)
+
+    def test_non_hermitian_mean_rejected(self):
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = 1.0
+        skew = rho.copy()
+        skew[0, 1] = 1e-6
+        acc = make_accumulator(skew, rho)
+        with pytest.raises(ValueError, match="Hermitian"):
+            compute_step_metrics(acc)
+
+    def test_pure_state_entropy_is_positive_zero(self, tmp_path):
+        # eigenvalues exactly (0, ..., 0, 1) give -(1 * log2 1) = -0.0
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = 1.0
+        row = compute_step_metrics(make_accumulator(rho, rho))[0]
+        for value in (row.s_data, row.s_ancilla):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        cfg = tmp_path / "pure.cfg"
+        cfg.write_text(
+            "[experiment]\nprotocol = measured\ngamma_h = 0\nGamma_c = 0\nrounds = 1\n"
+            "n_traj = 2\nmaster_seed = 1\nstore = full\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for r in rows:
+            for name in ("s_total", "s_data", "s_anc"):
+                assert not r[name].startswith("-") and float(r[name]) < 1e-9
 
 
 class TestAncillaFidelityRoundIndependence:
