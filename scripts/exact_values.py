@@ -76,12 +76,12 @@ def build_round_map(noise: NoiseParams, schedule) -> tuple[np.ndarray, np.ndarra
         rho = np.zeros((dim, dim), dtype=complex)
         rho[j, j] = 1.0
         res = evolve_master_equation(DensityMatrix(n, rho), schedule, noise, rounds=1)
-        end = res.rho_steps[0, -1]
+        end = res.rho_end[0]
         off = np.abs(end - np.diag(np.diag(end))).max()
         if off > 1e-12:
             raise RuntimeError(f"round from basis state {j} ends with coherence {off:.2e}")
         M[j] = np.diag(end).real
-        D[j] = np.einsum("sii->si", res.rho_steps[0]).real
+        D[j] = res.populations[0]
     return M, D
 
 

@@ -29,9 +29,6 @@ from .metrics import RoundMetrics, compute_step_metrics
 from .qstate import (
     DensityMatrix,
     StateVector,
-    apply_single_qubit_unitary,
-    apply_two_qubit_phase,
-    measure_qubits_projective,
     partial_trace,
     squared_fidelity,
     trace_distance,
@@ -48,15 +45,12 @@ __all__ = [
     "StateVector",
     "Step",
     "TrajectoryRecord",
-    "apply_single_qubit_unitary",
-    "apply_two_qubit_phase",
     "build_measured_round",
     "build_measurement_free_round",
     "compile_cnot",
     "compile_toffoli",
     "compute_step_metrics",
     "evolve_master_equation",
-    "measure_qubits_projective",
     "partial_trace",
     "phase_aligned_distance",
     "run_ensemble",

@@ -47,7 +47,6 @@ from .ratemodel import (
     ancilla_steady_fidelity,
     chain_decay_constant,
     chain_steady_state,
-    cooling_closed_form,
     decay_constant_series,
     event_probabilities,
     first_round_weight0,
@@ -149,20 +148,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         ]
     elif cfg.protocol == "measured":
         lines.append("rate-model comparison skipped: per-round error load exceeds 1")
-    if cfg.oracle:
-        oracle = evolve_master_equation(
-            initial.projector(), schedule, noise, rounds=cfg.rounds
-        )
-        dists = []
-        if acc.store != "full":
-            lines.append("oracle comparison skipped: run needs store=full for total matrices")
-        else:
-            for rnd in range(cfg.rounds):
-                dists.append(trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd)))
-            lines.append(
-                "trajectory-vs-oracle trace distance per round end = "
-                + " ".join(_fmt(d) for d in dists)
-            )
+    if cfg.oracle and store != "full":
+        lines.append("oracle comparison skipped: run needs store=full for total matrices")
+    elif cfg.oracle:
+        oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds)
+        dists = [trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd)) for rnd in range(cfg.rounds)]
+        lines.append("trajectory-vs-oracle trace distance per round end = " + " ".join(_fmt(d) for d in dists))
     summary = "\n".join(lines) + "\n"
     (out / "summary.txt").write_text(summary)
     sys.stdout.write(summary)
@@ -256,20 +247,42 @@ def _write_table(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
+# closed range [low, high] of each rate-model option
+_RATE_OPTION_RANGES = {
+    **dict.fromkeys(("n_c", "n_c_values", "Gamma_c", "gamma_h", "t_max"), (0.0, math.inf)),
+    **dict.fromkeys(("alpha", "beta", "F_a"), (0.0, 1.0)),
+    **dict.fromkeys(("steps", "rounds"), (1, math.inf)),
+}
+
+
+def _check_rate_options(args) -> None:
+    """Reject a rate-model option outside its range (or not finite) as an
+    invalid parameter."""
+    for name, (low, high) in _RATE_OPTION_RANGES.items():
+        values = getattr(args, name, None)
+        for v in values if isinstance(values, list) else [values]:
+            if v is not None and not (math.isfinite(v) and low <= v <= high):
+                raise ConfigError(f"--{name.replace('_', '-')} must lie in [{low}, {high}], got {v}")
+
+
 def cmd_rate_model(args) -> int:
+    _check_rate_options(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.model == "cooling":
         rates = CoolingRates.from_reservoir(args.Gamma_c, args.n_c)
         P = np.zeros(8)
         P[args.initial] = 1.0
+        bits = [(args.initial >> j) & 1 for j in range(3)]
         rows = []
         n_pts = 200
         for j in range(n_pts + 1):
             t = args.t_max * j / n_pts
             row = [t] + list(integrate_cooling(P, rates, t))
             if rates.B == 0:
-                row += list(cooling_closed_form(args.initial, rates.A, t))
+                # at zero occupancy each excited bit survives with exp(-A t)
+                x = math.exp(-rates.A * t)
+                row += [math.prod(b * x if i >> k & 1 else 1.0 - b * x for k, b in enumerate(bits)) for i in range(8)]
             rows.append(row)
         header = ["t"] + [f"P{i}" for i in range(8)]
         if rates.B == 0:

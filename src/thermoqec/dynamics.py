@@ -2,14 +2,17 @@
 
 Two routes are provided, both reading one table of schedule-derived
 operators (`_SchedulePlan`: cooling windows, measurement projectors,
-correction permutations, ground-pattern masks, and the kernel's jumps):
+correction permutations, ground-pattern masks, and the kernel's jumps; the
+kernel's step propagators are built on its first read):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
   with one batched kernel: `run_ensemble` runs it on batches of
   trajectories, `run_round` on one trajectory for one round, and
 * the exact master-equation propagator, used as the oracle: within a step
   the Lindbladian is a sum of commuting terms on disjoint qubit groups, so
-  each step's map is a tensor product of small exact channels.
+  each step's map is a tensor product of small exact channels. It returns
+  each round's final density matrix and the basis populations after every
+  step (`OracleResult`).
 
 Noise model per unit time (tau = 1 per schedule step):
   * every qubit suffers sigma_x jumps at rate gamma_h,
@@ -61,6 +64,7 @@ register pattern, one column per trajectory and rest-of-register pattern).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,10 +128,6 @@ class TrajectoryRecord:
     jumps: list[tuple[float, int, str]] = field(default_factory=list)
     outcomes: list[tuple[int, ...]] = field(default_factory=list)
 
-    def times_ordered(self) -> bool:
-        times = [t for t, _, _ in self.jumps]
-        return all(a <= b for a, b in zip(times, times[1:]))
-
 
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     """Counter-based random stream for one trajectory of one run."""
@@ -149,23 +149,6 @@ class _SchedulePlan:
         self.n_qubits = n
         self.dim = 2**n
         idx = np.arange(self.dim)
-
-        # powers of the per-substep unitary (for replaying jump
-        # interleavings) and the exact full-step unitary for jump-free
-        # trajectories
-        self.sub_powers: list[list[np.ndarray] | None] = []
-        self.full_unitaries: list[np.ndarray | None] = []
-        for s in schedule.steps:
-            if s.terms:
-                u_dt = step_unitary(s, n, scale=self.dt)
-                powers = [np.eye(self.dim, dtype=complex)]
-                for _ in range(n_sub):
-                    powers.append(u_dt @ powers[-1])
-                self.sub_powers.append(powers)
-                self.full_unitaries.append(step_unitary(s, n, scale=1.0))
-            else:
-                self.sub_powers.append(None)
-                self.full_unitaries.append(None)
 
         profile = noise.cooling_profile(schedule)
         active = noise.Gamma_c > 0 and len(schedule.ancilla_qubits) > 0
@@ -207,6 +190,28 @@ class _SchedulePlan:
         self.anc_ground = anc_pat == 0
         self.data_sort = np.argsort(data_pat, kind="stable")
         self.anc_sort = np.argsort(anc_pat, kind="stable")
+
+    @cached_property
+    def sub_powers(self) -> list[list[np.ndarray] | None]:
+        """Powers 0..n_sub of each step's per-substep unitary, for replaying
+        jump interleavings (None for a step without control terms). Built on
+        the kernel's first read, as is `full_unitaries`: the oracle reads
+        neither."""
+        out: list[list[np.ndarray] | None] = []
+        for s in self.schedule.steps:
+            powers = None
+            if s.terms:
+                u_dt = step_unitary(s, self.n_qubits, scale=self.dt)
+                powers = [np.eye(self.dim, dtype=complex)]
+                for _ in range(self.n_sub):
+                    powers.append(u_dt @ powers[-1])
+            out.append(powers)
+        return out
+
+    @cached_property
+    def full_unitaries(self) -> list[np.ndarray | None]:
+        """Exact full-step unitary of each step, for jump-free trajectories."""
+        return [step_unitary(s, self.n_qubits, scale=1.0) if s.terms else None for s in self.schedule.steps]
 
 
 def _pattern_index(idx: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -411,7 +416,7 @@ class EnsembleAccumulator:
             "ancilla": len(self.ancilla_qubits),
             "total": self.n_qubits,
         }[which]
-        return DensityMatrix(nq, 0.5 * (mat + mat.conj().T))
+        return DensityMatrix(nq, mat)
 
 
 def run_ensemble(
@@ -599,23 +604,22 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
 
 @dataclass
 class OracleResult:
-    """Density-matrix time series from the master-equation integrator."""
+    """Round-end density matrices and per-step basis populations from the
+    master-equation oracle."""
 
     schedule: GateSchedule
-    rounds: int
-    rho_steps: np.ndarray  # (rounds, n_steps, dim, dim), sampled after each step
+    rho_end: np.ndarray  # (rounds, dim, dim), the state at each round end
+    populations: np.ndarray  # (rounds, n_steps, dim), diagonal of the state after each step
     data_ground: np.ndarray = field(repr=False)  # the schedule plan's ground masks
     anc_ground: np.ndarray = field(repr=False)
 
-    def rho(self, rnd: int, step: int = -1) -> DensityMatrix:
-        return DensityMatrix(self.schedule.n_qubits, self.rho_steps[rnd, step])
+    def rho(self, rnd: int) -> DensityMatrix:
+        return DensityMatrix(self.schedule.n_qubits, self.rho_end[rnd])
 
     def f2_series(self) -> np.ndarray:
         """Columns [f2_data, f2_ancilla] per (round, step)."""
-        diag = np.einsum("rsii->rsi", self.rho_steps).real
-        return np.stack(
-            [diag[:, :, self.data_ground].sum(axis=2), diag[:, :, self.anc_ground].sum(axis=2)], axis=2
-        )
+        pop = self.populations
+        return np.stack([pop[:, :, self.data_ground].sum(axis=2), pop[:, :, self.anc_ground].sum(axis=2)], axis=2)
 
 
 def _expm(g: np.ndarray) -> np.ndarray:
@@ -689,7 +693,8 @@ def evolve_master_equation(
     noise, and the correction applies each outcome's flip set to its own
     block before re-summing. The output is therefore the exact
     trajectory-ensemble limit, including errors that strike between
-    measurement and correction.
+    measurement and correction. The result keeps the state at each round
+    end and the basis populations after every step.
     """
     n = schedule.n_qubits
     dim = 2**n
@@ -703,7 +708,8 @@ def evolve_master_equation(
 
     blocks: list[np.ndarray] | None = None  # conditional states between markers
     r = rho.elements.astype(complex).copy()
-    series = np.zeros((rounds, len(schedule), dim, dim), dtype=complex)
+    rho_end = np.zeros((rounds, dim, dim), dtype=complex)
+    populations = np.zeros((rounds, len(schedule), dim))
     for rnd in range(rounds):
         for s, step in enumerate(schedule.steps):
             if blocks is not None:
@@ -726,5 +732,6 @@ def evolve_master_equation(
             low = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
             if low < -1e-6:
                 raise RuntimeError(f"oracle lost positivity (min eigenvalue {low})")
-            series[rnd, s] = r
-    return OracleResult(schedule, rounds, series, plan.data_ground, plan.anc_ground)
+            populations[rnd, s] = r.diagonal().real
+        rho_end[rnd] = r
+    return OracleResult(schedule, rho_end, populations, plan.data_ground, plan.anc_ground)

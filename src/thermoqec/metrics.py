@@ -69,7 +69,7 @@ def compute_step_metrics(acc: EnsembleAccumulator) -> list[RoundMetrics]:
         raise ValueError("empty accumulator")
     steps_per_round = acc.n_steps
     # steps whose matrices were accumulated, in the grids' step order
-    rho_steps = list(range(steps_per_round)) if acc.per_step_rho else [steps_per_round - 1]
+    stored_steps = list(range(steps_per_round)) if acc.per_step_rho else [steps_per_round - 1]
     grids = {"total": acc.rho_total, "data": acc.rho_data, "ancilla": acc.rho_anc}
     rows: list[RoundMetrics] = []
     f2d = np.clip(acc.mean_f2_data(), 0.0, 1.0)
@@ -79,7 +79,7 @@ def compute_step_metrics(acc: EnsembleAccumulator) -> list[RoundMetrics]:
         for which, grid in grids.items():
             ent[which] = np.full(steps_per_round, nan)
             if grid is not None:
-                ent[which][rho_steps] = _entropies(grid[rnd] / acc.count)
+                ent[which][stored_steps] = _entropies(grid[rnd] / acc.count)
         for step in range(steps_per_round):
             rows.append(
                 RoundMetrics(

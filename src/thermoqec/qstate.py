@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-12
 HERM_TOL = 1e-12
-TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,9 +58,6 @@ class StateVector:
     def projector(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -89,76 +84,6 @@ class DensityMatrix:
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
         dim = 2**n_qubits
         return cls(n_qubits, np.eye(dim, dtype=complex) / dim)
-
-
-def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"operator has shape {u.shape}, expected ({dim}, {dim})")
-    if np.linalg.norm(u.conj().T @ u - np.eye(dim)) > NORM_TOL * dim:
-        raise ValueError("operator is not unitary")
-    return u
-
-
-def apply_single_qubit_unitary(state: StateVector, q: int, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to qubit q, identity elsewhere."""
-    n = state.n_qubits
-    if not 0 <= q < n:
-        raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    u = _check_unitary(u, 2)
-    # reshape so the target qubit is its own axis
-    tensor = state.amplitudes.reshape((2**q, 2, 2 ** (n - q - 1)))
-    out = np.einsum("ab,ibj->iaj", u, tensor).reshape(-1)
-    nrm = np.linalg.norm(out)
-    return StateVector(n, out / nrm)
-
-
-def apply_two_qubit_phase(state: StateVector, i: int, j: int, alphas) -> StateVector:
-    """Multiply each amplitude by exp(-i * alpha_ab) keyed on the bits of qubits i, j.
-
-    alphas is the 4-tuple (alpha_00, alpha_01, alpha_10, alpha_11).
-    """
-    if i == j:
-        raise ValueError("phase gate requires two distinct qubits")
-    n = state.n_qubits
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (4,):
-        raise ValueError("alphas must have exactly 4 entries")
-    idx = np.arange(2**n)
-    a = (idx >> (n - 1 - i)) & 1
-    b = (idx >> (n - 1 - j)) & 1
-    phases = np.exp(-1j * alphas[2 * a + b])
-    return StateVector(n, state.amplitudes * phases)
-
-
-def measure_qubits_projective(state: StateVector, qubits, rng: np.random.Generator):
-    """Projective measurement of `qubits` in the computational basis.
-
-    Returns (outcome bits as a tuple, collapsed state, Born probability of
-    the sampled outcome).
-    """
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("measured qubits must be distinct")
-    n = state.n_qubits
-    k = len(qubits)
-    idx = np.arange(2**n)
-    pattern = np.zeros(2**n, dtype=np.int64)
-    for pos, q in enumerate(qubits):
-        pattern |= ((idx >> (n - 1 - q)) & 1) << (k - 1 - pos)
-    probs = np.bincount(pattern, weights=np.abs(state.amplitudes) ** 2, minlength=2**k)
-    total = probs.sum()
-    if total < 1e-14:
-        raise ValueError("state has vanishing total probability")
-    probs = probs / total
-    u = rng.random()
-    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    outcome = min(outcome, 2**k - 1)
-    p = float(probs[outcome])
-    amps = np.where(pattern == outcome, state.amplitudes, 0.0)
-    amps = amps / np.linalg.norm(amps)
-    bits = tuple((outcome >> (k - 1 - pos)) & 1 for pos in range(k))
-    return bits, StateVector(n, amps), p
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

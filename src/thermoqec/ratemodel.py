@@ -21,20 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EVENT_LABELS = (
-    "111", "112", "113", "114",
-    "121", "122", "123", "124",
-    "211", "212", "213", "214",
-    "221", "222", "223", "224",
-)
-
-FLOW_LABELS = (
-    "00", "0a", "0b", "07",
-    "a0", "aa", "ab", "a7",
-    "b0", "ba", "bb", "b7",
-    "70", "7a", "7b", "77",
-)
-
 CLASS_MULTIPLICITY = np.array([1.0, 3.0, 3.0, 1.0])
 
 
@@ -103,35 +89,6 @@ def ancilla_steady_fidelity(n_c: float) -> float:
     if n_c < 0:
         raise ValueError("n_c must be non-negative")
     return float(((n_c + 1.0) / (2.0 * n_c + 1.0)) ** 3)
-
-
-def cooling_closed_form(initial_state: int, A: float, t: float) -> np.ndarray:
-    """Populations after cooling for time t from basis state `initial_state`,
-    in the zero-temperature limit (B = 0): each excited bit decays
-    independently with survival exp(-A t)."""
-    if not 0 <= initial_state <= 7:
-        raise ValueError("initial state must be one of 0..7")
-    if A < 0 or t < 0:
-        raise ValueError("A and t must be non-negative")
-    P = np.zeros(8)
-    P[initial_state] = 1.0
-    return integrate_cooling(P, CoolingRates(A, 0.0), t)
-
-
-def slow_cooling_fidelity(p, x: float, literal_quadratic: bool = False) -> float:
-    """All-ground probability after cooling when the pre-cooling weight
-    distribution over excited ancilla bits is p = (p0, p1, p2, p3) and each
-    excited bit survives with probability x.
-
-    Three excited bits need three decays, hence the cubic final term;
-    literal_quadratic=True restores the variant with (1-x)**2 on p3 for
-    comparison.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("expected weight probabilities (p0, p1, p2, p3)")
-    last = 2 if literal_quadratic else 3
-    return float(p[0] + p[1] * (1 - x) + p[2] * (1 - x) ** 2 + p[3] * (1 - x) ** last)
 
 
 def slow_cooling_steady_fidelity(alpha: float, x: float) -> float:

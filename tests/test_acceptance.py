@@ -34,7 +34,7 @@ from thermoqec.dynamics import (
     trajectory_stream,
 )
 from thermoqec.metrics import compute_step_metrics
-from thermoqec.qstate import PAULI_X, StateVector, apply_single_qubit_unitary, trace_distance
+from thermoqec.qstate import StateVector, bit_mask, trace_distance
 from thermoqec.ratemodel import (
     RoundChainState,
     RoundEventParams,
@@ -112,17 +112,16 @@ class TestCriterion2CodeCorrectness:
         "schedule, tag", [(MEASURED, "measured"), (MEASUREMENT_FREE, "measurement-free")]
     )
     def test_weight1_corrected_weight2_miscorrected(self, schedule, tag):
-        base = StateVector.basis(schedule.n_qubits, 0)
+        n = schedule.n_qubits
         noise = NoiseParams(0.0, 0.0, 0.0)
         singles = []
         for q in (0, 1, 2):
-            st = apply_single_qubit_unitary(base, q, PAULI_X)
+            st = StateVector.basis(n, bit_mask(q, n))
             _, samples, _ = run_round(st, schedule, noise, trajectory_stream(SEED, q))
             singles.append(samples[-1, 0])
         doubles = []
         for qa, qb in ((0, 1), (0, 2), (1, 2)):
-            st = apply_single_qubit_unitary(base, qa, PAULI_X)
-            st = apply_single_qubit_unitary(st, qb, PAULI_X)
+            st = StateVector.basis(n, bit_mask(qa, n) ^ bit_mask(qb, n))
             _, samples, _ = run_round(st, schedule, noise, trajectory_stream(SEED, 10 * qa + qb))
             doubles.append(samples[-1, 0])
         ok = all(abs(f - 1.0) < 1e-9 for f in singles) and all(f < 1e-9 for f in doubles)

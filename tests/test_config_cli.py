@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from thermoqec import cli
 from thermoqec.cli import main
 from thermoqec.config import ConfigError, ExperimentConfig, load_config
 
@@ -130,6 +131,17 @@ class TestCliRun:
         assert code == 0
         assert "trace distance" in (tmp_path / "o" / "summary.txt").read_text()
 
+    def test_oracle_skipped_without_total_matrices(self, tmp_path, capsys, monkeypatch):
+        # a reduced store cannot compare, so the oracle must not run at all
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle computed for a run that cannot compare")
+
+        monkeypatch.setattr(cli, "evolve_master_equation", no_oracle)
+        cfg = write(tmp_path, GOOD.replace("n_traj = 20", "n_traj = 2") + "store = reduced\n")
+        code = main(["run", "--config", str(cfg), "--oracle", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "oracle comparison skipped: run needs store=full" in capsys.readouterr().out
+
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path, GOOD + "bogus = 1\n")
         assert main(["run", "--config", str(cfg)]) == 2
@@ -215,8 +227,30 @@ class TestCliRateModel:
         assert code == 0
         with open(tmp_path / "cooling.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][:2] == ["t", "P0"]
-        assert "P0_closed" in rows[0]  # zero-occupancy run carries closed forms
+        header = ["t"] + [f"P{i}" for i in range(8)]
+        assert rows[0] == header + [f"P{i}_closed" for i in range(8)]  # zero occupancy adds closed forms
+        # the closed form (independent bit decays) agrees with the exact map
+        for row in rows[1:]:
+            assert [float(v) for v in row[1:9]] == pytest.approx([float(v) for v in row[9:]], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cooling", "--t-max", "-1", "--n-c", "0.01"],
+            ["cooling", "--Gamma-c", "-3"],
+            ["cooling", "--n-c", "-0.5"],
+            ["steady-fidelity", "--n-c-values", "0", "-0.1"],
+            ["slow-cooling", "--steps", "0"],
+            ["chain", "--alpha", "-0.1"],
+            ["chain", "--alpha", "1e-3", "--F-a", "1.5"],
+            ["chain", "--alpha", "1e-3", "--rounds", "-5"],
+        ],
+        ids=["t-max", "Gamma-c", "n-c", "n-c-values", "steps", "alpha", "F-a", "rounds"],
+    )
+    def test_out_of_range_option_exit_2(self, tmp_path, capsys, argv):
+        assert main(["rate-model", *argv, "--out", str(tmp_path)]) == 2
+        assert "configuration error: --" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # rejected before writing a table
 
     def test_steady_fidelity_table(self, tmp_path, capsys):
         code = main(["rate-model", "steady-fidelity", "--n-c-values", "0", "0.01",

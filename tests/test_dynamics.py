@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import thermoqec as tq
+from thermoqec import dynamics
 from thermoqec.compiler import (
     HADAMARD_PULSE,
     PUSHING_GATE,
@@ -31,7 +32,7 @@ from thermoqec.qstate import (
     PAULI_Z,
     DensityMatrix,
     StateVector,
-    apply_single_qubit_unitary,
+    bit_mask,
     partial_trace,
     trace_distance,
 )
@@ -90,7 +91,7 @@ class TestPoissonStatistics:
         assert abs(counts.mean() - 10.0) < 3 * np.sqrt(10.0 / 500)
         # dispersion consistent with Poisson: var/mean near 1
         assert 0.8 < counts.var() / counts.mean() < 1.2
-        assert all(r.times_ordered() for r in recs)
+        assert all(times == sorted(times) for times in ([t for t, _, _ in r.jumps] for r in recs))
         assert all(q == 0 and kind == JUMP_BIT_FLIP for r in recs for _, q, kind in r.jumps)
 
 
@@ -104,7 +105,8 @@ class TestTrajectorySubstep:
             trajectory_stream(1, 1), n_sub=1,
         )
         assert record.jumps and all(q == 0 and kind == JUMP_BIT_FLIP for _, q, kind in record.jumps)
-        assert record.times_ordered()
+        times = [t for t, _, _ in record.jumps]
+        assert times == sorted(times)
         p = 1 - np.exp(-5e-2)
         assert abs(len(record.jumps) - 3000 * p) < 3 * np.sqrt(3000 * p * (1 - p))
 
@@ -185,23 +187,21 @@ class TestRunRound:
 
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
     def test_single_flip_corrected(self, schedule):
-        base = StateVector.basis(schedule.n_qubits, 0)
+        n = schedule.n_qubits
         for q in schedule.data_qubits:
-            state = apply_single_qubit_unitary(base, q, PAULI_X)
+            state = StateVector.basis(n, bit_mask(q, n))
             _, samples, _ = run_round(state, schedule, ZERO_NOISE, trajectory_stream(0, 0))
             assert abs(samples[-1, 0] - 1.0) < 1e-9
 
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
     def test_double_flip_miscorrected(self, schedule):
-        base = StateVector.basis(schedule.n_qubits, 0)
+        n = schedule.n_qubits
         pairs = [(0, 1), (0, 2), (1, 2)]
         for qa, qb in pairs:
-            state = apply_single_qubit_unitary(base, qa, PAULI_X)
-            state = apply_single_qubit_unitary(state, qb, PAULI_X)
+            state = StateVector.basis(n, bit_mask(qa, n) ^ bit_mask(qb, n))
             out, samples, _ = run_round(state, schedule, ZERO_NOISE, trajectory_stream(0, 0))
             assert samples[-1, 0] < 1e-9
             # data register lands on the complementary codeword
-            n = schedule.n_qubits
             pop = np.abs(out.amplitudes.reshape(8, 2 ** (n - 3)))[7].sum()
             assert abs(pop - 1.0) < 1e-9
 
@@ -350,6 +350,12 @@ class TestAccumulator:
         assert np.allclose(ba.f2_data, ab.f2_data, atol=1e-12)
         assert np.allclose(ab.rho_data, whole.rho_data, atol=1e-12)
 
+    def test_mean_rho_rejects_non_hermitian_sum(self):
+        acc, _ = run_ensemble(StateVector.basis(6, 0), 1, MEASURED, ZERO_NOISE, 2, store="full", per_step_rho=False)
+        acc.rho_total[0, 0, 0, 1] += 1e-6 * acc.count
+        with pytest.raises(ValueError, match="not Hermitian"):
+            acc.mean_rho("total", 0)
+
     def test_merge_rejects_incompatible(self):
         noise = NoiseParams(5e-3, 3.0, 1e-2)
         a, _ = run_ensemble(StateVector.basis(6, 0), 1, MEASURED, noise, 2, master_seed=1)
@@ -366,13 +372,13 @@ class TestMasterEquationOracle:
         out = evolve_master_equation(state.projector(), MEASUREMENT_FREE, ZERO_NOISE)
         u = schedule_net_unitary(MEASUREMENT_FREE).matrix
         expect = u @ state.projector().elements @ u.conj().T
-        assert np.max(np.abs(out.rho_steps[0, -1] - expect)) < 1e-8
+        assert np.max(np.abs(out.rho(0).elements - expect)) < 1e-8
 
     def test_trace_and_hermiticity_preserved(self):
         noise = NoiseParams(1e-2, 3.0, 1e-2)
         rho0 = StateVector.basis(6, 0).projector()
         out = evolve_master_equation(rho0, MEASURED, noise)
-        final = out.rho_steps[0, -1]
+        final = out.rho(0).elements
         assert abs(np.trace(final).real - 1.0) < 1e-8
         assert np.max(np.abs(final - final.conj().T)) < 1e-10
 
@@ -385,14 +391,14 @@ class TestMasterEquationOracle:
         )
         for step in range(10):
             t = step + 1.0
-            p0 = out.rho_steps[0, step][0, 0].real
+            p0 = out.populations[0, step, 0]
             assert abs(p0 - 0.5 * (1 + np.exp(-2 * gamma * t))) < 1e-8
 
     def test_bit_flip_channel_preserves_x_eigenstate(self):
         sched = idle_schedule(1, 5)
         plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
         out = evolve_master_equation(plus.projector(), sched, NoiseParams(0.1, 0, 0))
-        assert np.max(np.abs(out.rho_steps[0, -1] - plus.projector().elements)) < 1e-8
+        assert np.max(np.abs(out.rho(0).elements - plus.projector().elements)) < 1e-8
 
     def test_cooling_detailed_balance(self):
         # steady excited population n_c / (2 n_c + 1) per ancilla
@@ -401,7 +407,7 @@ class TestMasterEquationOracle:
         out = evolve_master_equation(
             StateVector.basis(1, 1).projector(), sched, NoiseParams(0.0, 2.0, n_c)
         )
-        p_exc = out.rho_steps[0, -1][1, 1].real
+        p_exc = out.populations[0, -1, 1]
         assert abs(p_exc - n_c / (2 * n_c + 1)) < 1e-8
 
     def test_oracle_measurement_is_ensemble_limit(self):
@@ -413,6 +419,47 @@ class TestMasterEquationOracle:
                               per_step_rho=False)
         td = trace_distance(acc.mean_rho("total", 0), oracle.rho(0))
         assert td < 5 / np.sqrt(2000)
+
+
+class TestOracleResult:
+    NOISE = NoiseParams(1e-2, 3.0, 1e-2)
+
+    def test_populations_are_the_step_diagonals(self):
+        psi = StateVector.basis(6, 0).projector()
+        out = evolve_master_equation(psi, MEASURED, self.NOISE, rounds=2)
+        assert np.array_equal(out.populations[:, -1], np.einsum("rii->ri", out.rho_end).real)
+        # after step s: the round end of the schedule cut after step s (at
+        # s = 0 a one-step schedule)
+        for s in range(len(MEASURED)):
+            cut = GateSchedule(6, MEASURED.data_qubits, MEASURED.ancilla_qubits, MEASURED.steps[: s + 1])
+            end = evolve_master_equation(psi, cut, self.NOISE).rho_end[0]
+            assert np.array_equal(out.populations[0, s], end.diagonal().real)
+
+    def test_f2_series_sums_ground_populations(self):
+        out = evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE, rounds=2)
+        idx = np.arange(64)
+        data_ground, anc_ground = idx < 8, idx % 8 == 0  # data qubits 0-2 are the high bits
+        f2 = out.f2_series()
+        assert f2.shape == (2, len(MEASURED), 2)
+        assert np.abs(f2[..., 0] - out.populations[..., data_ground].sum(axis=2)).max() < 1e-15
+        assert np.abs(f2[..., 1] - out.populations[..., anc_ground].sum(axis=2)).max() < 1e-15
+
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_size_grows_by_round_end_state_and_step_populations(self, schedule):
+        def nbytes(rounds):
+            rho = StateVector.basis(schedule.n_qubits, 0).projector()
+            out = evolve_master_equation(rho, schedule, ZERO_NOISE, rounds)
+            return sum(v.nbytes for v in vars(out).values() if isinstance(v, np.ndarray))
+
+        dim, steps = 2**schedule.n_qubits, len(schedule)
+        assert nbytes(3) - nbytes(1) == 2 * (dim**2 * 16 + steps * dim * 8)
+
+    def test_builds_no_kernel_propagators(self, monkeypatch):
+        def no_unitaries(*args, **kwargs):
+            raise AssertionError("oracle built a step unitary")
+
+        monkeypatch.setattr(dynamics, "step_unitary", no_unitaries)
+        evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE)
 
 
 def dense_step_generator(step: Step, n: int, noise: NoiseParams, cooled) -> np.ndarray:
@@ -475,7 +522,7 @@ class TestDenseGeneratorCrossCheck:
             v = total
         expect = v.reshape(32, 32, order="F")
 
-        out = evolve_master_equation(DensityMatrix(5, rho), sched, noise).rho_steps[0, 0]
+        out = evolve_master_equation(DensityMatrix(5, rho), sched, noise).rho(0).elements
         assert np.abs(out - expect).max() < 1e-12
 
 

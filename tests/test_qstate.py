@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoqec.compiler import HADAMARD_PULSE, PUSHING_GATE, X_ROTATION, ControlTerm, GateSchedule, Step, step_unitary
+from thermoqec.dynamics import NoiseParams, run_ensemble, run_round
 from thermoqec.qstate import (
     HADAMARD,
-    PAULI_X,
     DensityMatrix,
     StateVector,
-    apply_single_qubit_unitary,
-    apply_two_qubit_phase,
-    measure_qubits_projective,
     partial_trace,
     squared_fidelity,
     trace_distance,
@@ -50,57 +48,71 @@ class TestStateVector:
             StateVector(2, np.array([1.0, 0.0]))
 
 
+def apply_term(state, term):
+    """`state` after one step of a single control term: the compiler's
+    embedding of the term's unitary into the register."""
+    return StateVector(state.n_qubits, step_unitary(Step((term,)), state.n_qubits) @ state.amplitudes)
+
+
+def measure(state, qubits, n_traj, seed):
+    """Outcomes of the trajectory kernel's projective measurement of `qubits`
+    (one noiseless step with a measurement marker), one per trajectory."""
+    n = state.n_qubits
+    sched = GateSchedule(n, tuple(range(n)), (), (Step(measure=tuple(qubits)),))
+    _, recs = run_ensemble(
+        state, 1, sched, NoiseParams(0.0, 0.0, 0.0), n_traj, master_seed=seed, store="scalar", record=True
+    )
+    return [r.outcomes[0] for r in recs]
+
+
 class TestSingleQubitUnitary:
     def test_identity(self):
         rng = np.random.default_rng(0)
         s = random_state(3, rng)
-        out = apply_single_qubit_unitary(s, 1, np.eye(2))
+        out = apply_term(s, ControlTerm(X_ROTATION, (1,), 0.0))
         assert np.allclose(out.amplitudes, s.amplitudes)
 
     def test_flip_basis_state(self):
-        s = StateVector.basis(6, 0)
-        out = apply_single_qubit_unitary(s, 0, PAULI_X)
-        assert out.amplitudes[32] == 1.0  # |100000>
+        # exp(-i pi/2 X) = -i X
+        out = apply_term(StateVector.basis(6, 0), ControlTerm(X_ROTATION, (0,), np.pi / 2))
+        assert abs(out.amplitudes[32] + 1j) < 1e-15  # |100000>
 
     def test_hadamard_single_qubit(self):
-        out = apply_single_qubit_unitary(StateVector.basis(1, 0), 0, HADAMARD)
-        assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-
-    def test_rejects_nonunitary(self):
-        with pytest.raises(ValueError):
-            apply_single_qubit_unitary(StateVector.basis(1, 0), 0, np.array([[1, 0], [0, 2.0]]))
+        out = apply_term(StateVector.basis(1, 0), ControlTerm(HADAMARD_PULSE, (0,), np.pi / 2))
+        assert np.allclose(out.amplitudes, -1j * HADAMARD[:, 0])
 
     def test_rejects_bad_qubit(self):
         with pytest.raises(ValueError):
-            apply_single_qubit_unitary(StateVector.basis(2, 0), 5, np.eye(2))
+            GateSchedule(2, (0, 1), (), (Step((ControlTerm(X_ROTATION, (5,), 0.0),)),))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 2**31 - 1))
     def test_norm_preserved(self, q, seed):
         rng = np.random.default_rng(seed)
         s = random_state(6, rng)
-        theta = rng.uniform(0, 2 * np.pi)
-        u = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * PAULI_X
-        out = apply_single_qubit_unitary(s, q, u)
+        out = apply_term(s, ControlTerm(X_ROTATION, (q,), rng.uniform(0, 2 * np.pi)))
         assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) < 1e-12
 
 
 class TestTwoQubitPhase:
+    """The pushing gate: exp(-i * alpha_ab) keyed on the bits a, b of its
+    two qubits, alphas = (alpha_00, alpha_01, alpha_10, alpha_11)."""
+
     def test_zero_phases_identity(self):
         rng = np.random.default_rng(1)
         s = random_state(4, rng)
-        out = apply_two_qubit_phase(s, 0, 3, (0, 0, 0, 0))
+        out = apply_term(s, ControlTerm(PUSHING_GATE, (0, 3), alphas=(0, 0, 0, 0)))
         assert np.allclose(out.amplitudes, s.amplitudes)
 
     def test_controlled_z_on_bell(self):
         bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
-        out = apply_two_qubit_phase(bell, 0, 1, (0, 0, 0, np.pi))
+        out = apply_term(bell, ControlTerm(PUSHING_GATE, (0, 1), alphas=(0, 0, 0, np.pi)))
         assert np.allclose(out.amplitudes, np.array([1, 0, 0, -1]) / np.sqrt(2))
 
     def test_uniform_phase_is_global(self):
         rng = np.random.default_rng(2)
         s = random_state(3, rng)
-        out = apply_two_qubit_phase(s, 1, 2, (np.pi / 2,) * 4)
+        out = apply_term(s, ControlTerm(PUSHING_GATE, (1, 2), alphas=(np.pi / 2,) * 4))
         # amplitude bookkeeping: every basis state picks up exp(-i pi/2) = -i
         assert np.allclose(out.amplitudes, -1j * s.amplitudes)
         fid = abs(np.vdot(s.amplitudes, out.amplitudes)) ** 2
@@ -108,21 +120,20 @@ class TestTwoQubitPhase:
 
     def test_rejects_equal_qubits(self):
         with pytest.raises(ValueError):
-            apply_two_qubit_phase(StateVector.basis(2, 0), 1, 1, (0, 0, 0, 0))
+            ControlTerm(PUSHING_GATE, (1, 1), alphas=(0, 0, 0, 0))
 
 
 class TestMeasurement:
     def test_eigenstate_deterministic(self):
-        rng = np.random.default_rng(3)
         s = StateVector.from_bits("0110")
-        bits, collapsed, p = measure_qubits_projective(s, [0], rng)
-        assert bits == (0,) and p == 1.0
+        assert measure(s, [0], 20, seed=3) == [(0,)] * 20
+        sched = GateSchedule(4, (0, 1, 2, 3), (), (Step(measure=(0,)),))
+        collapsed, _, _ = run_round(s, sched, NoiseParams(0.0, 0.0, 0.0), np.random.default_rng(3))
         assert np.allclose(collapsed.amplitudes, s.amplitudes)
 
     def test_bell_statistics(self):
-        rng = np.random.default_rng(4)
         bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
-        outcomes = [measure_qubits_projective(bell, [0, 1], rng)[0] for _ in range(2000)]
+        outcomes = measure(bell, [0, 1], 2000, seed=4)
         counts = {(0, 0): 0, (1, 1): 0}
         for o in outcomes:
             assert o in counts
@@ -135,20 +146,14 @@ class TestMeasurement:
         # fixed 3-ancilla amplitude table; empirical frequencies within 3 sigma
         amps = np.sqrt(np.array([0.4, 0.3, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03]))
         s = StateVector(3, amps.astype(complex))
-        rng = np.random.default_rng(5)
         n = 4000
         freq = np.zeros(8)
-        for _ in range(n):
-            bits, _, _ = measure_qubits_projective(s, [0, 1, 2], rng)
+        for bits in measure(s, [0, 1, 2], n, seed=5):
             freq[bits[0] * 4 + bits[1] * 2 + bits[2]] += 1
         freq /= n
         p = amps**2
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(freq - p) <= 3 * sigma + 1e-9)
-
-    def test_rejects_duplicate_qubits(self):
-        with pytest.raises(ValueError):
-            measure_qubits_projective(StateVector.basis(2, 0), [0, 0], np.random.default_rng(0))
 
 
 class TestPartialTrace:

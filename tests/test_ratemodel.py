@@ -10,7 +10,6 @@ from thermoqec.ratemodel import (
     ancilla_steady_fidelity,
     chain_decay_constant,
     chain_steady_state,
-    cooling_closed_form,
     cooling_rhs,
     cooling_steady_state,
     decay_constant_series,
@@ -22,7 +21,6 @@ from thermoqec.ratemodel import (
     integrate_cooling,
     iterate_round_chain,
     perturbative_weight0,
-    slow_cooling_fidelity,
     slow_cooling_steady_fidelity,
     steady_weight0_ratio,
     steady_weight0_series,
@@ -126,25 +124,35 @@ class TestAncillaSteadyFidelity:
             ancilla_steady_fidelity(-0.1)
 
 
+def cooled_from(initial, A, t):
+    """Populations after cooling for time t from basis state `initial` at
+    zero occupancy (B = 0)."""
+    P = np.zeros(8)
+    P[initial] = 1.0
+    return integrate_cooling(P, CoolingRates(A, 0.0), t)
+
+
 class TestCoolingClosedForm:
+    """The exact cooling map at zero occupancy: independent bit decays."""
+
     def test_ground_state_stays(self):
         for t in (0.0, 0.7, 5.0):
-            out = cooling_closed_form(0, 2.0, t)
+            out = cooled_from(0, 2.0, t)
             assert out[0] == 1.0 and out.sum() == 1.0
 
     def test_single_excitation_boundaries(self):
-        out = cooling_closed_form(1, 3.0, 0.0)
+        out = cooled_from(1, 3.0, 0.0)
         assert out[1] == 1.0
-        out = cooling_closed_form(1, 3.0, 100.0)
+        out = cooled_from(1, 3.0, 100.0)
         assert abs(out[0] - 1.0) < 1e-12
 
     def test_single_excitation_decay_law(self):
-        out = cooling_closed_form(4, 2.0, 0.5)
+        out = cooled_from(4, 2.0, 0.5)
         assert abs(out[4] - np.exp(-1.0)) < 1e-12
         assert abs(out[0] - (1 - np.exp(-1.0))) < 1e-12
 
     def test_triple_excitation_values(self):
-        out = cooling_closed_form(7, 1.0, 1.0)
+        out = cooled_from(7, 1.0, 1.0)
         assert abs(out[7] - 0.049787068368) < 1e-9
         assert abs(out[0] - 0.252580457828) < 1e-9
         # binomial structure: three independent decays
@@ -153,7 +161,7 @@ class TestCoolingClosedForm:
 
     def test_double_excitation_components(self):
         x = np.exp(-0.8)
-        out = cooling_closed_form(3, 1.0, 0.8)
+        out = cooled_from(3, 1.0, 0.8)
         assert abs(out[3] - x**2) < 1e-12
         assert abs(out[1] - x * (1 - x)) < 1e-12
         assert abs(out[2] - x * (1 - x)) < 1e-12
@@ -162,7 +170,7 @@ class TestCoolingClosedForm:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 7), st.floats(0.01, 5.0), st.floats(0.0, 10.0))
     def test_normalized(self, i, A, t):
-        out = cooling_closed_form(i, A, t)
+        out = cooled_from(i, A, t)
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= -1e-15)
 
@@ -189,14 +197,6 @@ class TestSlowCooling:
             slow_cooling_steady_fidelity(1.0, 0.5)
         with pytest.raises(ValueError):
             slow_cooling_steady_fidelity(0.5, 1.0)
-
-    def test_weight_resolved_fidelity(self):
-        x = 0.4
-        assert slow_cooling_fidelity((1, 0, 0, 0), x) == 1.0
-        assert slow_cooling_fidelity((0, 0, 0, 1), x) == pytest.approx((1 - x) ** 3)
-        assert slow_cooling_fidelity((0, 0, 0, 1), x, literal_quadratic=True) == pytest.approx(
-            (1 - x) ** 2
-        )
 
 
 class TestEventProbabilities:
