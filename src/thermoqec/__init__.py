@@ -22,7 +22,6 @@ from .dynamics import (
     TrajectoryRecord,
     evolve_master_equation,
     run_ensemble,
-    run_round,
     trajectory_stream,
 )
 from .metrics import RoundMetrics, compute_step_metrics
@@ -54,7 +53,6 @@ __all__ = [
     "partial_trace",
     "phase_aligned_distance",
     "run_ensemble",
-    "run_round",
     "schedule_net_unitary",
     "squared_fidelity",
     "trace_distance",

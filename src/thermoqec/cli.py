@@ -240,6 +240,7 @@ def cmd_verify_gates(fault_injection: bool = False, dump: bool = False) -> int:
 
 
 def _write_table(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -268,7 +269,6 @@ def _check_rate_options(args) -> None:
 def cmd_rate_model(args) -> int:
     _check_rate_options(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.model == "cooling":
         rates = CoolingRates.from_reservoir(args.Gamma_c, args.n_c)
         P = np.zeros(8)
@@ -301,6 +301,11 @@ def cmd_rate_model(args) -> int:
         a_rate = args.Gamma_c * (args.n_c + 1.0)
         alpha = 6 * args.steps * args.gamma_h
         x = float(np.exp(-args.steps * a_rate))
+        if not (alpha < 1.0 and x < 1.0):
+            raise ConfigError(
+                f"--gamma-h, --Gamma-c, --n-c and --steps give alpha = {_fmt(alpha)} and x = {_fmt(x)}, but "
+                "slow-cooling needs alpha = 6 * steps * gamma_h < 1 and x = exp(-steps * Gamma_c * (n_c + 1)) < 1"
+            )
         fss = slow_cooling_steady_fidelity(alpha, x)
         print(f"alpha (per-round ancilla error load) = {_fmt(alpha)}")
         print(f"x (per-bit cooling survival over {args.steps} steps) = {_fmt(x)}")
@@ -310,18 +315,21 @@ def cmd_rate_model(args) -> int:
         params = RoundEventParams(args.F_a, args.alpha, args.beta if args.beta is not None else args.alpha)
         flows = flow_coefficients(event_probabilities(params))
         states = iterate_round_chain(RoundChainState.pristine(), flows, args.rounds)
+        p0_seq = [s.P0 for s in states]
+        # fit from the round where the faster modes are 1e-10 of the slow one
+        lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(flows))), reverse=True)
+        skip = math.ceil(np.log(1e-10) / np.log(max(lam[2], 1e-300) / lam[1]))
+        tail = p0_seq[skip:]
+        constant = len(tail) > 1 and min(tail) == max(tail)
+        if not constant and len(p0_seq) < skip + 8:
+            raise ConfigError(f"--rounds {args.rounds} too few to fit the decay from round {skip}: need {skip + 7}")
         rows = [
             [n, s.P0, s.Pa, s.Pb, s.P7, perturbative_weight0(max(n, 1), params.alpha)]
             for n, s in enumerate(states)
         ]
         _write_table(out / "chain.csv", ["round", "P0", "Pa", "Pb", "P7", "P0_series"], rows)
         print(f"wrote {out / 'chain.csv'}")
-        p0_seq = [s.P0 for s in states]
-        # fit from the round where the faster modes are 1e-10 of the slow one
-        lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(flows))), reverse=True)
-        skip = math.ceil(np.log(1e-10) / np.log(max(lam[2], 1e-300) / lam[1]))
-        tail = p0_seq[skip:]
-        if len(tail) > 1 and min(tail) == max(tail):
+        if constant:
             print(f"P0 = {_fmt(p0_seq[-1])} is constant from round {skip}: no decay to fit")
             return 0
         p_ss, delta = fit_decay_constant(p0_seq, skip)
@@ -343,6 +351,14 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     if cfg.protocol != "measured":
         raise ConfigError("compare mode models the measured protocol only")
     schedule = _schedule_for(cfg)
+    if len(schedule) * cfg.gamma_h > 1.0:
+        raise ConfigError(
+            f"gamma_h = {_fmt(cfg.gamma_h)} too large for the round-chain model: "
+            f"need {len(schedule)} * gamma_h <= 1"
+        )
+    params = RoundEventParams.from_physical(cfg.gamma_h, cfg.n_c, steps=len(schedule))
+    flows = flow_coefficients(event_probabilities(params))
+    chain = iterate_round_chain(RoundChainState.pristine(), flows, cfg.rounds)
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
     initial = StateVector.basis(schedule.n_qubits, 0)
     store = "full" if cfg.oracle else "scalar"
@@ -358,9 +374,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         per_step_rho=False,
     )
     sim = acc.mean_f2_data()[:, -1]
-    params = RoundEventParams.from_physical(cfg.gamma_h, cfg.n_c, steps=len(schedule))
-    flows = flow_coefficients(event_probabilities(params))
-    chain = iterate_round_chain(RoundChainState.pristine(), flows, cfg.rounds)
     oracle = None
     if cfg.oracle:
         oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds)
@@ -372,7 +385,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             row += [float(f2_oracle[rnd]), trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd))]
         rows.append(row)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = ["round", "f2_data_traj", "f2_data_chain"]
     if oracle is not None:
         header += ["f2_data_oracle", "trace_distance"]

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
+from .dynamics import COOLING_MODES
+
 PROTOCOLS = ("measured", "measurement_free")
-COOLING_MODES = ("window", "always", "off")
 STORE_MODES = ("auto", "full", "reduced", "scalar")
 
 

@@ -6,8 +6,8 @@ correction permutations, ground-pattern masks, and the kernel's jumps; the
 kernel's step propagators are built on its first read):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
-  with one batched kernel: `run_ensemble` runs it on batches of
-  trajectories, `run_round` on one trajectory for one round, and
+  with one batched kernel, which `run_ensemble` runs on batches of
+  trajectories, and
 * the exact master-equation propagator, used as the oracle: within a step
   the Lindbladian is a sum of commuting terms on disjoint qubit groups, so
   each step's map is a tensor product of small exact channels. It returns
@@ -30,8 +30,8 @@ norm of the decayed state for the cold channels) rather than the first-order
 product rate*dt, so single-channel decay statistics carry no substep bias.
 A substep (dt = 1/n_sub) holds at most one bit flip, so the kernel rejects
 n_qubits * gamma_h * dt >= 1. The cold coupling follows NoiseParams'
-cooling_gate: the schedule's cooling windows ("window"), every step
-("always") or none ("off").
+cooling_gate: the schedule's cooling windows ("window") or every step
+("always"); Gamma_c = 0 switches it off.
 
 Measurement and correction markers act at the end of their step, after the
 step's noise evolution: the readout of step s sees s full steps of error
@@ -45,10 +45,10 @@ composition. Per step, each trajectory consumes one uniform per substep for
 the bit-flip channel (plus one per fired flip for the qubit choice), then,
 when the cold coupling is active, one per substep against the no-jump
 survival (plus one per cold jump for the channel choice), then one per
-measurement. A trajectory's buffer of uniforms is refilled only when read
-past its end, so `run_round`, whose buffer holds one uniform, advances the
-caller's generator by exactly the uniforms it uses and rounds chained on one
-generator reproduce the ensemble's trajectory.
+measurement. Each trajectory reads its stream through a buffer of two
+halves of `_StreamBank.chunk` uniforms: once a row has read past its first
+half, the second half moves forward and a fresh chunk is drawn behind it,
+so every read takes consecutive uniforms of the stream in one fancy index.
 
 Because bit-flip jump decisions are state-independent, steps without cold
 coupling apply the exact full-step unitary to jump-free trajectories in a
@@ -78,14 +78,16 @@ JUMP_BIT_FLIP = "bit_flip"
 JUMP_COOL = "cool"
 JUMP_HEAT = "heat"
 
+COOLING_MODES = ("window", "always")  # NoiseParams.cooling_gate policies
+
 
 @dataclass(frozen=True)
 class NoiseParams:
     """Reservoir parameters; rates are per schedule step (tau = 1).
 
     cooling_gate selects when the cold coupling is active: "window" follows
-    the schedule's cooling-window markers, "always" keeps it on for every
-    step and "off" disables it.
+    the schedule's cooling-window markers and "always" keeps it on for every
+    step.
 
     The trajectory kernel needs substeps fine enough for at most one bit
     flip each: it rejects n_qubits * gamma_h / n_sub >= 1.
@@ -101,7 +103,7 @@ class NoiseParams:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
-        if self.cooling_gate not in ("window", "always", "off"):
+        if self.cooling_gate not in COOLING_MODES:
             raise ValueError(f"unknown cooling_gate policy {self.cooling_gate!r}")
 
     @property
@@ -116,7 +118,7 @@ class NoiseParams:
         """Per-step boolean p(t) resolved against a schedule."""
         if self.cooling_gate == "window":
             return np.array([s.cooling_window for s in schedule.steps], dtype=bool)
-        return np.full(len(schedule), self.cooling_gate == "always")
+        return np.ones(len(schedule), dtype=bool)
 
 
 @dataclass
@@ -232,83 +234,45 @@ def _pattern_bits(pattern: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def run_round(
-    state: StateVector,
-    schedule: GateSchedule,
-    noise: NoiseParams,
-    rng: np.random.Generator,
-    n_sub: int = DEFAULT_N_SUB,
-    t0: float = 0.0,
-    record: TrajectoryRecord | None = None,
-):
-    """Execute one full round on a single trajectory drawing from `rng`.
-
-    Runs the batched kernel on one trajectory; `rng` advances by exactly the
-    uniforms used, so rounds can be chained on one generator. Returns (final
-    state, per-step samples with columns [f2_data, f2_ancilla], record).
-    Samples are taken after each step.
-    """
-    plan = _SchedulePlan(schedule, noise, n_sub)
-    if state.amplitudes.shape != (plan.dim,):
-        raise ValueError("state dimension does not match the schedule register")
-    if record is None:
-        record = TrajectoryRecord(master_seed=-1, index=-1)
-    acc = EnsembleAccumulator(
-        1, len(schedule), schedule.n_qubits, schedule.data_qubits, schedule.ancilla_qubits, store="scalar"
-    )
-    states = state.amplitudes.astype(complex)[None, :]
-    states = _run_batch(states, 1, plan, _StreamBank([rng], chunk=1), acc, [record], t0)
-    samples = np.stack([acc.f2_data[0], acc.f2_anc[0]], axis=1)
-    return StateVector(schedule.n_qubits, states[0]), samples, record
-
-
 class _StreamBank:
-    """Per-trajectory buffers of `chunk` uniforms, one generator per row.
+    """Per-trajectory buffers of two `chunk`-uniform halves, one generator
+    per row.
 
-    A row is refilled just before a read past its end, so each generator
-    advances by whole chunks and no further than the uniforms read require.
+    Before a read, a row whose position has passed its first half is
+    refilled: the second half moves forward, one fresh chunk is drawn behind
+    it and the position drops by `chunk`. A read of up to `chunk` uniforms is
+    then one fancy index, each generator advances by whole chunks, and the
+    uniforms handed to a row equal refills * chunk + pos.
     """
 
-    def __init__(self, gens, chunk: int = 1024):
+    chunk = 1024
+
+    def __init__(self, gens):
         self.gens = list(gens)
-        self.chunk = chunk
-        self.size = len(self.gens)
-        self.buf = np.empty((self.size, chunk))
+        self.buf = np.empty((len(self.gens), 2 * self.chunk))
         for r, g in enumerate(self.gens):
-            self.buf[r] = g.random(chunk)
-        self.pos = np.zeros(self.size, dtype=np.int64)
+            self.buf[r] = g.random(2 * self.chunk)
+        self.pos = np.zeros(len(self.gens), dtype=np.int64)
 
     def _refill(self, rows):
+        c = self.chunk
         for r in rows:
-            self.buf[r] = self.gens[r].random(self.chunk)
-            self.pos[r] = 0
+            self.buf[r, :c] = self.buf[r, c:]
+            self.buf[r, c:] = self.gens[r].random(c)
+        self.pos[rows] -= c
 
-    def draw_block(self, count: int) -> np.ndarray:
-        """`count` consecutive uniforms per trajectory, shape (size, count)."""
-        if np.any(self.pos + count > self.chunk):
-            # consume the leftovers row by row so the stream stays contiguous
-            rows = np.arange(self.size)
-            out = np.empty((self.size, count))
-            for j in range(count):
-                out[:, j] = self.draw_rows(rows)
-            return out
-        vals = self.buf[np.arange(self.size)[:, None], self.pos[:, None] + np.arange(count)]
-        self.pos += count
-        return vals
-
-    def draw_one(self, row: int) -> float:
-        if self.pos[row] >= self.chunk:
-            self._refill([row])
-        val = self.buf[row, self.pos[row]]
-        self.pos[row] += 1
-        return float(val)
-
-    def draw_rows(self, rows: np.ndarray) -> np.ndarray:
-        empty = rows[self.pos[rows] >= self.chunk]
-        if empty.size:
-            self._refill(empty)
-        vals = self.buf[rows, self.pos[rows]]
-        self.pos[rows] += 1
+    def draw(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """The next `count` uniforms of each of the distinct `rows`, shape
+        (len(rows), count)."""
+        if count > self.chunk:  # only when n_sub exceeds chunk: read in pieces
+            return np.concatenate([self.draw(rows, self.chunk), self.draw(rows, count - self.chunk)], axis=1)
+        pos = self.pos[rows]
+        spent = pos >= self.chunk
+        if spent.any():
+            self._refill(rows[spent])
+            pos = self.pos[rows]
+        vals = self.buf[rows[:, None], pos[:, None] + np.arange(count)]
+        self.pos[rows] = pos + count
         return vals
 
 
@@ -465,13 +429,13 @@ def run_ensemble(
     return acc, records
 
 
-def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None, t0=0.0):
+def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None):
     """Advance the trajectories `states` (one row each, drawing from the same
-    row of `bank`) through `rounds` rounds starting at time t0.
+    row of `bank`) through `rounds` rounds from time 0.
 
     Post-step samples are added to `acc`; jumps and measurement outcomes are
-    appended to `records` when given. Returns the final states. Raises
-    ValueError when a substep is too coarse for at most one bit flip.
+    appended to `records` when given. Raises ValueError when a substep is too
+    coarse for at most one bit flip.
     """
     B = states.shape[0]
     n = plan.n_qubits
@@ -487,10 +451,10 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     outcome = None
     for rnd in range(rounds):
         for s, step in enumerate(plan.schedule.steps):
-            t = t0 + rnd * len(plan.schedule) + s
+            t = rnd * len(plan.schedule) + s
             powers = plan.sub_powers[s]
             cooling = bool(plan.cooling_on[s])
-            hot_mask = bank.draw_block(plan.n_sub) < plan.p_hot  # (B, n_sub)
+            hot_mask = bank.draw(all_rows, plan.n_sub) < plan.p_hot  # (B, n_sub)
 
             if not cooling:
                 # jump-free trajectories take the whole step in one product;
@@ -502,13 +466,20 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                         states[clean] = states[clean] @ plan.full_unitaries[s].T
                     else:
                         states = states @ plan.full_unitaries[s].T
-                for r in jumpers:
+                # qubit picks in flip order: the j-th picks of all jumpers with
+                # more than j flips come from one draw
+                counts = hot_mask[jumpers].sum(axis=1)
+                picks = np.zeros((jumpers.size, counts.max(initial=0)))
+                for j in range(picks.shape[1]):
+                    more = counts > j
+                    picks[more, j] = bank.draw(jumpers[more], 1)[:, 0]
+                picked = np.minimum((picks * n).astype(np.int64), n - 1).tolist()
+                for r, qubits in zip(jumpers, picked):
                     psi = states[r]
                     prev = 0
-                    for k in np.nonzero(hot_mask[r])[0]:
+                    for k, q in zip(np.nonzero(hot_mask[r])[0], qubits):
                         if powers is not None and k + 1 - prev > 0:
                             psi = powers[k + 1 - prev] @ psi
-                        q = min(int(bank.draw_one(r) * n), n - 1)
                         psi = psi[plan.flip_perms[q]]
                         prev = k + 1
                         if record:
@@ -517,13 +488,13 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                         psi = powers[plan.n_sub - prev] @ psi
                     states[r] = psi
             else:
-                u3_block = bank.draw_block(plan.n_sub)
+                u3_block = bank.draw(all_rows, plan.n_sub)
                 for k in range(plan.n_sub):
                     if powers is not None:
                         states = states @ powers[1].T
                     hot = np.nonzero(hot_mask[:, k])[0]
                     if hot.size:
-                        u2 = bank.draw_rows(hot)
+                        u2 = bank.draw(hot, 1)[:, 0]
                         qubits = np.minimum((u2 * n).astype(np.int64), n - 1)
                         for r, q in zip(hot, qubits):
                             states[r] = states[r][plan.flip_perms[q]]
@@ -539,7 +510,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                         occ = (np.abs(states[jrows]) ** 2) @ plan.anc_bits.T
                         chan = np.concatenate([a_rate * occ, b_rate * (1.0 - occ)], axis=1)
                         totals = chan.sum(axis=1)
-                        u4 = bank.draw_rows(jrows) * totals
+                        u4 = bank.draw(jrows, 1)[:, 0] * totals
                         cidx = (np.cumsum(chan, axis=1) < u4[:, None]).sum(axis=1)
                         np.clip(cidx, 0, 2 * anc_count - 1, out=cidx)
                         for r, c, tot in zip(jrows, cidx, totals):
@@ -564,7 +535,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 if np.any(total < 1e-14):
                     raise ValueError("state with vanishing probability at measurement")
                 cum = np.cumsum(probs, axis=1)
-                u = bank.draw_rows(all_rows) * total[:, 0]
+                u = bank.draw(all_rows, 1)[:, 0] * total[:, 0]
                 outcome = (cum < u[:, None]).sum(axis=1)
                 np.clip(outcome, 0, probs.shape[1] - 1, out=outcome)
                 states = states * onehot[outcome]
@@ -594,7 +565,6 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 if acc.store == "full":
                     acc.rho_total[rnd, si] += states.T @ states.conj()
     acc.count += B
-    return states
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ from thermoqec.dynamics import (
     NoiseParams,
     evolve_master_equation,
     run_ensemble,
-    run_round,
-    trajectory_stream,
 )
 from thermoqec.metrics import compute_step_metrics
 from thermoqec.qstate import StateVector, bit_mask, trace_distance
@@ -114,16 +112,16 @@ class TestCriterion2CodeCorrectness:
     def test_weight1_corrected_weight2_miscorrected(self, schedule, tag):
         n = schedule.n_qubits
         noise = NoiseParams(0.0, 0.0, 0.0)
-        singles = []
-        for q in (0, 1, 2):
-            st = StateVector.basis(n, bit_mask(q, n))
-            _, samples, _ = run_round(st, schedule, noise, trajectory_stream(SEED, q))
-            singles.append(samples[-1, 0])
-        doubles = []
-        for qa, qb in ((0, 1), (0, 2), (1, 2)):
-            st = StateVector.basis(n, bit_mask(qa, n) ^ bit_mask(qb, n))
-            _, samples, _ = run_round(st, schedule, noise, trajectory_stream(SEED, 10 * qa + qb))
-            doubles.append(samples[-1, 0])
+
+        def round_end_f2(mask, index):
+            acc, _ = run_ensemble(
+                StateVector.basis(n, mask), 1, schedule, noise, 1, master_seed=SEED, traj_indices=[index], store="scalar"
+            )
+            return acc.f2_data[0, -1]
+
+        singles = [round_end_f2(bit_mask(q, n), q) for q in (0, 1, 2)]
+        pairs = ((0, 1), (0, 2), (1, 2))
+        doubles = [round_end_f2(bit_mask(qa, n) ^ bit_mask(qb, n), 10 * qa + qb) for qa, qb in pairs]
         ok = all(abs(f - 1.0) < 1e-9 for f in singles) and all(f < 1e-9 for f in doubles)
         assert report(
             f"2 code correctness ({tag})",

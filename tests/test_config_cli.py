@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thermoqec import cli
@@ -146,6 +148,12 @@ class TestCliRun:
         cfg = write(tmp_path, GOOD + "bogus = 1\n")
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_cooling_off_rejected(self, tmp_path, capsys):
+        # Gamma_c = 0 is the way to switch the cold coupling off
+        cfg = write(tmp_path, GOOD + "cooling = off\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "cooling must be one of ('window', 'always'), got 'off'" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -244,8 +252,15 @@ class TestCliRateModel:
             ["chain", "--alpha", "-0.1"],
             ["chain", "--alpha", "1e-3", "--F-a", "1.5"],
             ["chain", "--alpha", "1e-3", "--rounds", "-5"],
+            # each option in range alone, the combination not
+            ["slow-cooling", "--gamma-h", "0.02"],  # alpha = 6 * 16 * 0.02 = 1.92
+            ["slow-cooling", "--Gamma-c", "0"],  # x = 1: no cooling
+            ["chain", "--alpha", "1e-3", "--rounds", "3"],  # the fit starts at round 5
         ],
-        ids=["t-max", "Gamma-c", "n-c", "n-c-values", "steps", "alpha", "F-a", "rounds"],
+        ids=[
+            "t-max", "Gamma-c", "n-c", "n-c-values", "steps", "alpha", "F-a", "rounds",
+            "slow-cooling-alpha", "slow-cooling-x", "chain-too-few-rounds",
+        ],
     )
     def test_out_of_range_option_exit_2(self, tmp_path, capsys, argv):
         assert main(["rate-model", *argv, "--out", str(tmp_path)]) == 2
@@ -275,6 +290,43 @@ class TestCliCompare:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "f2_data_traj", "f2_data_chain"]
         assert len(rows) == 3
+
+    def test_chain_model_range_checked_before_simulating(self, tmp_path, capsys, monkeypatch):
+        # 16 * gamma_h = 1.12 puts the chain's beta outside [0, 1]
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the chain model's range")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_simulation)
+        cfg = write(tmp_path, GOOD.replace("gamma_h = 1e-3", "gamma_h = 0.07"))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "too large for the round-chain model" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _read_table(path: Path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], [[float(v) for v in row] for row in rows[1:]]
+
+
+def test_committed_rate_model_tables_are_current(tmp_path, monkeypatch, capsys):
+    """scripts/run_rate_models.py, run afresh, reproduces every committed
+    table under results/rate_models/: same header, values within 1e-12."""
+    spec = importlib.util.spec_from_file_location("run_rate_models", REPO / "scripts" / "run_rate_models.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.chdir(tmp_path)
+    assert script.run() == 0
+    committed = REPO / "results" / "rate_models"
+    tables = sorted(p.relative_to(committed) for p in committed.rglob("*.csv"))
+    assert tables == sorted(p.relative_to(script.OUT) for p in script.OUT.rglob("*.csv"))
+    for rel in tables:
+        header, want = _read_table(committed / rel)
+        got_header, got = _read_table(script.OUT / rel)
+        assert got_header == header, rel
+        assert len(got) == len(want), rel
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12, rel
 
 
 @pytest.mark.parametrize("cfg_path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)

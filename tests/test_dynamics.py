@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermoqec as tq
 from thermoqec import dynamics
@@ -23,7 +25,6 @@ from thermoqec.dynamics import (
     _StreamBank,
     evolve_master_equation,
     run_ensemble,
-    run_round,
     trajectory_stream,
 )
 from thermoqec.qstate import (
@@ -53,6 +54,16 @@ def cooling_schedule(n_qubits, ancilla, n_steps=1):
     return GateSchedule(n_qubits, data, tuple(ancilla), steps)
 
 
+def one_round(state, schedule, noise, master_seed=0, index=0, store="full", n_sub=dynamics.DEFAULT_N_SUB):
+    """Trajectory `index` of a run seeded with `master_seed` through one
+    round: (accumulator, record)."""
+    acc, recs = run_ensemble(
+        state, 1, schedule, noise, 1, master_seed=master_seed, traj_indices=[index], record=True, store=store,
+        n_sub=n_sub,
+    )
+    return acc, recs[0]
+
+
 class TestNoiseParams:
     def test_rates(self):
         p = NoiseParams(1e-3, 3.0, 0.01)
@@ -68,11 +79,12 @@ class TestNoiseParams:
         prof = p.cooling_profile(MEASURED)
         assert prof[0] and not prof[1:].any()
         assert NoiseParams(0, 1, 0, cooling_gate="always").cooling_profile(MEASURED).all()
-        assert not NoiseParams(0, 1, 0, cooling_gate="off").cooling_profile(MEASURED).any()
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             NoiseParams(0, 1, 0, cooling_gate="sometimes")
+        with pytest.raises(ValueError):
+            NoiseParams(0, 1, 0, cooling_gate="off")  # Gamma_c = 0 switches the cold coupling off
         with pytest.raises(ValueError):
             NoiseParams(0, 1, 0, cooling_gate=(1,) * 16)  # per-step sequences are not a policy
 
@@ -100,9 +112,9 @@ class TestTrajectorySubstep:
         # one trajectory, 3000 unit substeps at rate 5e-2: each substep
         # flips the qubit with probability 1 - exp(-5e-2), and every flip
         # lands in the record as a JUMP_BIT_FLIP on qubit 0
-        _, _, record = run_round(
-            StateVector.basis(1, 0), idle_schedule(1, 3000), NoiseParams(5e-2, 0, 0),
-            trajectory_stream(1, 1), n_sub=1,
+        _, record = one_round(
+            StateVector.basis(1, 0), idle_schedule(1, 3000), NoiseParams(5e-2, 0, 0), master_seed=1, index=1,
+            store="scalar", n_sub=1,
         )
         assert record.jumps and all(q == 0 and kind == JUMP_BIT_FLIP for _, q, kind in record.jumps)
         times = [t for t, _, _ in record.jumps]
@@ -116,17 +128,14 @@ class TestSubstepGuard:
     SCHEDULE = idle_schedule(2, 1)
 
     def run(self, driver, gamma_h):
-        noise = NoiseParams(gamma_h, 0.0, 0.0)
-        if driver == "ensemble":
-            return run_ensemble(StateVector.basis(2, 0), 1, self.SCHEDULE, noise, 3, n_sub=4)
-        return run_round(StateVector.basis(2, 0), self.SCHEDULE, noise, trajectory_stream(0, 0), n_sub=4)
+        return driver(StateVector.basis(2, 0), 1, self.SCHEDULE, NoiseParams(gamma_h, 0.0, 0.0), 3, n_sub=4)
 
-    @pytest.mark.parametrize("driver", ["ensemble", "round"])
+    @pytest.mark.parametrize("driver", [run_ensemble], ids=["ensemble"])
     def test_rejects_substep_too_coarse_for_one_flip(self, driver):
         with pytest.raises(ValueError, match="substep"):
             self.run(driver, 2.0)
 
-    @pytest.mark.parametrize("driver", ["ensemble", "round"])
+    @pytest.mark.parametrize("driver", [run_ensemble], ids=["ensemble"])
     def test_runs_just_under_the_bound(self, driver):
         self.run(driver, 1.99)
 
@@ -171,38 +180,34 @@ class TestRunRound:
         rng = np.random.default_rng(9)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi = np.kron(amps / np.linalg.norm(amps), [1.0, 0.0])
-        out, _, rec = run_round(StateVector(4, psi), self.CLOSED, noise, trajectory_stream(0, 0))
+        acc, rec = one_round(StateVector(4, psi), self.CLOSED, noise)
         assert rec.jumps == []
         expected = schedule_net_unitary(self.CLOSED).matrix @ psi
-        assert np.abs(out.amplitudes - expected).max() < 1e-12
+        assert np.abs(acc.rho_total[0, -1] - np.outer(expected, expected.conj())).max() < 1e-12
 
     def test_fresh_ancilla_zero_noise_identity(self):
-        out, samples, _ = run_round(
-            StateVector.basis(6, 0), MEASURED, ZERO_NOISE, trajectory_stream(0, 0)
-        )
-        assert np.all(np.abs(samples[:, 0] - 1) < 1e-9)
+        acc, _ = one_round(StateVector.basis(6, 0), MEASURED, ZERO_NOISE)
+        assert np.all(np.abs(acc.f2_data[0] - 1) < 1e-9)
         # ancillas pass through superpositions mid-gate but end clean
-        assert abs(samples[0, 1] - 1) < 1e-9 and abs(samples[-1, 1] - 1) < 1e-9
-        assert abs(out.amplitudes[0] - 1) < 1e-9 or abs(abs(out.amplitudes[0]) - 1) < 1e-9
+        assert abs(acc.f2_anc[0, 0] - 1) < 1e-9 and abs(acc.f2_anc[0, -1] - 1) < 1e-9
+        assert abs(acc.rho_total[0, -1, 0, 0] - 1) < 1e-9
 
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
     def test_single_flip_corrected(self, schedule):
         n = schedule.n_qubits
         for q in schedule.data_qubits:
-            state = StateVector.basis(n, bit_mask(q, n))
-            _, samples, _ = run_round(state, schedule, ZERO_NOISE, trajectory_stream(0, 0))
-            assert abs(samples[-1, 0] - 1.0) < 1e-9
+            acc, _ = one_round(StateVector.basis(n, bit_mask(q, n)), schedule, ZERO_NOISE, store="scalar")
+            assert abs(acc.f2_data[0, -1] - 1.0) < 1e-9
 
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
     def test_double_flip_miscorrected(self, schedule):
         n = schedule.n_qubits
         pairs = [(0, 1), (0, 2), (1, 2)]
         for qa, qb in pairs:
-            state = StateVector.basis(n, bit_mask(qa, n) ^ bit_mask(qb, n))
-            out, samples, _ = run_round(state, schedule, ZERO_NOISE, trajectory_stream(0, 0))
-            assert samples[-1, 0] < 1e-9
+            acc, _ = one_round(StateVector.basis(n, bit_mask(qa, n) ^ bit_mask(qb, n)), schedule, ZERO_NOISE)
+            assert acc.f2_data[0, -1] < 1e-9
             # data register lands on the complementary codeword
-            pop = np.abs(out.amplitudes.reshape(8, 2 ** (n - 3)))[7].sum()
+            pop = acc.rho_total[0, -1].diagonal().real.reshape(8, 2 ** (n - 3))[7].sum()
             assert abs(pop - 1.0) < 1e-9
 
 
@@ -233,38 +238,60 @@ class TestSeedDeterminism:
         assert solo[0].outcomes == big[3].outcomes
 
     def test_scalar_path_consumes_same_stream(self):
-        noise = NoiseParams(5e-3, 3.0, 1e-2)
-        rng = trajectory_stream(7, 5)
-        state = StateVector.basis(6, 0)
-        rec = tq.TrajectoryRecord(7, 5)
-        grids = []
-        for rnd in range(2):
-            state, samples, rec = run_round(state, MEASURED, noise, rng, t0=16 * rnd, record=rec)
-            grids.append(samples)
-        acc, recs = run_ensemble(
-            StateVector.basis(6, 0), 2, MEASURED, noise, 1, master_seed=7,
-            traj_indices=[5], record=True,
-        )
-        assert recs[0].jumps == rec.jumps
-        assert recs[0].outcomes == rec.outcomes
-        for rnd, samples in enumerate(grids):
-            assert np.max(np.abs(samples[:, 0] - acc.f2_data[rnd])) < 1e-12
-            assert np.max(np.abs(samples[:, 1] - acc.f2_anc[rnd])) < 1e-12
+        # the store mode changes what is summed, never what is drawn
+        noise = NoiseParams(2e-2, 3.0, 1e-2)
+        for schedule in (MEASURED, MEASUREMENT_FREE):
+            (acc_s, recs_s), (acc_f, recs_f) = (
+                run_ensemble(
+                    StateVector.basis(schedule.n_qubits, 0), 3, schedule, noise, 6, master_seed=7, store=store,
+                    record=True,
+                )
+                for store in ("scalar", "full")
+            )
+            assert sum(len(r.jumps) for r in recs_s) > 0
+            for a, b in zip(recs_s, recs_f):
+                assert a.jumps == b.jumps and a.outcomes == b.outcomes
+            assert np.array_equal(acc_s.f2_data, acc_f.f2_data) and np.array_equal(acc_s.f2_anc, acc_f.f2_anc)
 
-    def test_cold_coupling_off_equals_zero_rate(self):
-        base = dict(gamma_h=2e-3, n_c=0.3)
-        off = NoiseParams(Gamma_c=5.0, cooling_gate="off", **base)
-        zero = NoiseParams(Gamma_c=0.0, cooling_gate="window", **base)
-        acc_off, rec_off = run_ensemble(
-            StateVector.basis(6, 0), 2, MEASURED, off, 16, master_seed=8, record=True
+
+class _CountingBank(_StreamBank):
+    def __init__(self, gens):
+        self.refills = np.zeros(len(gens), dtype=np.int64)
+        super().__init__(gens)
+
+    def _refill(self, rows):
+        self.refills[rows] += 1
+        super()._refill(rows)
+
+
+class TestStreamBank:
+    CHUNK = _StreamBank.chunk
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+                st.one_of(st.integers(1, 30), st.integers(CHUNK - 30, CHUNK), st.integers(1, 3 * CHUNK)),
+            ),
+            min_size=1,
+            max_size=16,
         )
-        acc_zero, rec_zero = run_ensemble(
-            StateVector.basis(6, 0), 2, MEASURED, zero, 16, master_seed=8, record=True
-        )
-        for a, b in zip(rec_off, rec_zero):
-            assert a.jumps == b.jumps and a.outcomes == b.outcomes
-        assert np.array_equal(acc_off.f2_data, acc_zero.f2_data)
-        assert np.array_equal(acc_off.rho_data, acc_zero.rho_data)
+    )
+    def test_rows_read_their_streams_in_order(self, calls):
+        # reads of any size, many of them across a half boundary, hand each
+        # row the consecutive uniforms of its own Philox stream
+        bank = _CountingBank([trajectory_stream(11, k) for k in range(3)])
+        drawn = [[] for _ in range(3)]
+        for rows, count in calls:
+            vals = bank.draw(np.array(rows), count)
+            assert vals.shape == (len(rows), count)
+            for r, v in zip(rows, vals):
+                drawn[r].append(v)
+        for k in range(3):
+            got = np.concatenate(drawn[k]) if drawn[k] else np.empty(0)
+            assert np.array_equal(got, trajectory_stream(11, k).random(got.size))
+            assert got.size == bank.refills[k] * bank.chunk + bank.pos[k]
 
 
 class TestAccumulator:

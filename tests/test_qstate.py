@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoqec.compiler import HADAMARD_PULSE, PUSHING_GATE, X_ROTATION, ControlTerm, GateSchedule, Step, step_unitary
-from thermoqec.dynamics import NoiseParams, run_ensemble, run_round
+from thermoqec.dynamics import NoiseParams, run_ensemble
 from thermoqec.qstate import (
     HADAMARD,
     DensityMatrix,
@@ -128,8 +128,10 @@ class TestMeasurement:
         s = StateVector.from_bits("0110")
         assert measure(s, [0], 20, seed=3) == [(0,)] * 20
         sched = GateSchedule(4, (0, 1, 2, 3), (), (Step(measure=(0,)),))
-        collapsed, _, _ = run_round(s, sched, NoiseParams(0.0, 0.0, 0.0), np.random.default_rng(3))
-        assert np.allclose(collapsed.amplitudes, s.amplitudes)
+        acc, _ = run_ensemble(
+            s, 1, sched, NoiseParams(0.0, 0.0, 0.0), 1, master_seed=3, traj_indices=[0], store="full"
+        )
+        assert np.abs(acc.rho_total[0, -1] - s.projector().elements).max() < 1e-12
 
     def test_bell_statistics(self):
         bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
