@@ -59,6 +59,7 @@ from .ratemodel import (
     slow_cooling_steady_fidelity,
     steady_weight0_ratio,
     steady_weight0_series,
+    tail_is_constant,
 )
 
 GATE_TOL = 1e-9
@@ -318,9 +319,14 @@ def cmd_rate_model(args) -> int:
         p0_seq = [s.P0 for s in states]
         # fit from the round where the faster modes are 1e-10 of the slow one
         lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(flows))), reverse=True)
-        skip = math.ceil(np.log(1e-10) / np.log(max(lam[2], 1e-300) / lam[1]))
-        tail = p0_seq[skip:]
-        constant = len(tail) > 1 and min(tail) == max(tail)
+        ratio = max(lam[2], 1e-300) / lam[1]
+        if ratio >= 1.0:
+            raise ConfigError(
+                f"--alpha, --beta and --F-a give a chain whose second and third modes have the same magnitude "
+                f"{_fmt(lam[1])}: no round separates the slow decay, so there is nothing to fit"
+            )
+        skip = math.ceil(np.log(1e-10) / np.log(ratio))
+        constant = tail_is_constant(p0_seq, skip)
         if not constant and len(p0_seq) < skip + 8:
             raise ConfigError(f"--rounds {args.rounds} too few to fit the decay from round {skip}: need {skip + 7}")
         rows = [

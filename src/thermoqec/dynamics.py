@@ -41,30 +41,41 @@ striking between readout and correction escape until the next round.
 Random streams: trajectory k of a run seeded with master_seed draws from a
 counter-based Philox generator keyed by (master_seed, k), so every
 trajectory is reproducible in isolation and results do not depend on batch
-composition. Per step, each trajectory consumes one uniform per substep for
-the bit-flip channel (plus one per fired flip for the qubit choice), then,
-when the cold coupling is active, one per substep against the no-jump
-survival (plus one per cold jump for the channel choice), then one per
-measurement. Each trajectory reads its stream through a buffer of two
-halves of `_StreamBank.chunk` uniforms: once a row has read past its first
-half, the second half moves forward and a fresh chunk is drawn behind it,
-so every read takes consecutive uniforms of the stream in one fancy index.
+composition. Per step, each trajectory consumes `n_sub` uniforms for the
+bit-flip channel, one per substep. Without cold coupling it then takes one
+qubit pick per flip, in flip order. With cold coupling it takes `n_sub`
+uniforms against the no-jump survival, then, substep by substep, the qubit
+pick of that substep's flip and the channel choice of its cold jump. Last
+comes one uniform if the step measures. Each trajectory reads its stream
+through a buffer of two halves of `_StreamBank.chunk` uniforms (at least
+1024, and at least a step's worst case of 2 * n_sub + 1): once a row has
+read past its first half, the second half moves forward and a fresh chunk
+is drawn behind it.
 
-Because bit-flip jump decisions are state-independent, steps without cold
-coupling apply the exact full-step unitary to jump-free trajectories in a
-single product and replay the substep interleaving only for trajectories
-that actually jumped; the sampled distribution is unchanged.
+Steps without cold coupling ("plain" steps) come in groups of consecutive
+steps whose worst-case draws fit one chunk. Their draws do not depend on
+the state, so each group's draws are read before its first step, in one
+pass over a strided window of every row's buffer: a row without a hot hit
+reads a fixed layout, and only the rows with a flip are parsed, over their
+hits, for flip substeps, qubit picks and measurement uniforms. Each plain
+step then applies the exact full-step unitary to every row in one product,
+and the rows that flipped replay their substep interleaving from their
+pre-step state; the uniforms and their order are those of the per-step
+contract above, so the sampled distribution is unchanged.
 
-The post-step density-matrix sums are matrix products over the whole batch:
-the total is states^T @ conj(states), and each register's reduction is
-X @ X^dagger, where X lays the batch out register-major (one row per
-register pattern, one column per trajectory and rest-of-register pattern).
+Per step the kernel keeps two samples: the basis populations summed over
+the batch and, where a density matrix is kept, the batch's Gram matrix
+states^T @ conj(states). Once per round the populations give the f2 sums
+and the Gram matrices give the data and ancilla reductions as partial
+traces (with store "full" the Gram matrices are the total's grid itself).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +84,7 @@ from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask
 
 DEFAULT_N_SUB = 20
 BATCH_SIZE = 8192  # trajectories per kernel call; bounds the working memory
+_PARSE_ROWS = 256  # rows per window block when reading a group's draws
 
 JUMP_BIT_FLIP = "bit_flip"
 JUMP_COOL = "cool"
@@ -184,36 +196,31 @@ class _SchedulePlan:
             self.measure_onehot.append(onehot)
             self.corr_perms.append(perms)
 
-        # ground patterns of the data and ancilla registers, and the basis
-        # order that groups each register's pattern for the reduced matrices
-        data_pat = _pattern_index(idx, schedule.data_qubits, n)
-        anc_pat = _pattern_index(idx, anc, n)
-        self.data_ground = data_pat == 0
-        self.anc_ground = anc_pat == 0
-        self.data_sort = np.argsort(data_pat, kind="stable")
-        self.anc_sort = np.argsort(anc_pat, kind="stable")
+        # ground patterns of the data and ancilla registers
+        self.data_ground = _pattern_index(idx, schedule.data_qubits, n) == 0
+        self.anc_ground = _pattern_index(idx, anc, n) == 0
 
     @cached_property
     def sub_powers(self) -> list[list[np.ndarray] | None]:
         """Powers 0..n_sub of each step's per-substep unitary, for replaying
-        jump interleavings (None for a step without control terms). Built on
-        the kernel's first read, as is `full_unitaries`: the oracle reads
-        neither."""
-        out: list[list[np.ndarray] | None] = []
+        jump interleavings (None for a step without control terms; steps with
+        equal terms share one list). Built on the kernel's first read, as is
+        `full_unitaries`: the oracle reads neither."""
+        built: dict = {}
         for s in self.schedule.steps:
-            powers = None
-            if s.terms:
+            if s.terms and s.terms not in built:
                 u_dt = step_unitary(s, self.n_qubits, scale=self.dt)
-                powers = [np.eye(self.dim, dtype=complex)]
+                built[s.terms] = powers = [np.eye(self.dim, dtype=complex)]
                 for _ in range(self.n_sub):
                     powers.append(u_dt @ powers[-1])
-            out.append(powers)
-        return out
+        return [built.get(s.terms) for s in self.schedule.steps]
 
     @cached_property
     def full_unitaries(self) -> list[np.ndarray | None]:
-        """Exact full-step unitary of each step, for jump-free trajectories."""
-        return [step_unitary(s, self.n_qubits, scale=1.0) if s.terms else None for s in self.schedule.steps]
+        """Exact full-step unitary of each step, for jump-free trajectories
+        (shared by steps with equal terms)."""
+        built = {s.terms: step_unitary(s, self.n_qubits, scale=1.0) for s in self.schedule.steps if s.terms}
+        return [built.get(s.terms) for s in self.schedule.steps]
 
 
 def _pattern_index(idx: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -247,8 +254,9 @@ class _StreamBank:
 
     chunk = 1024
 
-    def __init__(self, gens):
+    def __init__(self, gens, chunk: int = chunk):
         self.gens = list(gens)
+        self.chunk = chunk
         self.buf = np.empty((len(self.gens), 2 * self.chunk))
         for r, g in enumerate(self.gens):
             self.buf[r] = g.random(2 * self.chunk)
@@ -256,15 +264,15 @@ class _StreamBank:
 
     def _refill(self, rows):
         c = self.chunk
-        for r in rows:
+        for r in rows.tolist():
             self.buf[r, :c] = self.buf[r, c:]
-            self.buf[r, c:] = self.gens[r].random(c)
+            self.gens[r].random(out=self.buf[r, c:])
         self.pos[rows] -= c
 
     def draw(self, rows: np.ndarray, count: int) -> np.ndarray:
         """The next `count` uniforms of each of the distinct `rows`, shape
         (len(rows), count)."""
-        if count > self.chunk:  # only when n_sub exceeds chunk: read in pieces
+        if count > self.chunk:  # a longer read comes in pieces
             return np.concatenate([self.draw(rows, self.chunk), self.draw(rows, count - self.chunk)], axis=1)
         pos = self.pos[rows]
         spent = pos >= self.chunk
@@ -424,9 +432,106 @@ def run_ensemble(
     for lo in range(0, n_traj, BATCH_SIZE):
         batch = indices[lo : lo + BATCH_SIZE]
         states = np.tile(initial.amplitudes.astype(complex), (len(batch), 1))
-        bank = _StreamBank([trajectory_stream(master_seed, int(i)) for i in batch])
+        # a chunk holds a step's draws even if every substep flips
+        chunk = max(_StreamBank.chunk, 2 * n_sub + 1)
+        bank = _StreamBank([trajectory_stream(master_seed, int(i)) for i in batch], chunk)
         _run_batch(states, rounds, plan, bank, acc, records[lo : lo + BATCH_SIZE] if record else None)
     return acc, records
+
+
+class _PlainGroup(NamedTuple):
+    """Consecutive steps without cold coupling whose draws are read in one
+    pass. Without flips, step j's `n_sub` hot uniforms start at `starts[j]`
+    (`starts[-1]` is the group's length); `hot` marks them over a window with
+    room for a qubit pick on every substep; `measured` lists the steps that
+    measure."""
+
+    steps: list[int]
+    starts: list[int]
+    hot: np.ndarray
+    measured: list[int]
+
+
+def _plain_groups(plan: _SchedulePlan, chunk: int) -> dict[int, _PlainGroup]:
+    """Runs of steps without cold coupling, split into groups whose draws
+    fit one chunk even if every substep flips; keyed by first step."""
+    size = chunk // (2 * plan.n_sub + 1)
+    runs: dict[int, list[int]] = {}
+    run: list[int] = []
+    for s in range(len(plan.schedule)):
+        if plan.cooling_on[s]:
+            run = []
+        elif run and len(run) < size:
+            run.append(s)
+        else:
+            run = runs[s] = [s]
+    groups = {}
+    for first, steps in runs.items():
+        measures = [plan.schedule.steps[s].measure is not None for s in steps]
+        starts = np.cumsum([0] + [plan.n_sub + m for m in measures]).tolist()
+        hot = np.zeros(starts[-1] + len(steps) * plan.n_sub, dtype=bool)
+        for a in starts[:-1]:
+            hot[a : a + plan.n_sub] = True
+        groups[first] = _PlainGroup(steps, starts, hot, [j for j, m in enumerate(measures) if m])
+    return groups
+
+
+def _read_plain(bank: _StreamBank, plan: _SchedulePlan, group: _PlainGroup):
+    """Read the draws of a group of steps without cold coupling for every
+    row of `bank`, in the per-step order of the stream contract.
+
+    Returns (flips, measure_u): flips[j] lists (row, substeps, qubits) for
+    each row flipping in the group's j-th step, and measure_u[j] holds each
+    row's measurement uniform of that step (None when it does not measure).
+    A row without flips reads the group's fixed layout; only rows with a
+    flip are parsed one by one, over the hot hits of their window.
+    """
+    n, n_sub = plan.n_qubits, plan.n_sub
+    starts, hot, measured = group.starts, group.hot, group.measured
+    base, width = starts[-1], hot.size
+    spent = np.nonzero(bank.pos >= bank.chunk)[0]
+    if spent.size:
+        bank._refill(spent)
+    windows = np.lib.stride_tricks.sliding_window_view(bank.buf, width, axis=1)
+    rows = np.arange(len(bank.pos))
+    shifts = np.zeros((rows.size, len(measured)), dtype=np.int64)  # picks before each measurement
+    used = np.full(rows.size, base)
+    flips: list[list] = [[] for _ in group.steps]
+    for lo in range(0, rows.size, _PARSE_ROWS):
+        block = windows[rows[lo : lo + _PARSE_ROWS], bank.pos[lo : lo + _PARSE_ROWS]]
+        hit_rows, hit_pos = np.divmod(np.flatnonzero(block < plan.p_hot), width)
+        jumpers = np.unique(hit_rows[hot[hit_pos]])
+        cuts = np.searchsorted(hit_rows, np.stack([jumpers, jumpers + 1])).tolist()
+        hit_pos = hit_pos.tolist()
+        for i, h, stop in zip(jumpers.tolist(), *cuts):
+            r, u, shift = lo + i, block[i], 0
+            while h < stop and hit_pos[h] - shift < base:
+                x = hit_pos[h] - shift  # offset in the layout without flips
+                j = bisect_right(starts, x) - 1
+                first = starts[j] + shift
+                end = first + n_sub
+                if x - starts[j] >= n_sub:  # a measurement uniform
+                    h += 1
+                    continue
+                ks = []
+                while h < stop and hit_pos[h] < end:
+                    ks.append(hit_pos[h] - first)
+                    h += 1
+                flips[j].append((r, ks, [min(int(p * n), n - 1) for p in u[end : end + len(ks)].tolist()]))
+                shift += len(ks)
+                while h < stop and hit_pos[h] < end + len(ks):  # the qubit picks
+                    h += 1
+                for m, jm in enumerate(measured):
+                    if jm >= j:
+                        shifts[r, m] += len(ks)
+            used[r] += shift
+    at = bank.pos[:, None] + shifts + np.array([starts[j] + n_sub for j in measured], dtype=np.int64)
+    vals = bank.buf[rows[:, None], at]
+    bank.pos += used
+    measure_u: list[np.ndarray | None] = [None] * len(group.steps)
+    for m, j in enumerate(measured):
+        measure_u[j] = vals[:, m]
+    return flips, measure_u
 
 
 def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None):
@@ -442,43 +547,39 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     if n * plan.noise.gamma_h * plan.dt >= 1.0:
         raise ValueError("substep too large for the bit-flip rate: need n_qubits * gamma_h / n_sub < 1")
     all_rows = np.arange(B)
+    n_steps = len(plan.schedule)
     anc_count = plan.anc_bits.shape[0]
     a_rate, b_rate = plan.noise.rate_down, plan.noise.rate_up
-    dd = 2 ** len(plan.schedule.data_qubits)
-    da = 2 ** len(plan.schedule.ancilla_qubits)
     record = records is not None
+    groups = _plain_groups(plan, bank.chunk)
+    # populations after each step of the round, as (re, im) column sums, and
+    # the ground-pattern columns that turn them into f2 sums
+    pops = np.empty((n_steps, 2 * plan.dim))
+    ground = np.repeat(np.stack([plan.data_ground, plan.anc_ground], axis=1), 2, axis=0).astype(float)
+    kept = acc.store != "scalar"
+    if acc.store == "reduced":
+        gram = np.empty((n_steps if acc.per_step_rho else 1, plan.dim, plan.dim), dtype=complex)
 
     outcome = None
     for rnd in range(rounds):
         for s, step in enumerate(plan.schedule.steps):
-            t = rnd * len(plan.schedule) + s
+            t = rnd * n_steps + s
             powers = plan.sub_powers[s]
-            cooling = bool(plan.cooling_on[s])
-            hot_mask = bank.draw(all_rows, plan.n_sub) < plan.p_hot  # (B, n_sub)
+            measure_u = None
 
-            if not cooling:
-                # jump-free trajectories take the whole step in one product;
-                # the rare jumpers replay their substep interleaving exactly
-                jumpers = np.nonzero(hot_mask.any(axis=1))[0]
-                if plan.full_unitaries[s] is not None:
-                    if jumpers.size:
-                        clean = np.nonzero(~hot_mask.any(axis=1))[0]
-                        states[clean] = states[clean] @ plan.full_unitaries[s].T
-                    else:
-                        states = states @ plan.full_unitaries[s].T
-                # qubit picks in flip order: the j-th picks of all jumpers with
-                # more than j flips come from one draw
-                counts = hot_mask[jumpers].sum(axis=1)
-                picks = np.zeros((jumpers.size, counts.max(initial=0)))
-                for j in range(picks.shape[1]):
-                    more = counts > j
-                    picks[more, j] = bank.draw(jumpers[more], 1)[:, 0]
-                picked = np.minimum((picks * n).astype(np.int64), n - 1).tolist()
-                for r, qubits in zip(jumpers, picked):
+            if not plan.cooling_on[s]:
+                if s in groups:
+                    first = s
+                    flips, group_u = _read_plain(bank, plan, groups[s])
+                measure_u = group_u[s - first]
+                # every row takes the whole step in one product; the rows
+                # that flipped replay their substep interleaving exactly
+                new = states if plan.full_unitaries[s] is None else states @ plan.full_unitaries[s].T
+                for r, ks, qubits in flips[s - first]:
                     psi = states[r]
                     prev = 0
-                    for k, q in zip(np.nonzero(hot_mask[r])[0], qubits):
-                        if powers is not None and k + 1 - prev > 0:
+                    for k, q in zip(ks, qubits):
+                        if powers is not None:
                             psi = powers[k + 1 - prev] @ psi
                         psi = psi[plan.flip_perms[q]]
                         prev = k + 1
@@ -486,13 +587,17 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                             records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
                     if powers is not None and plan.n_sub - prev > 0:
                         psi = powers[plan.n_sub - prev] @ psi
-                    states[r] = psi
+                    new[r] = psi
+                states = new
             else:
+                hot_mask = bank.draw(all_rows, plan.n_sub) < plan.p_hot  # (B, n_sub)
                 u3_block = bank.draw(all_rows, plan.n_sub)
+                hot_k, hot_rows = np.nonzero(hot_mask.T)
+                cuts = np.searchsorted(hot_k, np.arange(plan.n_sub + 1)).tolist()
                 for k in range(plan.n_sub):
                     if powers is not None:
                         states = states @ powers[1].T
-                    hot = np.nonzero(hot_mask[:, k])[0]
+                    hot = hot_rows[cuts[k] : cuts[k + 1]]
                     if hot.size:
                         u2 = bank.draw(hot, 1)[:, 0]
                         qubits = np.minimum((u2 * n).astype(np.int64), n - 1)
@@ -500,14 +605,13 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                             states[r] = states[r][plan.flip_perms[q]]
                             if record:
                                 records[r].jumps.append((t + (k + 1) * plan.dt, int(q), JUMP_BIT_FLIP))
+                    pre = states
                     decayed = states * plan.cool_decay
                     survival = (decayed.real**2 + decayed.imag**2).sum(axis=1)
-                    jump = u3_block[:, k] >= survival
-                    stay = np.nonzero(~jump)[0]
-                    states[stay] = decayed[stay] / np.sqrt(survival[stay])[:, None]
-                    jrows = np.nonzero(jump)[0]
+                    states = decayed / np.sqrt(survival)[:, None]
+                    jrows = np.nonzero(u3_block[:, k] >= survival)[0]
                     if jrows.size:
-                        occ = (np.abs(states[jrows]) ** 2) @ plan.anc_bits.T
+                        occ = (np.abs(pre[jrows]) ** 2) @ plan.anc_bits.T
                         chan = np.concatenate([a_rate * occ, b_rate * (1.0 - occ)], axis=1)
                         totals = chan.sum(axis=1)
                         u4 = bank.draw(jrows, 1)[:, 0] * totals
@@ -520,7 +624,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                             a = int(c) % anc_count
                             cool = int(c) < anc_count
                             keep = plan.anc_bits[a] if cool else 1.0 - plan.anc_bits[a]
-                            psi = states[r][plan.anc_perms[a]] * (1.0 - keep)
+                            psi = pre[r][plan.anc_perms[a]] * (1.0 - keep)
                             states[r] = psi / np.linalg.norm(psi)
                             if record:
                                 q = plan.schedule.ancilla_qubits[a]
@@ -535,7 +639,9 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 if np.any(total < 1e-14):
                     raise ValueError("state with vanishing probability at measurement")
                 cum = np.cumsum(probs, axis=1)
-                u = bank.draw(all_rows, 1)[:, 0] * total[:, 0]
+                if measure_u is None:
+                    measure_u = bank.draw(all_rows, 1)[:, 0]
+                u = measure_u * total[:, 0]
                 outcome = (cum < u[:, None]).sum(axis=1)
                 np.clip(outcome, 0, probs.shape[1] - 1, out=outcome)
                 states = states * onehot[outcome]
@@ -551,20 +657,44 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                     rows = np.nonzero(outcome == pat)[0]
                     states[rows] = states[rows][:, perms[pat]]
 
-            # post-step samples
-            prob = np.abs(states) ** 2
-            acc.f2_data[rnd, s] += prob[:, plan.data_ground].sum()
-            acc.f2_anc[rnd, s] += prob[:, plan.anc_ground].sum()
-            if acc.store != "scalar" and (acc.per_step_rho or s == len(plan.schedule) - 1):
+            # post-step samples: populations, and the batch's Gram matrix
+            # where a density matrix is kept
+            f = states.view(float)
+            np.einsum("bk,bk->k", f, f, out=pops[s])
+            if kept and (acc.per_step_rho or s == n_steps - 1):
                 si = s if acc.per_step_rho else 0
-                for grid, sort, d in ((acc.rho_data, plan.data_sort, dd), (acc.rho_anc, plan.anc_sort, da)):
-                    # register-major block: column (r, i) holds trajectory r's
-                    # amplitudes over the register's patterns at rest index i
-                    x = states[:, sort].reshape(B, d, -1).transpose(1, 0, 2).reshape(d, -1)
-                    grid[rnd, si] += x @ x.conj().T
                 if acc.store == "full":
                     acc.rho_total[rnd, si] += states.T @ states.conj()
+                else:
+                    np.matmul(states.T, states.conj(), out=gram[si])
+
+        # once per round: f2 sums and the registers' partial traces
+        f2 = pops @ ground
+        acc.f2_data[rnd] += f2[:, 0]
+        acc.f2_anc[rnd] += f2[:, 1]
+        if acc.store == "full":  # the grid holds every batch so far
+            acc.rho_data[rnd], acc.rho_anc[rnd] = _partial_traces(acc.rho_total[rnd], plan)
+        elif kept:
+            data, anc = _partial_traces(gram, plan)
+            acc.rho_data[rnd] += data
+            acc.rho_anc[rnd] += anc
     acc.count += B
+
+
+def _partial_traces(mats: np.ndarray, plan: _SchedulePlan) -> tuple[np.ndarray, np.ndarray]:
+    """Data and ancilla reductions of a (k, dim, dim) stack of register
+    matrices: one einsum each, summing the diagonal of the other qubits."""
+    n = plan.n_qubits
+    tensor = mats.reshape((len(mats),) + (2,) * (2 * n))
+    out = []
+    for keep in (plan.schedule.data_qubits, plan.schedule.ancilla_qubits):
+        # axis labels: 0 the stack, 1..n the rows, n+1..2n the columns; a
+        # traced qubit's column shares its row's label
+        cols = [n + 1 + q if q in keep else 1 + q for q in range(n)]
+        labels = [1 + q for q in keep] + [n + 1 + q for q in keep]
+        d = 2 ** len(keep)
+        out.append(np.einsum(tensor, [0, *range(1, n + 1), *cols], [0, *labels]).reshape(len(mats), d, d))
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

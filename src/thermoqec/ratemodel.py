@@ -300,6 +300,25 @@ def integrate_cooling(P0, rates: CoolingRates, t: float) -> np.ndarray:
     return np.kron(np.kron(bit, bit), bit) @ P
 
 
+def _plateau_estimates(tail: np.ndarray) -> list[float]:
+    """Aitken plateau estimates from the final triples of a fit window; none
+    when their second differences all vanish."""
+    estimates = []
+    for j in range(max(0, len(tail) - 12), len(tail) - 2):
+        denom = tail[j] + tail[j + 2] - 2 * tail[j + 1]
+        if abs(denom) > 1e-300:
+            estimates.append((tail[j] * tail[j + 2] - tail[j + 1] ** 2) / denom)
+    return estimates
+
+
+def tail_is_constant(sequence, skip: int) -> bool:
+    """True when the fit window of `fit_decay_constant` from `skip` holds at
+    least three values and gives no plateau estimate: the tail is constant
+    and there is no decay to fit."""
+    tail = np.asarray(sequence, dtype=float)[skip : skip + 201]
+    return len(tail) >= 3 and not _plateau_estimates(tail)
+
+
 def fit_decay_constant(sequence, skip: int) -> tuple[float, float]:
     """Fit P(n) = P_ss + (P(k) - P_ss) * delta**-(n-k) to the tail of a
     per-round sequence, n in [k, k+200].
@@ -313,13 +332,7 @@ def fit_decay_constant(sequence, skip: int) -> tuple[float, float]:
         raise ValueError("sequence too short for the requested skip")
     tail = seq[skip : skip + 201]
     m = len(tail)
-
-    # plateau from the final triples
-    estimates = []
-    for j in range(max(0, m - 12), m - 2):
-        denom = tail[j] + tail[j + 2] - 2 * tail[j + 1]
-        if abs(denom) > 1e-300:
-            estimates.append((tail[j] * tail[j + 2] - tail[j + 1] ** 2) / denom)
+    estimates = _plateau_estimates(tail)
     if not estimates:
         raise ValueError("tail is constant; nothing to fit")
     p_ss = float(np.median(estimates))

@@ -220,6 +220,22 @@ class TestCliRateModel:
         assert code == 0 and (tmp_path / "chain.csv").exists()
         assert capsys.readouterr().out.splitlines()[-1] == "P0 = 1 is constant from round 1: no decay to fit"
 
+    @pytest.mark.parametrize(
+        "argv", [["--alpha", "0", "--beta", "1"], ["--alpha", "1"]], ids=["alpha0-beta1", "alpha1"]
+    )
+    def test_chain_modes_of_equal_magnitude_exit_2(self, tmp_path, capsys, argv):
+        # the chain flips P0 between 0 and 1 every round: |lambda3| = |lambda2| = 1
+        assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 2
+        assert "same magnitude" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_chain_tail_flat_by_the_fit_test_exits_0(self, tmp_path, capsys):
+        # F_a = 0, alpha = beta = 1: P0 settles at 1/4 through a -1/3 mode, so
+        # the tail from round 21 varies by 1e-10 and the fit window ends flat
+        assert main(["rate-model", "chain", "--alpha", "1", "--beta", "1", "--F-a", "0", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "P0 = 0.25 is constant from round 21: no decay to fit"
+        assert (tmp_path / "chain.csv").exists()
+
     def test_chain_with_ancilla_errors_only(self, tmp_path, capsys):
         # alpha = 0 but F_a < 1: the chain still decays, and the fit runs
         code = main(["rate-model", "chain", "--alpha", "0", "--F-a", "0.9", "--out", str(tmp_path)])

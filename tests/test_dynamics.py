@@ -254,6 +254,50 @@ class TestSeedDeterminism:
             assert np.array_equal(acc_s.f2_data, acc_f.f2_data) and np.array_equal(acc_s.f2_anc, acc_f.f2_anc)
 
 
+def markers_only(schedule):
+    """The schedule's step and marker layout without control terms."""
+    steps = [Step(cooling_window=s.cooling_window, measure=s.measure, correction=s.correction) for s in schedule.steps]
+    return GateSchedule(schedule.n_qubits, schedule.data_qubits, schedule.ancilla_qubits, tuple(steps))
+
+
+class TestPlainDrawOrder:
+    """With Gamma_c = 0 every step is plain, so each trajectory's flips follow
+    from its own stream alone, read in the documented order: per step n_sub
+    hot uniforms, then one qubit pick per flip, then one uniform if the step
+    measures."""
+
+    @staticmethod
+    def read_flips(master_seed, index, schedule, gamma_h, n_sub, rounds):
+        n = schedule.n_qubits
+        p_hot = 1.0 - np.exp(-n * gamma_h / n_sub)
+        stream = trajectory_stream(master_seed, index)
+        flips = []
+        for rnd in range(rounds):
+            for s, step in enumerate(schedule.steps):
+                for k in np.flatnonzero(stream.random(n_sub) < p_hot):
+                    q = min(int(stream.random() * n), n - 1)
+                    flips.append((rnd * len(schedule) + s + (k + 1) * (1.0 / n_sub), q, JUMP_BIT_FLIP))
+                if step.measure is not None:
+                    stream.random()
+        return flips
+
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    @pytest.mark.parametrize("gamma_h, n_sub", [(0.3, 20), (0.5, 3), (0.05, 1), (0.2, 600)])
+    def test_jumps_follow_the_documented_order(self, schedule, gamma_h, n_sub):
+        if n_sub > 20:  # 601 propagator powers per distinct step would take ~0.3 GB
+            schedule = markers_only(schedule)
+        noise = NoiseParams(gamma_h, 0.0, 0.0)
+        init = StateVector.basis(schedule.n_qubits, 0)
+        if schedule.n_qubits * gamma_h / n_sub >= 1:
+            with pytest.raises(ValueError, match="substep"):
+                run_ensemble(init, 2, schedule, noise, 3, master_seed=8, n_sub=n_sub)
+            return
+        _, records = run_ensemble(init, 2, schedule, noise, 3, master_seed=8, n_sub=n_sub, record=True)
+        assert sum(len(rec.jumps) for rec in records) > 0
+        for k, rec in enumerate(records):
+            assert rec.jumps == self.read_flips(8, k, schedule, gamma_h, n_sub, 2)
+
+
 class _CountingBank(_StreamBank):
     def __init__(self, gens):
         self.refills = np.zeros(len(gens), dtype=np.int64)
@@ -304,18 +348,49 @@ class TestAccumulator:
         evals = np.linalg.eigvalsh(rho.elements)
         assert abs(evals[-1] - 1.0) < 1e-10  # still a pure projector
 
-    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    # ancilla qubit 0 leads the basis index; the data register follows in
+    # either order
+    SCRAMBLED = [
+        GateSchedule(3, data, (0,), (
+            Step(cooling_window=True),
+            Step((ControlTerm(X_ROTATION, (1,), 0.8), ControlTerm(PUSHING_GATE, (0, 2), alphas=(0.3, -0.2, 0.9, 1.1)))),
+            Step((ControlTerm(HADAMARD_PULSE, (0,), 0.5), ControlTerm(X_ROTATION, (2,), 1.3))),
+        ))
+        for data in ((1, 2), (2, 1))
+    ]
+
+    @pytest.mark.parametrize(
+        "schedule", [MEASURED, MEASUREMENT_FREE, *SCRAMBLED], ids=["measured", "mf", "anc-first", "anc-first-reversed"]
+    )
     def test_reduced_matrices_are_partial_traces(self, schedule):
+        # both stores that keep reductions, against the "full" run's total
         noise = NoiseParams(2e-2, 3.0, 0.1)
-        acc, _ = run_ensemble(
-            StateVector.basis(schedule.n_qubits, 0), 2, schedule, noise, 20, master_seed=17, store="full"
-        )
+        init = StateVector.basis(schedule.n_qubits, 0)
+        full, _ = run_ensemble(init, 2, schedule, noise, 20, master_seed=17, store="full")
+        reduced, _ = run_ensemble(init, 2, schedule, noise, 20, master_seed=17, store="reduced")
         for rnd in range(2):
             for step in range(len(schedule)):
-                total = acc.mean_rho("total", rnd, step)
+                total = full.mean_rho("total", rnd, step)
                 for which, qubits in (("data", schedule.data_qubits), ("ancilla", schedule.ancilla_qubits)):
                     expect = partial_trace(total, qubits).elements
-                    assert np.abs(acc.mean_rho(which, rnd, step).elements - expect).max() < 1e-12
+                    for acc in (full, reduced):
+                        assert np.abs(acc.mean_rho(which, rnd, step).elements - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("store", ["full", "reduced"])
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_batches_sum_to_one_batch(self, monkeypatch, schedule, store):
+        # 10 trajectories in batches of 4, 4 and 2 against one batch
+        noise = NoiseParams(2e-2, 3.0, 0.1)
+        init = StateVector.basis(schedule.n_qubits, 0)
+        one, _ = run_ensemble(init, 2, schedule, noise, 10, master_seed=19, store=store)
+        monkeypatch.setattr(dynamics, "BATCH_SIZE", 4)
+        split, _ = run_ensemble(init, 2, schedule, noise, 10, master_seed=19, store=store)
+        assert split.count == one.count == 10
+        for name in ("f2_data", "f2_anc", "rho_data", "rho_anc", "rho_total"):
+            a, b = getattr(split, name), getattr(one, name)
+            assert (a is None) == (b is None) == (name == "rho_total" and store == "reduced")
+            if a is not None:
+                assert np.abs(a - b).max() < 1e-12, name
 
     @pytest.mark.parametrize("per_step_rho", [True, False], ids=["per_step", "round_end"])
     def test_matrix_sums_match_explicit_outer_products(self, per_step_rho):
