@@ -81,28 +81,6 @@ def _schedule_for(cfg: ExperimentConfig) -> GateSchedule:
     return schedule
 
 
-def _write_metrics_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round", "step", "time", "f2_data", "f2_ancilla", "s_total", "s_data", "s_anc", "n_traj"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.round_index,
-                    r.step_index,
-                    _fmt(r.time),
-                    _fmt(r.f2_data),
-                    _fmt(r.f2_ancilla),
-                    _fmt(r.s_total),
-                    _fmt(r.s_data),
-                    _fmt(r.s_ancilla),
-                    r.n_traj,
-                ]
-            )
-
-
 def cmd_run(cfg: ExperimentConfig) -> int:
     schedule = _schedule_for(cfg)
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
@@ -120,8 +98,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     )
     rows = compute_step_metrics(acc)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_metrics_csv(out / "metrics.csv", rows)
+    # one column per RoundMetrics field, in declaration order
+    header = ["round", "step", "time", "f2_data", "f2_ancilla", "s_total", "s_data", "s_anc", "n_traj"]
+    _write_table(out / "metrics.csv", header, (tuple(vars(r).values()) for r in rows))
 
     ends = round_end_series(rows, "f2_data")
     tail = ends[max(0, 3 * len(ends) // 4) :]

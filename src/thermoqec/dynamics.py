@@ -2,8 +2,9 @@
 
 Two routes are provided, both reading one table of schedule-derived
 operators (`_SchedulePlan`: cooling windows, measurement projectors,
-correction permutations, ground-pattern masks, and the kernel's jumps; the
-kernel's step propagators are built on its first read):
+correction permutations, ground-pattern masks, the kernel's jumps, and its
+one propagator table `power(s, m)`: step s's control unitary over m
+substeps, an exact product of the terms' closed forms, built on request):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
   with one batched kernel, which `run_ensemble` runs on batches of
@@ -58,23 +59,24 @@ the state, so each group's draws are read before its first step, in one
 pass over a strided window of every row's buffer: a row without a hot hit
 reads a fixed layout, and only the rows with a flip are parsed, over their
 hits, for flip substeps, qubit picks and measurement uniforms. Each plain
-step then applies the exact full-step unitary to every row in one product,
-and the rows that flipped replay their substep interleaving from their
-pre-step state; the uniforms and their order are those of the per-step
-contract above, so the sampled distribution is unchanged.
+step then applies the exact full-step unitary (`power(s, n_sub)`) to every
+row in one product, and the rows that flipped replay their substep
+interleaving from their pre-step state, one `power(s, gap)` per gap between
+flips; the uniforms and their order are those of the per-step contract
+above, so the sampled distribution is unchanged. Steps with cold coupling
+advance all rows by `power(s, 1)` per substep.
 
 Per step the kernel keeps two samples: the basis populations summed over
 the batch and, where a density matrix is kept, the batch's Gram matrix
-states^T @ conj(states). Once per round the populations give the f2 sums
-and the Gram matrices give the data and ancilla reductions as partial
-traces (with store "full" the Gram matrices are the total's grid itself).
+states^T @ conj(states). Once per round the populations give the f2 sums,
+and the Gram matrices are added to the whole-register sums (store "full")
+and, as partial traces, to the data and ancilla reductions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -150,7 +152,9 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
 
 
 class _SchedulePlan:
-    """Precomputed arrays for evolving one schedule under one noise setting."""
+    """Precomputed arrays for evolving one schedule under one noise setting,
+    and the trajectory kernel's step propagators (`power`; the oracle reads
+    none)."""
 
     def __init__(self, schedule: GateSchedule, noise: NoiseParams, n_sub: int):
         if n_sub < 1:
@@ -200,27 +204,23 @@ class _SchedulePlan:
         self.data_ground = _pattern_index(idx, schedule.data_qubits, n) == 0
         self.anc_ground = _pattern_index(idx, anc, n) == 0
 
-    @cached_property
-    def sub_powers(self) -> list[list[np.ndarray] | None]:
-        """Powers 0..n_sub of each step's per-substep unitary, for replaying
-        jump interleavings (None for a step without control terms; steps with
-        equal terms share one list). Built on the kernel's first read, as is
-        `full_unitaries`: the oracle reads neither."""
-        built: dict = {}
-        for s in self.schedule.steps:
-            if s.terms and s.terms not in built:
-                u_dt = step_unitary(s, self.n_qubits, scale=self.dt)
-                built[s.terms] = powers = [np.eye(self.dim, dtype=complex)]
-                for _ in range(self.n_sub):
-                    powers.append(u_dt @ powers[-1])
-        return [built.get(s.terms) for s in self.schedule.steps]
+        # each step's index among the distinct control-term sets (-1 for a
+        # step without terms), so that `power` hashes no terms per call
+        term_sets: dict = {}
+        self.term_set = [term_sets.setdefault(s.terms, len(term_sets)) if s.terms else -1 for s in schedule.steps]
+        self._powers: dict[tuple[int, int], np.ndarray] = {}
 
-    @cached_property
-    def full_unitaries(self) -> list[np.ndarray | None]:
-        """Exact full-step unitary of each step, for jump-free trajectories
-        (shared by steps with equal terms)."""
-        built = {s.terms: step_unitary(s, self.n_qubits, scale=1.0) for s in self.schedule.steps if s.terms}
-        return [built.get(s.terms) for s in self.schedule.steps]
+    def power(self, s: int, m: int) -> np.ndarray | None:
+        """Control unitary of step `s` over `m` of its substeps (None for a
+        step without terms), built on first request from the terms' closed
+        forms, shared by equal term sets; m = n_sub is exactly scale 1."""
+        key = (self.term_set[s], m)
+        if key[0] < 0:
+            return None
+        u = self._powers.get(key)
+        if u is None:
+            u = self._powers[key] = step_unitary(self.schedule.steps[s], self.n_qubits, scale=m / self.n_sub)
+        return u
 
 
 def _pattern_index(idx: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -557,14 +557,13 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     pops = np.empty((n_steps, 2 * plan.dim))
     ground = np.repeat(np.stack([plan.data_ground, plan.anc_ground], axis=1), 2, axis=0).astype(float)
     kept = acc.store != "scalar"
-    if acc.store == "reduced":
+    if kept:
         gram = np.empty((n_steps if acc.per_step_rho else 1, plan.dim, plan.dim), dtype=complex)
 
     outcome = None
     for rnd in range(rounds):
         for s, step in enumerate(plan.schedule.steps):
             t = rnd * n_steps + s
-            powers = plan.sub_powers[s]
             measure_u = None
 
             if not plan.cooling_on[s]:
@@ -574,19 +573,20 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 measure_u = group_u[s - first]
                 # every row takes the whole step in one product; the rows
                 # that flipped replay their substep interleaving exactly
-                new = states if plan.full_unitaries[s] is None else states @ plan.full_unitaries[s].T
+                prop = plan.power(s, plan.n_sub)
+                new = states if prop is None else states @ prop.T
                 for r, ks, qubits in flips[s - first]:
                     psi = states[r]
                     prev = 0
                     for k, q in zip(ks, qubits):
-                        if powers is not None:
-                            psi = powers[k + 1 - prev] @ psi
+                        if prop is not None:
+                            psi = plan.power(s, k + 1 - prev) @ psi
                         psi = psi[plan.flip_perms[q]]
                         prev = k + 1
                         if record:
                             records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
-                    if powers is not None and plan.n_sub - prev > 0:
-                        psi = powers[plan.n_sub - prev] @ psi
+                    if prop is not None and prev < plan.n_sub:
+                        psi = plan.power(s, plan.n_sub - prev) @ psi
                     new[r] = psi
                 states = new
             else:
@@ -594,17 +594,18 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 u3_block = bank.draw(all_rows, plan.n_sub)
                 hot_k, hot_rows = np.nonzero(hot_mask.T)
                 cuts = np.searchsorted(hot_k, np.arange(plan.n_sub + 1)).tolist()
+                prop = plan.power(s, 1)
                 for k in range(plan.n_sub):
-                    if powers is not None:
-                        states = states @ powers[1].T
+                    if prop is not None:
+                        states = states @ prop.T
                     hot = hot_rows[cuts[k] : cuts[k + 1]]
                     if hot.size:
                         u2 = bank.draw(hot, 1)[:, 0]
                         qubits = np.minimum((u2 * n).astype(np.int64), n - 1)
-                        for r, q in zip(hot, qubits):
-                            states[r] = states[r][plan.flip_perms[q]]
-                            if record:
-                                records[r].jumps.append((t + (k + 1) * plan.dt, int(q), JUMP_BIT_FLIP))
+                        states[hot] = states[hot[:, None], plan.flip_perms[qubits]]
+                        if record:
+                            for r, q in zip(hot.tolist(), qubits.tolist()):
+                                records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
                     pre = states
                     decayed = states * plan.cool_decay
                     survival = (decayed.real**2 + decayed.imag**2).sum(axis=1)
@@ -617,19 +618,19 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                         u4 = bank.draw(jrows, 1)[:, 0] * totals
                         cidx = (np.cumsum(chan, axis=1) < u4[:, None]).sum(axis=1)
                         np.clip(cidx, 0, 2 * anc_count - 1, out=cidx)
-                        for r, c, tot in zip(jrows, cidx, totals):
-                            if tot < 1e-300:
-                                states[r] = decayed[r] / np.linalg.norm(decayed[r])
-                                continue
-                            a = int(c) % anc_count
-                            cool = int(c) < anc_count
-                            keep = plan.anc_bits[a] if cool else 1.0 - plan.anc_bits[a]
-                            psi = pre[r][plan.anc_perms[a]] * (1.0 - keep)
-                            states[r] = psi / np.linalg.norm(psi)
-                            if record:
-                                q = plan.schedule.ancilla_qubits[a]
-                                kind = JUMP_COOL if cool else JUMP_HEAT
-                                records[r].jumps.append((t + (k + 1) * plan.dt, q, kind))
+                        # a row without an open channel keeps its decayed state
+                        live = totals >= 1e-300
+                        jrows, cidx = jrows[live], cidx[live]
+                        a, cool = cidx % anc_count, cidx < anc_count
+                        # the jump flips ancilla a into the state it lands in:
+                        # ground for cooling, excited for heating
+                        lands = np.where(cool[:, None], 1.0 - plan.anc_bits[a], plan.anc_bits[a])
+                        psi = pre[jrows[:, None], plan.anc_perms[a]] * lands
+                        states[jrows] = psi / np.linalg.norm(psi, axis=1)[:, None]
+                        if record:
+                            for r, ai, c in zip(jrows.tolist(), a.tolist(), cool.tolist()):
+                                q = plan.schedule.ancilla_qubits[ai]
+                                records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_COOL if c else JUMP_HEAT))
 
             # marker operations at the end of the step
             if step.measure is not None:
@@ -662,19 +663,16 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
             f = states.view(float)
             np.einsum("bk,bk->k", f, f, out=pops[s])
             if kept and (acc.per_step_rho or s == n_steps - 1):
-                si = s if acc.per_step_rho else 0
-                if acc.store == "full":
-                    acc.rho_total[rnd, si] += states.T @ states.conj()
-                else:
-                    np.matmul(states.T, states.conj(), out=gram[si])
+                np.matmul(states.T, states.conj(), out=gram[s if acc.per_step_rho else 0])
 
-        # once per round: f2 sums and the registers' partial traces
+        # once per round: f2 sums, the whole-register matrices and their
+        # partial traces
         f2 = pops @ ground
         acc.f2_data[rnd] += f2[:, 0]
         acc.f2_anc[rnd] += f2[:, 1]
-        if acc.store == "full":  # the grid holds every batch so far
-            acc.rho_data[rnd], acc.rho_anc[rnd] = _partial_traces(acc.rho_total[rnd], plan)
-        elif kept:
+        if acc.rho_total is not None:
+            acc.rho_total[rnd] += gram
+        if kept:
             data, anc = _partial_traces(gram, plan)
             acc.rho_data[rnd] += data
             acc.rho_anc[rnd] += anc

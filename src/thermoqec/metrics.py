@@ -1,10 +1,11 @@
 """Turn ensemble accumulators into the plotted per-step quantities:
 data/ancilla fidelities and the three von Neumann entropies (bits).
 
-The entropies of one round come from one stacked eigenvalue call per
-register on the round's (steps, d, d) matrices (the round-end slice when
-only round-end matrices were accumulated); the grid is never stacked whole,
-so the working memory stays one round's matrices.
+The entropies of one round come from stacked eigenvalue calls per register
+on the round's (steps, d, d) matrices (the round-end slice when only
+round-end matrices were accumulated), each on a block of at most
+`_BLOCK_BYTES` of matrices; the grid is never stacked whole, so the working
+memory stays one block.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import numpy as np
 
 from .dynamics import EnsembleAccumulator
 from .qstate import EIG_FLOOR
+
+# Bytes of matrices per stacked eigenvalue call. With a whole round of 64x64
+# matrices (1 MiB) per call, each round's temporaries grew glibc's heap past
+# its trim threshold, so every round faulted its pages in again: about
+# 100,000 page faults and 0.25 s of a 1.5 s `fig4a_iii` run at 50
+# trajectories on a 2-core x86-64 host.
+_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,9 @@ def compute_step_metrics(acc: EnsembleAccumulator) -> list[RoundMetrics]:
         for which, grid in grids.items():
             ent[which] = np.full(steps_per_round, nan)
             if grid is not None:
-                ent[which][stored_steps] = _entropies(grid[rnd] / acc.count)
+                size = max(1, _BLOCK_BYTES // grid[0, 0].nbytes)
+                ents = [_entropies(grid[rnd, i : i + size] / acc.count) for i in range(0, grid.shape[1], size)]
+                ent[which][stored_steps] = np.concatenate(ents)
         for step in range(steps_per_round):
             rows.append(
                 RoundMetrics(

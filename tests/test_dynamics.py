@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,12 +256,6 @@ class TestSeedDeterminism:
             assert np.array_equal(acc_s.f2_data, acc_f.f2_data) and np.array_equal(acc_s.f2_anc, acc_f.f2_anc)
 
 
-def markers_only(schedule):
-    """The schedule's step and marker layout without control terms."""
-    steps = [Step(cooling_window=s.cooling_window, measure=s.measure, correction=s.correction) for s in schedule.steps]
-    return GateSchedule(schedule.n_qubits, schedule.data_qubits, schedule.ancilla_qubits, tuple(steps))
-
-
 class TestPlainDrawOrder:
     """With Gamma_c = 0 every step is plain, so each trajectory's flips follow
     from its own stream alone, read in the documented order: per step n_sub
@@ -284,8 +280,6 @@ class TestPlainDrawOrder:
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
     @pytest.mark.parametrize("gamma_h, n_sub", [(0.3, 20), (0.5, 3), (0.05, 1), (0.2, 600)])
     def test_jumps_follow_the_documented_order(self, schedule, gamma_h, n_sub):
-        if n_sub > 20:  # 601 propagator powers per distinct step would take ~0.3 GB
-            schedule = markers_only(schedule)
         noise = NoiseParams(gamma_h, 0.0, 0.0)
         init = StateVector.basis(schedule.n_qubits, 0)
         if schedule.n_qubits * gamma_h / n_sub >= 1:
@@ -296,6 +290,41 @@ class TestPlainDrawOrder:
         assert sum(len(rec.jumps) for rec in records) > 0
         for k, rec in enumerate(records):
             assert rec.jumps == self.read_flips(8, k, schedule, gamma_h, n_sub, 2)
+
+
+class TestPropagators:
+    """The kernel's one table of step propagators, `_SchedulePlan.power`."""
+
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_whole_step_is_the_step_unitary(self, schedule):
+        plan = _SchedulePlan(schedule, ZERO_NOISE, n_sub=20)
+        for s, step in enumerate(schedule.steps):
+            if step.terms:
+                assert np.array_equal(plan.power(s, 20), step_unitary(step, schedule.n_qubits))
+            else:
+                assert plan.power(s, 20) is None
+
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_powers_chain_the_substep_unitary(self, schedule):
+        plan = _SchedulePlan(schedule, ZERO_NOISE, n_sub=7)
+        distinct = {step.terms: s for s, step in enumerate(schedule.steps) if step.terms}
+        for s in distinct.values():
+            for m in range(1, 8):
+                chained = np.linalg.matrix_power(plan.power(s, 1), m)
+                assert np.abs(plan.power(s, m) - chained).max() < 1e-12
+
+    def test_fine_substeps_stay_small(self):
+        # a measured run at n_sub = 600 builds only the powers its gaps need
+        noise = NoiseParams(0.2, 3.0, 0.05)
+        init = StateVector.basis(MEASURED.n_qubits, 0)
+        tracemalloc.start()
+        try:
+            _, records = run_ensemble(init, 2, MEASURED, noise, 3, master_seed=8, n_sub=600, record=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(rec.jumps) for rec in records) > 0
+        assert peak < 64 * 2**20
 
 
 class _CountingBank(_StreamBank):
