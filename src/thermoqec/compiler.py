@@ -137,31 +137,33 @@ def term_generator(term: ControlTerm) -> np.ndarray:
     return term.strength * _GENERATORS[term.kind]
 
 
-def _term_matrix(term: ControlTerm, n_qubits: int, scale: float) -> np.ndarray:
-    dim = 2**n_qubits
+def _term_factor(term: ControlTerm, scale: float) -> np.ndarray:
+    """Closed-form unitary of one term on its own qubits, exp(-i * scale *
+    generator), as a (2,) * 2k tensor: output axes, then input axes."""
     if term.kind == PUSHING_GATE:
-        i, j = term.qubits
-        idx = np.arange(dim)
-        a = (idx >> (n_qubits - 1 - i)) & 1
-        b = (idx >> (n_qubits - 1 - j)) & 1
-        alphas = np.asarray(term.alphas)
-        return np.diag(np.exp(-1j * scale * alphas[2 * a + b]))
-    g = _GENERATORS[term.kind]
+        return np.diag(np.exp(-1j * scale * np.asarray(term.alphas))).reshape(2, 2, 2, 2)
     theta = scale * term.strength
-    u2 = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * g
-    (q,) = term.qubits
-    left = np.eye(2**q, dtype=complex)
-    right = np.eye(2 ** (n_qubits - q - 1), dtype=complex)
-    return np.kron(np.kron(left, u2), right)
+    return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * _GENERATORS[term.kind]
 
 
 def step_unitary(step: Step, n_qubits: int, scale: float = 1.0) -> np.ndarray:
     """Product of the step's (commuting) term unitaries, scaled by a fraction
-    of the step duration."""
-    u = np.eye(2**n_qubits, dtype=complex)
-    for term in step.terms:
-        u = _term_matrix(term, n_qubits, scale) @ u
-    return u
+    of the step duration.
+
+    The product is the outer product of each term's closed form on its
+    qubits and of the identity on the idle qubits. Its axes, labelled q for
+    qubit q's output and n + q for its input, are then put in label order.
+    """
+    busy = {q for term in step.terms for q in term.qubits}
+    idle = [q for q in range(n_qubits) if q not in busy]
+    groups = [(term.qubits, _term_factor(term, scale)) for term in step.terms]
+    groups.append((idle, np.eye(2 ** len(idle)).reshape((2,) * 2 * len(idle))))
+    u = np.ones((), dtype=complex)
+    labels: list[int] = []
+    for qubits, factor in groups:
+        u = np.multiply.outer(u, factor)
+        labels += [*qubits, *(n_qubits + q for q in qubits)]
+    return u.transpose(np.argsort(labels)).reshape(2**n_qubits, 2**n_qubits)
 
 
 def schedule_net_unitary(schedule: GateSchedule, stop: int | None = None) -> CompiledUnitary:

@@ -26,13 +26,16 @@ decay (sigma_x is unitary), so its no-jump branch is pure renormalization,
 while the cold channels weight amplitudes by the diagonal factor
 exp(-dt/2 * (A on excited + B on ground ancilla components)).
 
-Jump draws use the exact per-substep survival (1 - exp(-rate*dt), and the
-norm of the decayed state for the cold channels) rather than the first-order
-product rate*dt, so single-channel decay statistics carry no substep bias.
-A substep (dt = 1/n_sub) holds at most one bit flip, so the kernel rejects
-n_qubits * gamma_h * dt >= 1. The cold coupling follows NoiseParams'
-cooling_gate: the schedule's cooling windows ("window") or every step
-("always"); Gamma_c = 0 switches it off.
+A step is cut into n_sub substeps (dt = 1/n_sub), each holding at most one
+bit flip and at most one cold jump, after the flip; the kernel therefore
+rejects n_qubits * gamma_h * dt >= 1. A substep flips with the exact
+probability 1 - exp(-n_qubits * gamma_h * dt), and takes a cold jump when
+its survival uniform is at least the substep's no-jump survival, the
+squared norm left after the cold decay (for a normalised state), rather
+than the first-order product rate*dt, so single-channel decay statistics
+carry no substep bias. The cold coupling follows NoiseParams' cooling_gate:
+the schedule's cooling windows ("window") or every step ("always");
+Gamma_c = 0 switches it off.
 
 Measurement and correction markers act at the end of their step, after the
 step's noise evolution: the readout of step s sees s full steps of error
@@ -63,8 +66,17 @@ step then applies the exact full-step unitary (`power(s, n_sub)`) to every
 row in one product, and the rows that flipped replay their substep
 interleaving from their pre-step state, one `power(s, gap)` per gap between
 flips; the uniforms and their order are those of the per-step contract
-above, so the sampled distribution is unchanged. Steps with cold coupling
-advance all rows by `power(s, 1)` per substep.
+above, so the sampled distribution is unchanged.
+
+Steps with cold coupling and no control terms (every cooling window) go
+from event to event with the same draws. Their no-jump evolution is
+diagonal, so one product with a table of decay powers gives each row's
+survival for every substep ahead; each row jumps straight to its next flip
+or to the first substep whose survival uniform reaches its survival, all
+rows' events are applied at once, and a row with no further event ends the
+step in closed form. Steps with cold coupling and control terms (only
+under "always") advance all rows by `power(s, 1)` and the decay per
+substep. Both paths apply a cold jump through one helper.
 
 Per step the kernel keeps two samples: the basis populations summed over
 the batch and, where a density matrix is kept, the batch's Gram matrix
@@ -77,6 +89,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -180,8 +193,8 @@ class _SchedulePlan:
         anc = schedule.ancilla_qubits
         self.anc_bits = np.array([(idx >> (n - 1 - a)) & 1 for a in anc], dtype=float).reshape(-1, self.dim)
         self.anc_perms = np.array([idx ^ bit_mask(a, n) for a in anc], dtype=np.int64).reshape(-1, self.dim)
-        rates = (noise.rate_down * self.anc_bits + noise.rate_up * (1.0 - self.anc_bits)).sum(axis=0)
-        self.cool_decay = np.exp(-0.5 * self.dt * rates)
+        self.cool_rates = (noise.rate_down * self.anc_bits + noise.rate_up * (1.0 - self.anc_bits)).sum(axis=0)
+        self.cool_decay = np.exp(-0.5 * self.dt * self.cool_rates)
 
         # measurement projectors (row = measured pattern) and, per measured
         # pattern, the basis permutation of its correction's flip set
@@ -209,6 +222,15 @@ class _SchedulePlan:
         term_sets: dict = {}
         self.term_set = [term_sets.setdefault(s.terms, len(term_sets)) if s.terms else -1 for s in schedule.steps]
         self._powers: dict[tuple[int, int], np.ndarray] = {}
+
+    @cached_property
+    def decay_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """No-jump factors of the cold channels over m = 0..n_sub substeps,
+        on amplitudes and on norms, each of shape (n_sub + 1, dim); built on
+        first request (powers far below the smallest double are 0)."""
+        with np.errstate(under="ignore"):
+            amp = np.exp(-0.5 * self.dt * np.arange(self.n_sub + 1)[:, None] * self.cool_rates)
+            return amp, amp * amp
 
     def power(self, s: int, m: int) -> np.ndarray | None:
         """Control unitary of step `s` over `m` of its substeps (None for a
@@ -548,8 +570,6 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
         raise ValueError("substep too large for the bit-flip rate: need n_qubits * gamma_h / n_sub < 1")
     all_rows = np.arange(B)
     n_steps = len(plan.schedule)
-    anc_count = plan.anc_bits.shape[0]
-    a_rate, b_rate = plan.noise.rate_down, plan.noise.rate_up
     record = records is not None
     groups = _plain_groups(plan, bank.chunk)
     # populations after each step of the round, as (re, im) column sums, and
@@ -590,47 +610,13 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                     new[r] = psi
                 states = new
             else:
-                hot_mask = bank.draw(all_rows, plan.n_sub) < plan.p_hot  # (B, n_sub)
-                u3_block = bank.draw(all_rows, plan.n_sub)
-                hot_k, hot_rows = np.nonzero(hot_mask.T)
-                cuts = np.searchsorted(hot_k, np.arange(plan.n_sub + 1)).tolist()
+                hot = bank.draw(all_rows, plan.n_sub) < plan.p_hot  # (B, n_sub)
+                u3 = bank.draw(all_rows, plan.n_sub)
                 prop = plan.power(s, 1)
-                for k in range(plan.n_sub):
-                    if prop is not None:
-                        states = states @ prop.T
-                    hot = hot_rows[cuts[k] : cuts[k + 1]]
-                    if hot.size:
-                        u2 = bank.draw(hot, 1)[:, 0]
-                        qubits = np.minimum((u2 * n).astype(np.int64), n - 1)
-                        states[hot] = states[hot[:, None], plan.flip_perms[qubits]]
-                        if record:
-                            for r, q in zip(hot.tolist(), qubits.tolist()):
-                                records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
-                    pre = states
-                    decayed = states * plan.cool_decay
-                    survival = (decayed.real**2 + decayed.imag**2).sum(axis=1)
-                    states = decayed / np.sqrt(survival)[:, None]
-                    jrows = np.nonzero(u3_block[:, k] >= survival)[0]
-                    if jrows.size:
-                        occ = (np.abs(pre[jrows]) ** 2) @ plan.anc_bits.T
-                        chan = np.concatenate([a_rate * occ, b_rate * (1.0 - occ)], axis=1)
-                        totals = chan.sum(axis=1)
-                        u4 = bank.draw(jrows, 1)[:, 0] * totals
-                        cidx = (np.cumsum(chan, axis=1) < u4[:, None]).sum(axis=1)
-                        np.clip(cidx, 0, 2 * anc_count - 1, out=cidx)
-                        # a row without an open channel keeps its decayed state
-                        live = totals >= 1e-300
-                        jrows, cidx = jrows[live], cidx[live]
-                        a, cool = cidx % anc_count, cidx < anc_count
-                        # the jump flips ancilla a into the state it lands in:
-                        # ground for cooling, excited for heating
-                        lands = np.where(cool[:, None], 1.0 - plan.anc_bits[a], plan.anc_bits[a])
-                        psi = pre[jrows[:, None], plan.anc_perms[a]] * lands
-                        states[jrows] = psi / np.linalg.norm(psi, axis=1)[:, None]
-                        if record:
-                            for r, ai, c in zip(jrows.tolist(), a.tolist(), cool.tolist()):
-                                q = plan.schedule.ancilla_qubits[ai]
-                                records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_COOL if c else JUMP_HEAT))
+                if prop is None:
+                    _cool_events(states, plan, bank, hot, u3, t, records)
+                else:
+                    states = _cool_substeps(states, plan, bank, hot, u3, prop, t, records)
 
             # marker operations at the end of the step
             if step.measure is not None:
@@ -677,6 +663,121 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
             acc.rho_data[rnd] += data
             acc.rho_anc[rnd] += anc
     acc.count += B
+
+
+def _hot_flips(plan: _SchedulePlan, bank: _StreamBank, rows, psi, ks, t, records):
+    """Bit flips of `rows` (states `psi`) at substeps `ks` of the step that
+    starts at time `t`: reads each row's qubit pick and returns the flipped
+    states."""
+    n = plan.n_qubits
+    qubits = np.minimum((bank.draw(rows, 1)[:, 0] * n).astype(np.int64), n - 1)
+    if records is not None:
+        for r, k, q in zip(rows.tolist(), ks.tolist(), qubits.tolist()):
+            records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
+    return psi[np.arange(len(rows))[:, None], plan.flip_perms[qubits]]
+
+
+def _cold_jumps(plan: _SchedulePlan, bank: _StreamBank, rows, pre, ks, t, records):
+    """Cold jumps of `rows` at substeps `ks` of the step that starts at time
+    `t`, from their normalised states `pre` before that substep's decay.
+
+    Reads each row's channel choice and returns (landed, live): the
+    renormalised states after the jump of the rows with an open channel, and
+    the mask of those rows; a row without one keeps its decayed state.
+    """
+    anc_count = plan.anc_bits.shape[0]
+    occ = (np.abs(pre) ** 2) @ plan.anc_bits.T
+    chan = np.concatenate([plan.noise.rate_down * occ, plan.noise.rate_up * (1.0 - occ)], axis=1)
+    totals = chan.sum(axis=1)
+    u4 = bank.draw(rows, 1)[:, 0] * totals
+    cidx = np.minimum((np.cumsum(chan, axis=1) < u4[:, None]).sum(axis=1), 2 * anc_count - 1)
+    live = totals >= 1e-300
+    cidx = cidx[live]
+    a, cool = cidx % anc_count, cidx < anc_count
+    # the jump flips ancilla a into the state it lands in: ground for
+    # cooling, excited for heating
+    lands = np.where(cool[:, None], 1.0 - plan.anc_bits[a], plan.anc_bits[a])
+    psi = pre[np.flatnonzero(live)[:, None], plan.anc_perms[a]] * lands
+    if records is not None:
+        for r, k, ai, c in zip(rows[live].tolist(), ks[live].tolist(), a.tolist(), cool.tolist()):
+            q = plan.schedule.ancilla_qubits[ai]
+            records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_COOL if c else JUMP_HEAT))
+    return psi / np.linalg.norm(psi, axis=1)[:, None], live
+
+
+def _cool_events(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, t, records):
+    """Advance every row of `states`, in place, through a cooled step without
+    control terms, from event to event; `hot` marks each row's flip substeps
+    and `u3` holds its survival uniforms.
+
+    The no-jump evolution is diagonal here: from the start of substep c, a
+    row's unnormalised norm after m more substeps is N_m = sum_i |psi_i|^2
+    d_i^(2m), so the survival of substep c + m is N_(m+1) / N_m, for all m
+    from one product with the decay table. Each row goes straight to its
+    next event: its next flip, or the first substep whose survival uniform
+    is at least its survival. All rows' events are applied at once, the
+    qubit pick before the channel choice; a row with no further event ends
+    the step in closed form. The uniforms read are those of the substep
+    walk, in its order.
+    """
+    n_sub = plan.n_sub
+    amp, norms = plan.decay_powers
+    # each row's first flip substep at or after c, then strictly after c
+    # (n_sub: none), for c = 0..n_sub-1
+    first = np.minimum.accumulate(np.where(hot, np.arange(n_sub), n_sub)[:, ::-1], axis=1)[:, ::-1]
+    next_flip = np.column_stack([first[:, 1:], np.full(len(first), n_sub)])
+    offsets = np.arange(n_sub)
+    rows = np.arange(len(states))
+    c = np.zeros(len(states), dtype=np.int64)
+    with np.errstate(under="ignore"):
+        while rows.size:
+            psi = states[rows]
+            flip = np.flatnonzero(hot[rows, c])
+            if flip.size:
+                psi[flip] = _hot_flips(plan, bank, rows[flip], psi[flip], c[flip], t, records)
+            norm = (psi.real**2 + psi.imag**2) @ norms.T  # (rows, n_sub + 1)
+            # a norm that underflowed to 0 lies past the row's next event
+            survival = np.divide(norm[:, 1:], norm[:, :-1], out=np.zeros((rows.size, n_sub)), where=norm[:, :-1] > 0)
+            sub = c[:, None] + offsets
+            stop = next_flip[rows, c]
+            jump = (sub < stop[:, None]) & (u3[rows[:, None], np.minimum(sub, n_sub - 1)] >= survival)
+            jumped = np.flatnonzero(jump.any(axis=1))
+            m = stop - c
+            m[jumped] = jump[jumped].argmax(axis=1)
+            # every row to the start of its event's substep, or to its stop
+            psi *= amp[m] / np.sqrt(norm[np.arange(rows.size), m])[:, None]
+            if jumped.size:
+                landed, live = _cold_jumps(plan, bank, rows[jumped], psi[jumped], c[jumped] + m[jumped], t, records)
+                stay = jumped[~live]  # no open channel: the decayed state
+                psi[stay] *= plan.cool_decay / np.sqrt(survival[stay, m[stay]])[:, None]
+                psi[jumped[live]] = landed
+                m[jumped] += 1
+            states[rows] = psi
+            c += m
+            going = c < n_sub
+            rows, c = rows[going], c[going]
+
+
+def _cool_substeps(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, prop, t, records):
+    """Advance `states` through a cooled step with control terms, all rows in
+    lockstep over its substeps (`prop` is one substep's control unitary);
+    returns the new states."""
+    hot_k, hot_rows = np.nonzero(hot.T)
+    cuts = np.searchsorted(hot_k, np.arange(plan.n_sub + 1)).tolist()
+    for k in range(plan.n_sub):
+        states = states @ prop.T
+        flip = hot_rows[cuts[k] : cuts[k + 1]]
+        if flip.size:
+            states[flip] = _hot_flips(plan, bank, flip, states[flip], np.full(flip.size, k), t, records)
+        pre = states
+        decayed = states * plan.cool_decay
+        survival = (decayed.real**2 + decayed.imag**2).sum(axis=1)
+        states = decayed / np.sqrt(survival)[:, None]
+        jrows = np.nonzero(u3[:, k] >= survival)[0]
+        if jrows.size:
+            landed, live = _cold_jumps(plan, bank, jrows, pre[jrows], np.full(jrows.size, k), t, records)
+            states[jrows[live]] = landed
+    return states
 
 
 def _partial_traces(mats: np.ndarray, plan: _SchedulePlan) -> tuple[np.ndarray, np.ndarray]:

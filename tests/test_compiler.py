@@ -17,6 +17,7 @@ from thermoqec.compiler import (
     phase_aligned_distance,
     schedule_net_unitary,
     step_unitary,
+    term_generator,
 )
 from thermoqec.qstate import HADAMARD
 
@@ -49,6 +50,43 @@ class TestControlTerm:
         # H_i squares to 1, so exp(-i pi/2 H) = -i H
         u = step_unitary(Step((ControlTerm(HADAMARD_PULSE, (0,), np.pi / 2),)), 1)
         assert np.allclose(u, -1j * HADAMARD, atol=1e-12)
+
+
+class TestStepUnitary:
+    @staticmethod
+    def dense_hamiltonian(step, n):
+        """The step's Hamiltonian on the whole register, each term's generator
+        embedded with dense Kronecker products."""
+        h = np.zeros((2**n, 2**n), dtype=complex)
+        for term in step.terms:
+            # move the term's qubits to the front, embed, and move them back
+            rest = [q for q in range(n) if q not in term.qubits]
+            k = len(term.qubits)
+            big = np.kron(term_generator(term), np.eye(2 ** (n - k))).reshape((2,) * 2 * n)
+            order = np.argsort([*term.qubits, *rest])
+            h += big.transpose([*order, *(n + order)]).reshape(2**n, 2**n)
+        return h
+
+    @pytest.mark.parametrize("build", [build_measured_round, build_measurement_free_round])
+    def test_matches_the_dense_exponential(self, build):
+        # the product of closed forms is exp(-i * scale * H) of the dense
+        # Hamiltonian, at any fraction of the step
+        sched = build()
+        n = sched.n_qubits
+        for step in {st.terms: st for st in sched.steps}.values():
+            w, v = np.linalg.eigh(self.dense_hamiltonian(step, n))
+            for scale in (1.0, 0.35, 1 / 600):
+                expect = (v * np.exp(-1j * scale * w)) @ v.conj().T
+                assert np.abs(step_unitary(step, n, scale) - expect).max() < 1e-12
+
+    def test_pushing_gate_on_reversed_qubits(self):
+        # alphas index the pair's bits (a, b) of its first and second qubit,
+        # whichever of the two is more significant in the register
+        alphas = (0.1, 0.7, -0.4, 1.3)
+        u = step_unitary(Step((ControlTerm(PUSHING_GATE, (2, 0), alphas=alphas),)), 3)
+        idx = np.arange(8)
+        a, b = idx & 1, idx >> 2
+        assert np.array_equal(u, np.diag(np.exp(-1j * np.asarray(alphas)[2 * a + b])))
 
 
 class TestCnot:

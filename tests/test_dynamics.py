@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from thermoqec.compiler import (
 )
 from thermoqec.dynamics import (
     JUMP_BIT_FLIP,
+    JUMP_COOL,
+    JUMP_HEAT,
     EnsembleAccumulator,
     NoiseParams,
     _run_batch,
@@ -290,6 +293,120 @@ class TestPlainDrawOrder:
         assert sum(len(rec.jumps) for rec in records) > 0
         for k, rec in enumerate(records):
             assert rec.jumps == self.read_flips(8, k, schedule, gamma_h, n_sub, 2)
+
+
+class TestCooledDrawOrder:
+    """Cooled steps read, per the "Random streams" paragraph of the
+    `dynamics` module docstring: n_sub hot uniforms, n_sub survival uniforms, then substep by
+    substep the qubit pick of that substep's flip and the channel choice of
+    its cold jump; a measuring step ends with one uniform. `walk` takes one
+    trajectory through every substep of every step with plain scalar code,
+    and the kernel must give the same jumps and round-end states."""
+
+    ROUNDS = 2
+    N_TRAJ = 4
+
+    @staticmethod
+    def walk(psi, master_seed, index, schedule, noise, n_sub, rounds):
+        """(jumps, outcomes, round-end states) of one trajectory."""
+        n, anc = schedule.n_qubits, schedule.ancilla_qubits
+        idx = np.arange(2**n)
+        dt = 1.0 / n_sub
+        bits = np.array([(idx >> (n - 1 - a)) & 1 for a in anc])  # (n_anc, dim)
+        a_rate, b_rate = noise.rate_down, noise.rate_up
+        decay = np.exp(-0.5 * dt * (a_rate * bits + b_rate * (1 - bits)).sum(axis=0))
+        p_hot = 1.0 - np.exp(-n * noise.gamma_h * dt)
+        cooled = noise.cooling_profile(schedule) & (noise.Gamma_c > 0)
+        stream = trajectory_stream(master_seed, index)
+        jumps, outcomes, ends = [], [], []
+        for rnd in range(rounds):
+            for s, step in enumerate(schedule.steps):
+                t = rnd * len(schedule) + s
+                u_sub = step_unitary(step, n, scale=dt)
+                hot = stream.random(n_sub) < p_hot
+                u3 = stream.random(n_sub) if cooled[s] else None
+                for k in range(n_sub):
+                    psi = u_sub @ psi
+                    if hot[k]:
+                        q = min(int(stream.random() * n), n - 1)
+                        psi = psi[idx ^ bit_mask(q, n)]
+                        jumps.append((t + (k + 1) * dt, q, JUMP_BIT_FLIP))
+                    if not cooled[s]:
+                        continue
+                    pre = psi
+                    psi = pre * decay
+                    survival = float(np.vdot(psi, psi).real)
+                    psi = psi / np.sqrt(survival)
+                    if u3[k] >= survival:
+                        occ = bits @ np.abs(pre) ** 2
+                        weights = np.concatenate([a_rate * occ, b_rate * (1 - occ)])
+                        total = weights.sum()
+                        c = min(int((np.cumsum(weights) < stream.random() * total).sum()), len(weights) - 1)
+                        if total >= 1e-300:
+                            a, cool = c % len(anc), c < len(anc)
+                            landed = pre[idx ^ bit_mask(anc[a], n)] * (1 - bits[a] if cool else bits[a])
+                            psi = landed / np.linalg.norm(landed)
+                            jumps.append((t + (k + 1) * dt, anc[a], JUMP_COOL if cool else JUMP_HEAT))
+                if step.measure is not None:
+                    m = len(step.measure)
+                    pattern = sum(((idx >> (n - 1 - q)) & 1) << (m - 1 - p) for p, q in enumerate(step.measure))
+                    probs = np.bincount(pattern, weights=np.abs(psi) ** 2, minlength=2**m)
+                    u = stream.random() * probs.sum()
+                    o = min(int((np.cumsum(probs) < u).sum()), 2**m - 1)
+                    psi = np.where(pattern == o, psi, 0)
+                    psi = psi / np.linalg.norm(psi)
+                    outcomes.append(tuple((o >> (m - 1 - p)) & 1 for p in range(m)))
+                if step.correction is not None:
+                    mask = sum(bit_mask(q, n) for q in step.correction[outcomes[-1]])
+                    psi = psi[idx ^ mask]
+            ends.append(np.outer(psi, psi.conj()))
+        return jumps, outcomes, ends
+
+    def check(self, schedule, noise, n_sub, master_seed=4):
+        rng = np.random.default_rng(master_seed)
+        amps = rng.normal(size=2**schedule.n_qubits) + 1j * rng.normal(size=2**schedule.n_qubits)
+        init = StateVector(schedule.n_qubits, amps / np.linalg.norm(amps))
+        acc, records = run_ensemble(
+            init, self.ROUNDS, schedule, noise, self.N_TRAJ, master_seed=master_seed, n_sub=n_sub, store="full",
+            per_step_rho=False, record=True,
+        )
+        rho_end = np.zeros_like(acc.rho_total[:, 0])
+        for k, rec in enumerate(records):
+            jumps, outcomes, ends = self.walk(
+                init.amplitudes, master_seed, k, schedule, noise, n_sub, self.ROUNDS
+            )
+            assert rec.jumps == jumps
+            assert rec.outcomes == outcomes
+            rho_end += ends
+        assert np.abs(acc.rho_total[:, 0] - rho_end).max() < 1e-12
+        return [jump for rec in records for jump in rec.jumps]
+
+    @pytest.mark.parametrize("n_sub", [1, 3, 20, 600])
+    @pytest.mark.parametrize("Gamma_c, n_c", [(3.0, 0.0), (3.0, 0.5), (30.0, 0.0), (30.0, 0.5)])
+    @pytest.mark.parametrize(
+        "schedule, cooling",
+        [(MEASURED, "window"), (MEASUREMENT_FREE, "window"), (MEASURED, "always")],
+        ids=["measured-window", "mf-window", "measured-always"],
+    )
+    def test_jumps_follow_the_documented_order(self, schedule, cooling, Gamma_c, n_c, n_sub):
+        # a hot-flip rate that puts flips inside the window, under the
+        # substep guard n_qubits * gamma_h / n_sub < 1
+        gamma_h = 0.1 if n_sub == 1 else 0.3
+        jumps = self.check(schedule, NoiseParams(gamma_h, Gamma_c, n_c, cooling_gate=cooling), n_sub)
+        in_window = [kind for t, _, kind in jumps if np.ceil(t - 1e-9) % len(schedule) == 1]
+        assert JUMP_BIT_FLIP in in_window and JUMP_COOL in in_window
+        # a window of one substep holds one cold jump at most, and the eight
+        # windows of a one-substep run may all cool
+        assert (JUMP_HEAT in in_window) == (n_c > 0) or n_sub == 1
+
+    @pytest.mark.parametrize("n_sub", [20, 600])
+    def test_extreme_cooling_raises_no_float_warning(self, n_sub):
+        # at Gamma_c = 1000 a substep's survival can be below 1e-100
+        noise = NoiseParams(0.3, 1000.0, 0.5)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for schedule in (MEASURED, MEASUREMENT_FREE):
+                self.check(schedule, noise, n_sub)
 
 
 class TestPropagators:
@@ -589,7 +706,11 @@ class TestOracleResult:
         def no_unitaries(*args, **kwargs):
             raise AssertionError("oracle built a step unitary")
 
+        def no_decay_table(plan):
+            raise AssertionError("oracle built the cooling window's decay table")
+
         monkeypatch.setattr(dynamics, "step_unitary", no_unitaries)
+        monkeypatch.setattr(_SchedulePlan, "decay_powers", property(no_decay_table))
         evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE)
 
 
