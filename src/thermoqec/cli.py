@@ -220,12 +220,20 @@ def cmd_verify_gates(fault_injection: bool = False, dump: bool = False) -> int:
 
 
 def _write_table(path: Path, header, rows) -> None:
+    """CSV of numeric rows, as `csv.writer` writes `_fmt` of each float and
+    `str` of each other value: each row is one `%` format chosen by its
+    value types (`%.12g` is `_fmt`, nan, inf and -0 included)."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    formats = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = ",".join("%.12g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
+            fh.write(fmt % row)
 
 
 # closed range [low, high] of each rate-model option

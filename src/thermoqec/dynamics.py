@@ -95,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compiler import GateSchedule, Step, step_unitary, term_generator
-from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask
+from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask, block_eigvalsh
 
 DEFAULT_N_SUB = 20
 BATCH_SIZE = 8192  # trajectories per kernel call; bounds the working memory
@@ -928,7 +928,7 @@ def evolve_master_equation(
                 for perm, block in zip(plan.corr_perms[s], blocks):
                     r += block[np.ix_(perm, perm)]
                 blocks = None
-            low = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
+            low = block_eigvalsh(0.5 * (r + r.conj().T)[None]).min()
             if low < -1e-6:
                 raise RuntimeError(f"oracle lost positivity (min eigenvalue {low})")
             populations[rnd, s] = r.diagonal().real

@@ -5,7 +5,12 @@ The entropies of one round come from stacked eigenvalue calls per register
 on the round's (steps, d, d) matrices (the round-end slice when only
 round-end matrices were accumulated), each on a block of at most
 `_BLOCK_BYTES` of matrices; the grid is never stacked whole, so the working
-memory stays one block.
+memory stays one block. Each call splits its matrices into the exact
+diagonal blocks of their union pattern (`qstate.block_eigvalsh`). In the
+measured protocol the data register stays a classical mixture, so its
+matrices are diagonal and the total matrices split into blocks of at most
+8, one per data pattern; the measurement-free protocol's matrices are dense
+and take one whole-matrix call.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import nan
 import numpy as np
 
 from .dynamics import EnsembleAccumulator
-from .qstate import EIG_FLOOR
+from .qstate import EIG_FLOOR, block_eigvalsh
 
 # Bytes of matrices per stacked eigenvalue call. With a whole round of 64x64
 # matrices (1 MiB) per call, each round's temporaries grew glibc's heap past
@@ -58,9 +63,10 @@ def _entropies(mats: np.ndarray) -> np.ndarray:
     bad = np.abs(tr - 1.0) > 1e-8
     if np.any(bad):
         raise ValueError(f"density matrix trace is {tr[bad][0]}, expected 1")
-    evals = np.linalg.eigvalsh(herm)
-    if evals[:, 0].min() < EIG_FLOOR:
-        raise ValueError(f"negative eigenvalue {evals[:, 0].min()} below tolerance")
+    evals = block_eigvalsh(herm)  # grouped by block, not sorted
+    low = evals.min()
+    if low < EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {low} below tolerance")
     p = np.where(evals > 1e-14, evals, 1.0)  # a dropped eigenvalue adds 1 * log2(1) = 0
     s = -np.sum(p * np.log2(p), axis=1)
     return np.where(s > 0.0, s, 0.0)

@@ -132,6 +132,52 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log2(evals)))
 
 
+def block_eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of a (k, d, d) Hermitian stack, solved
+    block by block.
+
+    The union of the stack's exact nonzeros links basis states; each
+    connected component of those links is a block that no matrix of the
+    stack couples to the rest, so the eigenvalues of a matrix are those of
+    its blocks together (the split is a permutation similarity). Blocks of
+    one size share one stacked `np.linalg.eigvalsh` call, and a block of
+    size 1 is its diagonal entry. A connected pattern is one whole-matrix
+    call. Row i of the (k, d) result holds matrix i's eigenvalues, grouped
+    by block: sorted only when the pattern is connected.
+    """
+    link = (stack != 0).any(axis=0)
+    link |= link.T
+    np.fill_diagonal(link, True)
+    # transitive closure by repeated squaring; the links only grow, so an
+    # unchanged count means nothing changed
+    links = np.count_nonzero(link)
+    while links < link.size:
+        reach = link.astype(np.float64)
+        link = reach @ reach > 0
+        grown = np.count_nonzero(link)
+        if grown == links:
+            break
+        links = grown
+    root = np.argmax(link, axis=1)  # the lowest basis state of each state's component
+    if not root.any():
+        return np.linalg.eigvalsh(stack)
+    size = np.bincount(root, minlength=len(root))[root]
+    order = np.lexsort((root, size))  # states grouped by block size, then by block
+    states_per_size = np.bincount(size)
+    evals = np.empty(stack.shape[:-1])
+    start = 0
+    for s in np.flatnonzero(states_per_size):
+        stop = start + states_per_size[s]
+        idx = order[start:stop].reshape(-1, s)
+        if s == 1:
+            evals[:, start:stop] = stack[:, idx[:, 0], idx[:, 0]].real
+        else:
+            blocks = stack[:, idx[:, :, None], idx[:, None, :]]
+            evals[:, start:stop] = np.linalg.eigvalsh(blocks).reshape(len(stack), -1)
+        start = stop
+    return evals
+
+
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b)."""
     if a.n_qubits != b.n_qubits:

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,44 @@ class TestCliCompare:
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
         assert "too large for the round-chain model" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _csv_writer_table(path: Path, header, rows) -> None:
+    """The table as csv.writer writes it, with `_fmt` on every float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) if isinstance(v, float) else v for v in row])
+
+
+def test_tables_match_csv_writer_bytes(tmp_path, monkeypatch):
+    """Every table the CLI writes, and a row of special values, has the
+    bytes of the csv.writer + `_fmt` path."""
+    written = []
+    write_table = cli._write_table
+
+    def checked(path, header, rows):
+        rows = [tuple(r) for r in rows]
+        write_table(path, header, iter(rows))
+        _csv_writer_table(tmp_path / "expect.csv", header, rows)
+        assert path.read_bytes() == (tmp_path / "expect.csv").read_bytes(), path.name
+        written.append(path.name)
+
+    monkeypatch.setattr(cli, "_write_table", checked)
+    cfg = write(tmp_path, GOOD.replace("rounds = 2", "rounds = 1"))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(cfg), "--out", out]) == 0
+    assert main(["compare", "--config", str(cfg), "--oracle", "--traj", "5", "--out", out]) == 0
+    assert main(["rate-model", "cooling", "--n-c", "0", "--t-max", "2", "--out", out]) == 0
+    assert main(["rate-model", "steady-fidelity", "--n-c-values", "0", "0.01", "--out", out]) == 0
+    assert main(["rate-model", "chain", "--alpha", "1e-3", "--rounds", "50", "--out", out]) == 0
+    assert written == ["metrics.csv", "compare.csv", "cooling.csv", "steady_fidelity.csv", "chain.csv"]
+    special = [
+        (1, math.nan, math.inf, -math.inf, -0.0, 0.1, 1 / 3),
+        (10**13, np.float64(-0.0), np.float64(math.nan), np.int64(-7), 1e-300, 123456789012345.0, True),
+    ]
+    checked(tmp_path / "special.csv", list("abcdefg"), special)
 
 
 def _read_table(path: Path):

@@ -494,6 +494,23 @@ class TestAccumulator:
         evals = np.linalg.eigvalsh(rho.elements)
         assert abs(evals[-1] - 1.0) < 1e-10  # still a pure projector
 
+    @pytest.mark.parametrize("cooling", ["window", "always"])
+    def test_data_register_stays_classical(self, cooling):
+        # the measured round uses data qubits only as controls and bit flips
+        # map basis states to basis states, so every total matrix has exact
+        # zeros between different data patterns (the blocks the entropies
+        # are split into)
+        noise = NoiseParams(5e-2, 3.0, 0.1, cooling_gate=cooling)
+        acc, _ = run_ensemble(
+            StateVector.basis(6, 0), 2, MEASURED, noise, 30, master_seed=11, store="full"
+        )
+        data = np.arange(64) >> 3  # data qubits 0-2 are the high bits
+        across = data[:, None] != data[None, :]
+        within = ~across & ~np.eye(64, dtype=bool)
+        assert not np.any(acc.rho_total[..., across])
+        assert np.any(acc.rho_total[..., 8:, 8:])  # data errors happened
+        assert np.any(acc.rho_total[..., within])  # ancilla coherences inside the blocks
+
     # ancilla qubit 0 leads the basis index; the data register follows in
     # either order
     SCRAMBLED = [
@@ -667,6 +684,13 @@ class TestMasterEquationOracle:
                               per_step_rho=False)
         td = trace_distance(acc.mean_rho("total", 0), oracle.rho(0))
         assert td < 5 / np.sqrt(2000)
+
+
+    def test_lost_positivity_raises(self):
+        # unitary steps keep the input's eigenvalue -0.1, on the last basis state
+        rho = np.diag([1.1] + [0.0] * 62 + [-0.1]).astype(complex)
+        with pytest.raises(RuntimeError, match="oracle lost positivity"):
+            evolve_master_equation(DensityMatrix(6, rho), MEASURED, ZERO_NOISE)
 
 
 class TestOracleResult:

@@ -151,6 +151,17 @@ class TestStackedEntropies:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             compute_step_metrics(acc)
 
+    def test_eigenvalue_below_floor_in_last_block_rejected(self):
+        # the blocks' eigenvalues are not sorted: singletons first, then the
+        # 2x2 block of states 6 and 7 with eigenvalues 0.5 + 1e-9 and -1e-9
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = 1.0
+        bad = np.diag([0.5, 0, 0, 0, 0, 0, 0.25, 0.25]).astype(complex)
+        bad[6, 7] = bad[7, 6] = 0.25 + 1e-9
+        acc = make_accumulator(rho, bad)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            compute_step_metrics(acc)
+
     def test_non_hermitian_mean_rejected(self):
         rho = np.zeros((8, 8), dtype=complex)
         rho[0, 0] = 1.0

@@ -9,6 +9,7 @@ from thermoqec.qstate import (
     HADAMARD,
     DensityMatrix,
     StateVector,
+    block_eigvalsh,
     partial_trace,
     squared_fidelity,
     trace_distance,
@@ -259,3 +260,47 @@ class TestFidelityEntropy:
         b = StateVector.from_bits("11").projector()
         assert abs(trace_distance(a, b) - 1.0) < 1e-12
         assert trace_distance(a, a) < 1e-12
+
+
+def hidden_block_stack(rng, sizes, k):
+    """(k, d, d) stack of PSD matrices, block-diagonal with the given block
+    sizes under one random basis permutation. Some blocks are tridiagonal,
+    so only a chain of links joins their states, and some are zero in some
+    matrices, so only the union of the stack's patterns has every block."""
+    d = sum(sizes)
+    stack = np.zeros((k, d, d), dtype=complex)
+    start = 0
+    for s in sizes:
+        a = rng.normal(size=(k, s, s)) + 1j * rng.normal(size=(k, s, s))
+        if rng.random() < 0.5:
+            a = np.tril(np.triu(a, -1))  # lower bidiagonal: a a^H is tridiagonal
+        block = a @ a.conj().swapaxes(1, 2) / (d * s)
+        block[rng.random(k) < 0.3] = 0.0
+        stack[:, start : start + s, start : start + s] = block
+        start += s
+    perm = rng.permutation(d)
+    return stack[:, perm][:, :, perm]
+
+
+class TestBlockEigvalsh:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.integers(1, 4))
+    def test_hidden_blocks_match_whole_matrix(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
+        sizes = np.diff(np.concatenate(([0], cuts, [d]))).tolist()  # blocks of sizes 1..d summing to d
+        stack = hidden_block_stack(rng, sizes, k)
+        got = np.sort(block_eigvalsh(stack), axis=1)
+        assert got.shape == (k, d)
+        assert np.abs(got - np.linalg.eigvalsh(stack)).max() <= 1e-12
+
+    def test_dense_input_is_one_whole_matrix_call(self):
+        rng = np.random.default_rng(3)
+        stack = hidden_block_stack(rng, [16], 3)
+        stack[:, 0, 1:] = stack[:, 1:, 0] = 1e-3  # couple every state to state 0
+        assert np.array_equal(block_eigvalsh(stack), np.linalg.eigvalsh(stack))
+
+    def test_diagonal_input_gives_the_diagonal(self):
+        diag = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]])
+        stack = np.stack([np.diag(row) for row in diag]).astype(complex)
+        assert np.array_equal(block_eigvalsh(stack), diag)
