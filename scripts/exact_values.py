@@ -14,9 +14,9 @@ exact rational algebra on the package's own event and flow tables.
 
 round-map builds the exact measured round as a 64x64 stochastic matrix on
 basis populations: a round that starts diagonal ends diagonal (the script
-checks this), so the map follows from 64 one-round runs of the exact
-master-equation oracle, one per basis state (about 2 s in all). Its fixed
-point is the exact long-time state.
+checks this), so the map follows from one one-round call of the exact
+master-equation oracle on the 64 basis states, stacked (about 1 s). Its
+fixed point is the exact long-time state.
 """
 
 import argparse
@@ -27,7 +27,7 @@ import numpy as np
 
 import thermoqec as tq
 from thermoqec.dynamics import NoiseParams, _pattern_index, evolve_master_equation, run_ensemble
-from thermoqec.qstate import DensityMatrix, StateVector
+from thermoqec.qstate import StateVector
 from thermoqec.ratemodel import (
     RoundEventParams,
     chain_steady_state,
@@ -67,22 +67,18 @@ def chain_series(args) -> int:
 
 def build_round_map(noise: NoiseParams, schedule) -> tuple[np.ndarray, np.ndarray]:
     """M[j, i] = P(round ends in basis state i | starts in j), and the
-    per-step basis populations D[j, step, i] of each one-round run."""
+    per-step basis populations D[j, step, i] of each one-round run, from
+    one oracle call on all basis states."""
     n = schedule.n_qubits
-    dim = 2**n
-    M = np.zeros((dim, dim))
-    D = np.zeros((dim, len(schedule.steps), dim))
-    for j in range(dim):
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[j, j] = 1.0
-        res = evolve_master_equation(DensityMatrix(n, rho), schedule, noise, rounds=1)
-        end = res.rho_end[0]
-        off = np.abs(end - np.diag(np.diag(end))).max()
-        if off > 1e-12:
-            raise RuntimeError(f"round from basis state {j} ends with coherence {off:.2e}")
-        M[j] = np.diag(end).real
-        D[j] = res.populations[0]
-    return M, D
+    basis = [StateVector.basis(n, j).projector() for j in range(2**n)]
+    res = evolve_master_equation(basis, schedule, noise, rounds=1)
+    end = res.rho_end[0]
+    diag = np.einsum("jii->ji", end)
+    off = np.abs(end - diag[:, :, None] * np.eye(2**n)).max(axis=(1, 2))
+    if off.max() > 1e-12:
+        j = int(off.argmax())
+        raise RuntimeError(f"round from basis state {j} ends with coherence {off[j]:.2e}")
+    return diag.real, res.populations[0].transpose(1, 0, 2)
 
 
 def round_map_values(check: str) -> dict[str, float]:

@@ -19,6 +19,7 @@ Derived circuit identities used here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,10 +100,31 @@ class GateSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        for step in self.steps:
-            for term in step.terms:
-                if any(q >= self.n_qubits or q < 0 for q in term.qubits):
-                    raise ValueError("term qubit index out of range")
+        n = self.n_qubits
+
+        def valid(qubits) -> bool:
+            return all(0 <= q < n for q in qubits) and len(set(qubits)) == len(qubits)
+
+        if not valid((*self.data_qubits, *self.ancilla_qubits)):
+            raise ValueError("register qubits must be in range, distinct, and not both data and ancilla")
+        measured = None  # bits of the measurement the next correction reads
+        for i, step in enumerate(self.steps):
+            if not all(valid(term.qubits) for term in step.terms):
+                raise ValueError("term qubit index out of range")
+            if step.measure is not None:
+                if not valid(step.measure):
+                    raise ValueError(f"step {i}: measured qubits must be in range and distinct")
+                measured = len(step.measure)
+            if step.correction is not None:
+                # each correction reads the outcome of the last measurement
+                # since the previous correction, within the round
+                if measured is None:
+                    raise ValueError(f"step {i}: correction marker before any measurement")
+                if set(step.correction) != set(itertools.product((0, 1), repeat=measured)):
+                    raise ValueError(f"step {i}: correction keys must be the {2**measured} patterns of the measured bits")
+                if not all(valid(flips) for flips in step.correction.values()):
+                    raise ValueError(f"step {i}: flip qubits must be in range and distinct")
+                measured = None
         cooled = [i for i, s in enumerate(self.steps) if s.cooling_window]
         if cooled and cooled != list(range(len(cooled))):
             raise ValueError("cooling window steps must sit at the start of the round")

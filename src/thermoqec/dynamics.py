@@ -11,7 +11,8 @@ substeps, an exact product of the terms' closed forms, built on request):
   trajectories, and
 * the exact master-equation propagator, used as the oracle: within a step
   the Lindbladian is a sum of commuting terms on disjoint qubit groups, so
-  each step's map is a tensor product of small exact channels. It returns
+  each step's map is a tensor product of small exact channels. It takes one
+  initial state or a sequence of them, evolved as one stack, and returns
   each round's final density matrix and the basis populations after every
   step (`OracleResult`).
 
@@ -41,6 +42,10 @@ Measurement and correction markers act at the end of their step, after the
 step's noise evolution: the readout of step s sees s full steps of error
 exposure, and the conditioned correction lands one step later, so errors
 striking between readout and correction escape until the next round.
+`GateSchedule` checks when it is built that every correction follows, within
+the round and with no correction between, a measurement of as many bits, so
+both routes always hold an outcome to correct on: the kernel one measured
+pattern per row, the oracle one conditional state per pattern.
 
 Random streams: trajectory k of a run seeded with master_seed draws from a
 counter-based Philox generator keyed by (master_seed, k), so every
@@ -88,6 +93,7 @@ and, as partial traces, to the data and ancilla reductions.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -580,7 +586,6 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     if kept:
         gram = np.empty((n_steps if acc.per_step_rho else 1, plan.dim, plan.dim), dtype=complex)
 
-    outcome = None
     for rnd in range(rounds):
         for s, step in enumerate(plan.schedule.steps):
             t = rnd * n_steps + s
@@ -637,12 +642,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                     for r in range(B):
                         records[r].outcomes.append(_pattern_bits(outcome[r], len(step.measure)))
             if step.correction is not None:
-                if outcome is None:
-                    raise ValueError("correction marker before any measurement")
-                perms = plan.corr_perms[s]
-                for pat in np.unique(outcome):
-                    rows = np.nonzero(outcome == pat)[0]
-                    states[rows] = states[rows][:, perms[pat]]
+                states = states[all_rows[:, None], plan.corr_perms[s][outcome]]
 
             # post-step samples: populations, and the batch's Gram matrix
             # where a density matrix is kept
@@ -804,21 +804,28 @@ def _partial_traces(mats: np.ndarray, plan: _SchedulePlan) -> tuple[np.ndarray, 
 @dataclass
 class OracleResult:
     """Round-end density matrices and per-step basis populations from the
-    master-equation oracle."""
+    master-equation oracle.
+
+    For one input state the arrays are (rounds, dim, dim) and (rounds,
+    n_steps, dim); for a sequence of K inputs they gain a K axis after the
+    rounds and steps axes: (rounds, K, dim, dim) and (rounds, n_steps, K,
+    dim).
+    """
 
     schedule: GateSchedule
-    rho_end: np.ndarray  # (rounds, dim, dim), the state at each round end
-    populations: np.ndarray  # (rounds, n_steps, dim), diagonal of the state after each step
+    rho_end: np.ndarray  # the state at each round end
+    populations: np.ndarray  # diagonal of the state after each step
     data_ground: np.ndarray = field(repr=False)  # the schedule plan's ground masks
     anc_ground: np.ndarray = field(repr=False)
 
     def rho(self, rnd: int) -> DensityMatrix:
+        """The state at the end of round `rnd` (one input state)."""
         return DensityMatrix(self.schedule.n_qubits, self.rho_end[rnd])
 
     def f2_series(self) -> np.ndarray:
-        """Columns [f2_data, f2_ancilla] per (round, step)."""
+        """Columns [f2_data, f2_ancilla] per (round, step[, input])."""
         pop = self.populations
-        return np.stack([pop[:, :, self.data_ground].sum(axis=2), pop[:, :, self.anc_ground].sum(axis=2)], axis=2)
+        return np.stack([pop[..., self.data_ground].sum(axis=-1), pop[..., self.anc_ground].sum(axis=-1)], axis=-1)
 
 
 def _expm(g: np.ndarray) -> np.ndarray:
@@ -861,23 +868,26 @@ def _step_channels(step: Step, n: int, noise: NoiseParams, cooled: set[int]) -> 
 
 
 def _apply_channels(r: np.ndarray, factors) -> np.ndarray:
-    """Apply one step's group channels to an n-qubit density matrix."""
-    n = len(r).bit_length() - 1
-    t = r.reshape((2,) * 2 * n)
+    """Apply one step's group channels to a (..., dim, dim) stack of n-qubit
+    density matrices."""
+    n = r.shape[-1].bit_length() - 1
+    lead = r.ndim - 2
+    t = r.reshape(r.shape[:lead] + (2,) * 2 * n)
     for qubits, chan in factors:
-        axes = list(qubits) + [n + q for q in qubits]
+        axes = [lead + q for q in qubits] + [lead + n + q for q in qubits]
         k2 = 2 * len(qubits)
         t = np.moveaxis(np.tensordot(chan, t, axes=(list(range(k2, 2 * k2)), axes)), list(range(k2)), axes)
     return t.reshape(r.shape)
 
 
 def evolve_master_equation(
-    rho: DensityMatrix,
+    rho: DensityMatrix | Sequence[DensityMatrix],
     schedule: GateSchedule,
     noise: NoiseParams,
     rounds: int = 1,
 ) -> OracleResult:
-    """Propagate the full master equation exactly through `rounds` rounds.
+    """Propagate the full master equation exactly through `rounds` rounds,
+    from one initial state or from each of a sequence of them at once.
 
     Within one step the control Hamiltonian is constant and its terms act on
     disjoint qubits, while the bit-flip and cooling dissipators act on single
@@ -887,17 +897,25 @@ def evolve_master_equation(
     to rho one group at a time. Cooling windows, measurement projectors and
     corrections come from the same schedule plan as the trajectory kernel.
     Measurement and correction markers act at the end of their step as the
-    deterministic sum-over-outcomes map: the measurement splits the state
-    into per-outcome conditional blocks, each block keeps evolving under the
-    noise, and the correction applies each outcome's flip set to its own
-    block before re-summing. The output is therefore the exact
-    trajectory-ensemble limit, including errors that strike between
-    measurement and correction. The result keeps the state at each round
-    end and the basis populations after every step.
+    deterministic sum-over-outcomes map. The state is one array whose
+    leading axis is the outcome of the last uncorrected measurement (length
+    1 outside a measure-to-correction span): a measurement splits the summed
+    state into its per-outcome conditional parts along that axis, each part
+    keeps evolving under the noise, and the correction applies each
+    outcome's flip set to its own part and sums the axis away. The output is
+    therefore the exact trajectory-ensemble limit, including errors that
+    strike between measurement and correction.
+
+    The result keeps the state at each round end and the basis populations
+    after every step; a sequence of K inputs adds a K axis after the rounds
+    and steps axes (see `OracleResult`), and each member's values are those
+    of its own single-input run.
     """
+    single = isinstance(rho, DensityMatrix)
+    inputs = [rho] if single else list(rho)
     n = schedule.n_qubits
     dim = 2**n
-    if rho.n_qubits != n:
+    if any(m.n_qubits != n for m in inputs):
         raise ValueError("density matrix dimension does not match the schedule")
     plan = _SchedulePlan(schedule, noise, n_sub=1)  # the oracle reads no per-substep entries
     anc = set(schedule.ancilla_qubits)
@@ -905,32 +923,27 @@ def evolve_master_equation(
         _step_channels(step, n, noise, anc if plan.cooling_on[s] else set()) for s, step in enumerate(schedule.steps)
     ]
 
-    blocks: list[np.ndarray] | None = None  # conditional states between markers
-    r = rho.elements.astype(complex).copy()
-    rho_end = np.zeros((rounds, dim, dim), dtype=complex)
-    populations = np.zeros((rounds, len(schedule), dim))
+    k = len(inputs)
+    r = np.stack([m.elements for m in inputs])[None]  # (outcomes, K, dim, dim)
+    rho_end = np.zeros((rounds, k, dim, dim), dtype=complex)
+    populations = np.zeros((rounds, len(schedule), k, dim))
     for rnd in range(rounds):
         for s, step in enumerate(schedule.steps):
-            if blocks is not None:
-                blocks = [_apply_channels(b, channels[s]) for b in blocks]
-                r = sum(blocks)
-            else:
-                r = _apply_channels(r, channels[s])
+            r = _apply_channels(r, channels[s])
             if step.measure is not None:
-                if blocks is not None:
-                    r = sum(blocks)
-                blocks = [(p[:, None] * r) * p[None, :] for p in plan.measure_onehot[s]]
-                r = sum(blocks)
+                p = plan.measure_onehot[s][:, None]  # (outcomes, 1, dim)
+                r = p[..., :, None] * r.sum(axis=0)
+                r *= p[..., None, :]  # in place: one split-state array, not two
             if step.correction is not None:
-                if blocks is None:
-                    raise ValueError("correction marker before any measurement")
-                r = np.zeros((dim, dim), dtype=complex)
-                for perm, block in zip(plan.corr_perms[s], blocks):
-                    r += block[np.ix_(perm, perm)]
-                blocks = None
-            low = block_eigvalsh(0.5 * (r + r.conj().T)[None]).min()
+                perms = plan.corr_perms[s][:, None]  # (outcomes, 1, dim)
+                outcome, member = np.arange(len(r))[:, None, None, None], np.arange(k)[:, None, None]
+                r = r[outcome, member, perms[..., :, None], perms[..., None, :]].sum(axis=0, keepdims=True)
+            total = r.sum(axis=0)
+            low = block_eigvalsh(0.5 * (total + total.conj().swapaxes(-1, -2))).min()
             if low < -1e-6:
                 raise RuntimeError(f"oracle lost positivity (min eigenvalue {low})")
-            populations[rnd, s] = r.diagonal().real
-        rho_end[rnd] = r
+            populations[rnd, s] = total.diagonal(axis1=-2, axis2=-1).real
+        rho_end[rnd] = r.sum(axis=0)
+    if single:
+        rho_end, populations = rho_end[:, 0], populations[:, :, 0]
     return OracleResult(schedule, rho_end, populations, plan.data_ground, plan.anc_ground)

@@ -263,3 +263,56 @@ class TestScheduleInfrastructure:
         text = dump_schedule(sched)
         assert len(text.splitlines()) == 17
         assert "MEASURE" in text and "CORRECT" in text and "COOL" in text
+
+
+FLIP_1 = {(0,): (), (1,): (0,)}  # a one-bit correction that flips qubit 0 on outcome 1
+
+
+class TestScheduleValidation:
+    """Bad qubit indices and markers are rejected when the schedule is built,
+    so neither the trajectory kernel nor the oracle meets them."""
+
+    @pytest.mark.parametrize(
+        "data, ancilla",
+        [((0, 3), ()), ((0, -1), ()), ((0, 1), (4,)), ((0, 0), (1,)), ((0, 1), (1, 2)), ((0,), (1, 1))],
+        ids=["data-out-of-range", "data-negative", "ancilla-out-of-range", "repeated", "shared", "ancilla-repeated"],
+    )
+    def test_rejects_bad_registers(self, data, ancilla):
+        with pytest.raises(ValueError, match="register qubits"):
+            GateSchedule(3, data, ancilla, ())
+
+    @pytest.mark.parametrize("qubits", [(5,), (-1,), (0, 0)], ids=["out-of-range", "negative", "repeated"])
+    def test_rejects_bad_measured_qubits(self, qubits):
+        with pytest.raises(ValueError, match="measured qubits"):
+            GateSchedule(2, (0, 1), (), (Step(measure=qubits),))
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            (Step(correction=FLIP_1),),
+            (Step(measure=(1,)), Step(correction=FLIP_1), Step(correction=FLIP_1)),
+        ],
+        ids=["no-measurement", "second-correction"],
+    )
+    def test_rejects_correction_without_measurement(self, steps):
+        with pytest.raises(ValueError, match="correction marker before any measurement"):
+            GateSchedule(2, (0,), (1,), steps)
+
+    @pytest.mark.parametrize(
+        "correction",
+        [{(0, 0): (), (0, 1): (), (1, 0): (), (1, 1): ()}, {(0,): ()}, {0: (), 1: (0,)}],
+        ids=["two-bit-keys", "missing-pattern", "not-tuples"],
+    )
+    def test_rejects_keys_other_than_the_measured_patterns(self, correction):
+        with pytest.raises(ValueError, match="correction keys"):
+            GateSchedule(2, (0,), (1,), (Step(measure=(1,)), Step(correction=correction)))
+
+    @pytest.mark.parametrize("flips", [(7,), (-1,), (0, 0)], ids=["out-of-range", "negative", "repeated"])
+    def test_rejects_bad_flip_qubits(self, flips):
+        with pytest.raises(ValueError, match="flip qubits"):
+            GateSchedule(2, (0,), (1,), (Step(measure=(1,), correction={(0,): (), (1,): flips}),))
+
+    def test_accepts_correction_after_its_measurement(self):
+        # in the measurement's own step, or later with idle steps between
+        GateSchedule(2, (0,), (1,), (Step(measure=(1,), correction=FLIP_1),))
+        GateSchedule(2, (0,), (1,), (Step(measure=(1,)), Step(), Step(correction=FLIP_1), Step(measure=(1,))))

@@ -384,6 +384,16 @@ def test_committed_rate_model_tables_are_current(tmp_path, monkeypatch, capsys):
         assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12, rel
 
 
+def test_exact_values_round_map_command(capsys):
+    """scripts/exact_values.py round-map 5a runs through its command-line
+    entry and prints the exact map's fixed point."""
+    spec = importlib.util.spec_from_file_location("exact_values", REPO / "scripts" / "exact_values.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["round-map", "5a"]) == 0
+    assert "fixed point: round-end data P(000) 0.5980, P(111) 0.2874" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cfg_path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
 def test_shipped_configs_smoke(cfg_path, tmp_path):
     """Every figure-reproduction config parses and runs at reduced size."""

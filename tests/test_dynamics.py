@@ -738,6 +738,45 @@ class TestOracleResult:
         evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE)
 
 
+def random_mixed_state(n: int, rng) -> DensityMatrix:
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+class TestStackedOracle:
+    """A sequence of initial states runs as one stack; each member gets its
+    own single-input result, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "schedule, cooling",
+        [(MEASURED, "window"), (MEASURED, "always"), (MEASUREMENT_FREE, "window")],
+        ids=["measured-window", "measured-always", "mf"],
+    )
+    def test_members_equal_single_runs(self, schedule, cooling):
+        noise = NoiseParams(1e-2, 3.0, 5e-2, cooling_gate=cooling)
+        n, dim, steps = schedule.n_qubits, 2**schedule.n_qubits, len(schedule)
+        rng = np.random.default_rng(52)
+        inputs = [random_mixed_state(n, rng), StateVector.basis(n, 0).projector()]
+        inputs += [random_mixed_state(n, rng), StateVector.basis(n, dim - 3).projector()]
+        stacked = evolve_master_equation(inputs, schedule, noise, rounds=2)
+        assert stacked.rho_end.shape == (2, 4, dim, dim)
+        assert stacked.populations.shape == (2, steps, 4, dim)
+        assert stacked.f2_series().shape == (2, steps, 4, 2)
+        for k, rho in enumerate(inputs):
+            one = evolve_master_equation(rho, schedule, noise, rounds=2)
+            assert np.array_equal(stacked.rho_end[:, k], one.rho_end)
+            assert np.array_equal(stacked.populations[:, :, k], one.populations)
+            assert np.array_equal(stacked.f2_series()[:, :, k], one.f2_series())
+
+    def test_rejects_dimension_mismatch(self):
+        five = StateVector.basis(5, 0).projector()
+        with pytest.raises(ValueError, match="does not match the schedule"):
+            evolve_master_equation(five, MEASURED, ZERO_NOISE)
+        with pytest.raises(ValueError, match="does not match the schedule"):
+            evolve_master_equation([StateVector.basis(6, 0).projector(), five], MEASURED, ZERO_NOISE)
+
+
 def dense_step_generator(step: Step, n: int, noise: NoiseParams, cooled) -> np.ndarray:
     """Lindbladian of one step on the whole register, acting on the
     column-stacked vec(rho): vec(A rho B) = (B^T kron A) vec(rho)."""
