@@ -2,9 +2,12 @@
 
 Two routes are provided, both reading one table of schedule-derived
 operators (`_SchedulePlan`: cooling windows, measurement projectors,
-correction permutations, ground-pattern masks, the kernel's jumps, and its
-one propagator table `power(s, m)`: step s's control unitary over m
-substeps, an exact product of the terms' closed forms, built on request):
+correction permutations, ground-pattern masks, the kernel's jumps, and two
+tables built on request: the kernel's propagators `power(s, m)`, step s's
+control unitary over m substeps, an exact product of the terms' closed
+forms; and the oracle's step channels `channels[s]`, built on its first
+request once per distinct (term, cooled qubits) group and shared by every
+step with that group):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
   with one batched kernel, which `run_ensemble` runs on batches of
@@ -100,7 +103,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compiler import GateSchedule, Step, step_unitary, term_generator
+from .compiler import ControlTerm, GateSchedule, step_unitary, term_generator
 from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask, block_eigvalsh
 
 DEFAULT_N_SUB = 20
@@ -172,7 +175,8 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
 
 class _SchedulePlan:
     """Precomputed arrays for evolving one schedule under one noise setting,
-    and the trajectory kernel's step propagators (`power`; the oracle reads
+    the trajectory kernel's step propagators (`power`; the oracle reads
+    none) and the oracle's step channels (`channels`; the kernel reads
     none)."""
 
     def __init__(self, schedule: GateSchedule, noise: NoiseParams, n_sub: int):
@@ -249,6 +253,31 @@ class _SchedulePlan:
         if u is None:
             u = self._powers[key] = step_unitary(self.schedule.steps[s], self.n_qubits, scale=m / self.n_sub)
         return u
+
+    @cached_property
+    def channels(self) -> list[list[tuple[tuple[int, ...], np.ndarray]]]:
+        """The oracle's exact map of each step as (qubits, channel) factors on
+        disjoint groups: each term's qubits form a group and every other
+        qubit one of its own. Built on first request, one channel per
+        distinct (term, or None for an idle qubit; cooled flag of each of the
+        group's qubits), shared by every group with that key."""
+        anc = set(self.schedule.ancilla_qubits)
+        built: dict = {}
+        table = []
+        for s, step in enumerate(self.schedule.steps):
+            cooled = anc if self.cooling_on[s] else set()
+            grouped = {q for term in step.terms for q in term.qubits}
+            groups = [(term.qubits, term) for term in step.terms]
+            groups += [((q,), None) for q in range(self.n_qubits) if q not in grouped]
+            factors = []
+            for qubits, term in groups:
+                key = (term, tuple(q in cooled for q in qubits))
+                chan = built.get(key)
+                if chan is None:
+                    chan = built[key] = _group_channel(*key, self.noise)
+                factors.append((qubits, chan))
+            table.append(factors)
+        return table
 
 
 def _pattern_index(idx: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -842,29 +871,25 @@ def _expm(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_channels(step: Step, n: int, noise: NoiseParams, cooled: set[int]) -> list:
-    """Exact one-step map as (qubits, channel) factors on disjoint groups:
-    each term's qubits form a group and every other qubit one of its own.
-    A channel acts on the group's row-major vec(rho), reshaped to (2,)*4k."""
+def _group_channel(term: ControlTerm | None, cooled: tuple[bool, ...], noise: NoiseParams) -> np.ndarray:
+    """Exact one-step channel of one qubit group: a control term's qubits
+    (an idle qubit for None) under the bit-flip dissipator, plus the cooling
+    dissipators on the qubits flagged in `cooled`. It acts on the group's
+    row-major vec(rho), reshaped to (2,)*4k."""
     lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|, the cooling jump
-    grouped = {q for term in step.terms for q in term.qubits}
-    groups = [(term.qubits, term_generator(term)) for term in step.terms]
-    groups += [((q,), np.zeros((2, 2))) for q in range(n) if q not in grouped]
-    factors = []
-    for qubits, h in groups:
-        k = len(qubits)
-        eye = np.eye(2**k)
-        gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for i, q in enumerate(qubits):
-            jumps = [(noise.gamma_h, PAULI_X)]
-            if q in cooled:
-                jumps += [(noise.rate_down, lower), (noise.rate_up, lower.T)]
-            for rate, op in jumps:
-                op = np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (k - 1 - i)))
-                odo = op.conj().T @ op
-                gen += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(odo, eye) - 0.5 * np.kron(eye, odo.T))
-        factors.append((qubits, _expm(gen).reshape((2,) * 4 * k)))
-    return factors
+    h = np.zeros((2, 2)) if term is None else term_generator(term)
+    k = len(cooled)
+    eye = np.eye(2**k)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for i, cool in enumerate(cooled):
+        jumps = [(noise.gamma_h, PAULI_X)]
+        if cool:
+            jumps += [(noise.rate_down, lower), (noise.rate_up, lower.T)]
+        for rate, op in jumps:
+            op = np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (k - 1 - i)))
+            odo = op.conj().T @ op
+            gen += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(odo, eye) - 0.5 * np.kron(eye, odo.T))
+    return _expm(gen).reshape((2,) * 4 * k)
 
 
 def _apply_channels(r: np.ndarray, factors) -> np.ndarray:
@@ -894,8 +919,10 @@ def evolve_master_equation(
     qubits, so the step's Lindbladian is a sum of commuting terms on
     disjoint groups and its propagator is the tensor product of the groups'
     exact channels (each a 4x4 or 16x16 superoperator exponential), applied
-    to rho one group at a time. Cooling windows, measurement projectors and
-    corrections come from the same schedule plan as the trajectory kernel.
+    to rho one group at a time. The channels, cooling windows, measurement
+    projectors and corrections come from the same schedule plan as the
+    trajectory kernel; the plan builds each channel once per distinct
+    (term, cooled qubits) group, on this call's first request.
     Measurement and correction markers act at the end of their step as the
     deterministic sum-over-outcomes map. The state is one array whose
     leading axis is the outcome of the last uncorrected measurement (length
@@ -911,17 +938,17 @@ def evolve_master_equation(
     and steps axes (see `OracleResult`), and each member's values are those
     of its own single-input run.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
     single = isinstance(rho, DensityMatrix)
     inputs = [rho] if single else list(rho)
+    if not inputs:
+        raise ValueError("no initial state given")
     n = schedule.n_qubits
     dim = 2**n
     if any(m.n_qubits != n for m in inputs):
         raise ValueError("density matrix dimension does not match the schedule")
     plan = _SchedulePlan(schedule, noise, n_sub=1)  # the oracle reads no per-substep entries
-    anc = set(schedule.ancilla_qubits)
-    channels = [
-        _step_channels(step, n, noise, anc if plan.cooling_on[s] else set()) for s, step in enumerate(schedule.steps)
-    ]
 
     k = len(inputs)
     r = np.stack([m.elements for m in inputs])[None]  # (outcomes, K, dim, dim)
@@ -929,7 +956,7 @@ def evolve_master_equation(
     populations = np.zeros((rounds, len(schedule), k, dim))
     for rnd in range(rounds):
         for s, step in enumerate(schedule.steps):
-            r = _apply_channels(r, channels[s])
+            r = _apply_channels(r, plan.channels[s])
             if step.measure is not None:
                 p = plan.measure_onehot[s][:, None]  # (outcomes, 1, dim)
                 r = p[..., :, None] * r.sum(axis=0)

@@ -18,6 +18,7 @@ from thermoqec.compiler import (
     Step,
     schedule_net_unitary,
     step_unitary,
+    term_generator,
 )
 from thermoqec.dynamics import (
     JUMP_BIT_FLIP,
@@ -686,6 +687,15 @@ class TestMasterEquationOracle:
         assert td < 5 / np.sqrt(2000)
 
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rejects_rounds_below_one(self, rounds):
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, ZERO_NOISE, rounds=rounds)
+
+    def test_rejects_empty_input_sequence(self):
+        with pytest.raises(ValueError, match="no initial state given"):
+            evolve_master_equation([], MEASURED, ZERO_NOISE)
+
     def test_lost_positivity_raises(self):
         # unitary steps keep the input's eigenvalue -0.1, on the last basis state
         rho = np.diag([1.1] + [0.0] * 62 + [-0.1]).astype(complex)
@@ -737,6 +747,16 @@ class TestOracleResult:
         monkeypatch.setattr(_SchedulePlan, "decay_powers", property(no_decay_table))
         evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE)
 
+    @pytest.mark.parametrize("cooling", ["window", "always"])
+    def test_kernel_builds_no_oracle_channels(self, monkeypatch, cooling):
+        def no_channels(plan):
+            raise AssertionError("kernel built the oracle's channel table")
+
+        monkeypatch.setattr(_SchedulePlan, "channels", property(no_channels))
+        noise = NoiseParams(1e-2, 3.0, 5e-2, cooling_gate=cooling)
+        for schedule in (MEASURED, MEASUREMENT_FREE):
+            run_ensemble(StateVector.basis(schedule.n_qubits, 0), 2, schedule, noise, 20, store="full")
+
 
 def random_mixed_state(n: int, rng) -> DensityMatrix:
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
@@ -775,6 +795,112 @@ class TestStackedOracle:
             evolve_master_equation(five, MEASURED, ZERO_NOISE)
         with pytest.raises(ValueError, match="does not match the schedule"):
             evolve_master_equation([StateVector.basis(6, 0).projector(), five], MEASURED, ZERO_NOISE)
+
+
+def fresh_step_channels(step: Step, n: int, noise: NoiseParams, cooled: set[int]) -> list:
+    """One step's (qubits, channel) factors, every group's generator built
+    and exponentiated anew: the per-step construction the plan's shared
+    table replaces."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    grouped = {q for term in step.terms for q in term.qubits}
+    groups = [(term.qubits, term_generator(term)) for term in step.terms]
+    groups += [((q,), np.zeros((2, 2))) for q in range(n) if q not in grouped]
+    factors = []
+    for qubits, h in groups:
+        k = len(qubits)
+        eye = np.eye(2**k)
+        gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for i, q in enumerate(qubits):
+            jumps = [(noise.gamma_h, PAULI_X)]
+            if q in cooled:
+                jumps += [(noise.rate_down, lower), (noise.rate_up, lower.T)]
+            for rate, op in jumps:
+                op = np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (k - 1 - i)))
+                odo = op.conj().T @ op
+                gen += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(odo, eye) - 0.5 * np.kron(eye, odo.T))
+        factors.append((qubits, dynamics._expm(gen).reshape((2,) * 4 * k)))
+    return factors
+
+
+class TestChannelTable:
+    """The oracle's step channels, `_SchedulePlan.channels`: one array per
+    distinct (term, cooled qubits) group, shared by every step."""
+
+    NOISE = NoiseParams(1e-2, 3.0, 5e-2)
+
+    @pytest.mark.parametrize(
+        "schedule, distinct", [(MEASURED, 16), (MEASUREMENT_FREE, 28)], ids=["measured", "mf"]
+    )
+    def test_equal_keys_share_one_array(self, schedule, distinct):
+        plan = _SchedulePlan(schedule, self.NOISE, n_sub=1)
+        assert len(plan.channels) == len(schedule)
+        anc = set(schedule.ancilla_qubits)
+        by_key: dict = {}
+        for s, (step, factors) in enumerate(zip(schedule.steps, plan.channels)):
+            terms = {term.qubits: term for term in step.terms}
+            cooled = anc if plan.cooling_on[s] else set()
+            assert sorted(q for qubits, _ in factors for q in qubits) == list(range(schedule.n_qubits))
+            for qubits, chan in factors:
+                key = (terms.get(qubits), tuple(q in cooled for q in qubits))
+                assert by_key.setdefault(key, chan) is chan
+        assert len(by_key) == distinct
+        assert len({id(chan) for chan in by_key.values()}) == distinct
+        assert plan.channels is plan.channels  # built once per plan
+
+    @pytest.mark.parametrize(
+        "schedule, cooling",
+        [(MEASURED, "window"), (MEASURED, "always"), (MEASUREMENT_FREE, "window")],
+        ids=["measured-window", "measured-always", "mf"],
+    )
+    def test_oracle_equals_fresh_per_step_channels(self, monkeypatch, schedule, cooling):
+        noise = NoiseParams(1e-2, 3.0, 5e-2, cooling_gate=cooling)
+        rho = random_mixed_state(schedule.n_qubits, np.random.default_rng(61))
+        shared = evolve_master_equation(rho, schedule, noise, rounds=2)
+
+        class FreshChannels:
+            """Step s's channels built anew on every read."""
+
+            def __init__(self, plan):
+                self.plan = plan
+
+            def __getitem__(self, s):
+                cooled = set(schedule.ancilla_qubits) if self.plan.cooling_on[s] else set()
+                return fresh_step_channels(schedule.steps[s], schedule.n_qubits, noise, cooled)
+
+        monkeypatch.setattr(_SchedulePlan, "channels", property(FreshChannels))
+        ref = evolve_master_equation(rho, schedule, noise, rounds=2)
+        assert np.array_equal(shared.rho_end, ref.rho_end)
+        assert np.array_equal(shared.populations, ref.populations)
+
+
+def eigen_exponential(g: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eig(g)
+    return (v * np.exp(w)) @ np.linalg.inv(v)
+
+
+class TestExpm:
+    """`_expm`, the oracle's scaling-and-squaring Taylor exponential."""
+
+    def relative_error(self, g):
+        ref = eigen_exponential(g)
+        return np.abs(dynamics._expm(g) - ref).max() / np.abs(ref).max()
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 8.0])
+    def test_random_diagonalisable_matrix(self, scale):
+        rng = np.random.default_rng(71)
+        v = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        w = scale * (rng.normal(size=16) + 1j * rng.normal(size=16))
+        g = (v * w) @ np.linalg.inv(v)
+        assert self.relative_error(g) < 1e-12
+
+    @pytest.mark.parametrize("terms", [(), (ControlTerm(PUSHING_GATE, (0, 1), alphas=(0.3, -1.1, 0.7, 2.0)),)])
+    def test_stiff_step_lindbladian(self, terms):
+        # two cooled qubits at Gamma_c = 1000: an infinity-norm of thousands,
+        # so the series runs after a dozen halvings and squares back up
+        noise = NoiseParams(2e-2, 1000.0, 0.1)
+        g = dense_step_generator(Step(terms=terms), 2, noise, (0, 1))
+        assert np.linalg.norm(g, np.inf) > 2**11
+        assert self.relative_error(g) < 1e-12
 
 
 def dense_step_generator(step: Step, n: int, noise: NoiseParams, cooled) -> np.ndarray:
