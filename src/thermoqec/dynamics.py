@@ -95,6 +95,7 @@ and, as partial traces, to the data and ancilla reductions.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -858,12 +859,20 @@ class OracleResult:
 
 
 def _expm(g: np.ndarray) -> np.ndarray:
-    """exp(g) of a small matrix: a degree-18 Taylor series of g / 2**s, with
-    s chosen so that the scaled norm is at most 1/2, squared s times."""
-    squarings = int(np.ceil(np.log2(max(np.linalg.norm(g, np.inf), 1.0)))) + 1
+    """exp(g) of a small matrix: a Taylor series of g / 2**s, with s the
+    fewest halvings that bring the infinity-norm to at most 1/2, squared s
+    times. The series stops at the first degree m whose truncation bound
+    norm**(m+1) / (m+1)! is below 2**-53."""
+    norm = np.linalg.norm(g, np.inf)
+    squarings = 0
+    while norm > 0.5:
+        norm /= 2
+        squarings += 1
     g = g / 2**squarings
     out = term = np.eye(len(g), dtype=complex)
-    for k in range(1, 19):
+    k = 0
+    while norm ** (k + 1) / math.factorial(k + 1) > 2.0**-53:
+        k += 1
         term = term @ g / k
         out = out + term
     for _ in range(squarings):

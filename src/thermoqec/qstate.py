@@ -132,21 +132,18 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log2(evals)))
 
 
-def block_eigvalsh(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every matrix of a (k, d, d) Hermitian stack, solved
-    block by block.
+def block_layout(pattern: np.ndarray) -> list[np.ndarray]:
+    """Exact diagonal-block layout of a (d, d) boolean nonzero pattern.
 
-    The union of the stack's exact nonzeros links basis states; each
-    connected component of those links is a block that no matrix of the
-    stack couples to the rest, so the eigenvalues of a matrix are those of
-    its blocks together (the split is a permutation similarity). Blocks of
-    one size share one stacked `np.linalg.eigvalsh` call, and a block of
-    size 1 is its diagonal entry. A connected pattern is one whole-matrix
-    call. Row i of the (k, d) result holds matrix i's eigenvalues, grouped
-    by block: sorted only when the pattern is connected.
+    The pattern's entries link basis states; each connected component of
+    those links is a block that no matrix with this pattern couples to the
+    rest, so such a matrix's eigenvalues are those of its blocks together
+    (the split is a permutation similarity). Returns one (m, s) array per
+    block size s, in ascending s, whose rows are the basis states of the m
+    blocks of that size: blocks in the order of their lowest state, states
+    ascending within a block. A connected pattern gives [arange(d)[None]].
     """
-    link = (stack != 0).any(axis=0)
-    link |= link.T
+    link = pattern | pattern.T
     np.fill_diagonal(link, True)
     # transitive closure by repeated squaring; the links only grow, so an
     # unchanged count means nothing changed
@@ -160,16 +157,37 @@ def block_eigvalsh(stack: np.ndarray) -> np.ndarray:
         links = grown
     root = np.argmax(link, axis=1)  # the lowest basis state of each state's component
     if not root.any():
-        return np.linalg.eigvalsh(stack)
-    size = np.bincount(root, minlength=len(root))[root]
+        return [np.arange(len(root))[None]]
+    size =np.bincount(root, minlength=len(root))[root]
     order = np.lexsort((root, size))  # states grouped by block size, then by block
     states_per_size = np.bincount(size)
-    evals = np.empty(stack.shape[:-1])
+    layout = []
     start = 0
     for s in np.flatnonzero(states_per_size):
         stop = start + states_per_size[s]
-        idx = order[start:stop].reshape(-1, s)
-        if s == 1:
+        layout.append(order[start:stop].reshape(-1, s))
+        start = stop
+    return layout
+
+
+def block_eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of a (k, d, d) Hermitian stack, solved
+    block by block in the `block_layout` of the stack's union of exact
+    nonzeros.
+
+    Blocks of one size share one stacked `np.linalg.eigvalsh` call, and a
+    block of size 1 is its diagonal entry. A connected pattern is one
+    whole-matrix call. Row i of the (k, d) result holds matrix i's
+    eigenvalues, grouped by block: sorted only when the pattern is connected.
+    """
+    layout = block_layout((stack != 0).any(axis=0))
+    if layout[0].shape[1] == stack.shape[-1]:
+        return np.linalg.eigvalsh(stack)
+    evals = np.empty(stack.shape[:-1])
+    start = 0
+    for idx in layout:
+        stop = start + idx.size
+        if idx.shape[1] == 1:
             evals[:, start:stop] = stack[:, idx[:, 0], idx[:, 0]].real
         else:
             blocks = stack[:, idx[:, :, None], idx[:, None, :]]

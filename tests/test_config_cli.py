@@ -8,7 +8,10 @@ import pytest
 
 from thermoqec import cli
 from thermoqec.cli import main
+from thermoqec.compiler import build_measurement_free_round
 from thermoqec.config import ConfigError, ExperimentConfig, load_config
+from thermoqec.dynamics import NoiseParams, evolve_master_equation
+from thermoqec.qstate import StateVector
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO / "configs"
@@ -134,16 +137,27 @@ class TestCliRun:
         assert code == 0
         assert "trace distance" in (tmp_path / "o" / "summary.txt").read_text()
 
-    def test_oracle_skipped_without_total_matrices(self, tmp_path, capsys, monkeypatch):
-        # a reduced store cannot compare, so the oracle must not run at all
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("oracle computed for a run that cannot compare")
-
-        monkeypatch.setattr(cli, "evolve_master_equation", no_oracle)
-        cfg = write(tmp_path, GOOD.replace("n_traj = 20", "n_traj = 2") + "store = reduced\n")
-        code = main(["run", "--config", str(cfg), "--oracle", "--out", str(tmp_path / "o")])
-        assert code == 0
-        assert "oracle comparison skipped: run needs store=full" in capsys.readouterr().out
+    def test_oracle_f2_gap_without_total_matrices(self, tmp_path):
+        # a reduced store has no total matrices: the oracle still runs, and
+        # the run is compared with it on the round-end data fidelity only
+        text = GOOD.replace("measured", "measurement_free").replace("n_traj = 20", "n_traj = 4")
+        cfg = write(tmp_path, text + "store = reduced\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--oracle", "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert not any(line.startswith("trajectory-vs-oracle trace distance") for line in summary)
+        assert "trace distances skipped: they need store = full (this run: store = reduced)" in summary
+        (line,) = [line for line in summary if line.startswith("trajectory-vs-oracle largest round-end")]
+        with open(out / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        ends = np.array([float(r["f2_data"]) for r in rows if r["step"] == "67"])
+        schedule = build_measurement_free_round()
+        oracle = evolve_master_equation(
+            StateVector.basis(5, 0).projector(), schedule, NoiseParams(1e-3, 3.0, 0.01), rounds=2
+        )
+        want = np.max(np.abs(ends - oracle.f2_series()[:, -1, 0]))
+        assert len(ends) == 2 and want > 0
+        assert float(line.rsplit("=", 1)[1]) == pytest.approx(want, abs=1e-11)
 
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path, GOOD + "bogus = 1\n")

@@ -893,14 +893,25 @@ class TestExpm:
         g = (v * w) @ np.linalg.inv(v)
         assert self.relative_error(g) < 1e-12
 
+    @pytest.mark.parametrize("x", [0.1, 0.3, -0.5, 0.5])
+    def test_series_alone_at_small_norm(self, x):
+        # norm <= 1/2 takes no squaring, so the series' degree alone sets the
+        # error: exp(x I) must be exp(x) to the last bits
+        got = dynamics._expm(x * np.eye(4, dtype=complex))
+        assert np.abs(got - np.exp(x) * np.eye(4)).max() <= 1e-15 * np.exp(x)
+
     @pytest.mark.parametrize("terms", [(), (ControlTerm(PUSHING_GATE, (0, 1), alphas=(0.3, -1.1, 0.7, 2.0)),)])
     def test_stiff_step_lindbladian(self, terms):
         # two cooled qubits at Gamma_c = 1000: an infinity-norm of thousands,
-        # so the series runs after a dozen halvings and squares back up
+        # so the series runs after a dozen halvings and squares back up; the
+        # reference is a 40-digit exponential
+        mpmath = pytest.importorskip("mpmath")
         noise = NoiseParams(2e-2, 1000.0, 0.1)
         g = dense_step_generator(Step(terms=terms), 2, noise, (0, 1))
         assert np.linalg.norm(g, np.inf) > 2**11
-        assert self.relative_error(g) < 1e-12
+        with mpmath.workdps(40):
+            ref = np.array(mpmath.expm(mpmath.matrix(g.tolist())).tolist(), dtype=complex)
+        assert np.abs(dynamics._expm(g) - ref).max() / np.abs(ref).max() < 1e-12
 
 
 def dense_step_generator(step: Step, n: int, noise: NoiseParams, cooled) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import thermoqec as tq
+from thermoqec import metrics
 from thermoqec.cli import main
 from thermoqec.dynamics import EnsembleAccumulator, NoiseParams, run_ensemble
 from thermoqec.metrics import compute_step_metrics, round_end_series
@@ -189,6 +190,93 @@ class TestStackedEntropies:
         for r in rows:
             for name in ("s_total", "s_data", "s_anc"):
                 assert not r[name].startswith("-") and float(r[name]) < 1e-9
+
+
+def grid_accumulator(rho_data, rho_anc, count=1):
+    """Hand-built accumulator from (rounds, steps, 8, 8) grids of mean
+    matrices, summed over `count` trajectories."""
+    rounds, steps = rho_data.shape[:2]
+    acc = EnsembleAccumulator(rounds, steps, 6, (0, 1, 2), (3, 4, 5), store="reduced")
+    acc.count = count
+    acc.rho_data[:] = rho_data * count
+    acc.rho_anc[:] = rho_anc * count
+    acc.f2_data[:] = rho_data[:, :, 0, 0].real * count
+    acc.f2_anc[:] = rho_anc[:, :, 0, 0].real * count
+    return acc
+
+
+def layout_grid():
+    """Three rounds of two steps: step 0 diagonal in every round; step 1
+    diagonal but for a 2x2 block on states 2 and 5 that only round 1 fills."""
+    rng = np.random.default_rng(5)
+    p = rng.random((3, 2, 8))
+    p /= p.sum(axis=-1, keepdims=True)
+    grid = np.zeros((3, 2, 8, 8), dtype=complex)
+    grid[:, :, np.arange(8), np.arange(8)] = p
+    grid[1, 1, 2, 5] = 0.5 * np.sqrt(p[1, 1, 2] * p[1, 1, 5]) * np.exp(0.7j)
+    grid[1, 1, 5, 2] = np.conj(grid[1, 1, 2, 5])
+    return grid
+
+
+class TestBlockLayoutEntropies:
+    def check_against_per_matrix(self, acc):
+        rows = compute_step_metrics(acc)
+        for r in rows:
+            for which, name in (("data", "s_data"), ("ancilla", "s_ancilla")):
+                expect = max(0.0, von_neumann_entropy(acc.mean_rho(which, r.round_index, r.step_index)))
+                assert getattr(r, name) == pytest.approx(expect, abs=1e-12)
+        return rows
+
+    def test_diagonal_step_and_one_round_block(self):
+        grid = layout_grid()
+        rows = self.check_against_per_matrix(grid_accumulator(grid, grid[:, ::-1]))
+        assert len(rows) == 6
+        # the block mixes its two states: round 1, step 1 differs from its diagonal
+        diag = np.diagonal(grid[1, 1]).real
+        assert rows[3].s_data < -np.sum(diag * np.log2(diag)) - 1e-3
+
+    def test_count_seven_matches_count_one(self):
+        grid = layout_grid()
+        one = compute_step_metrics(grid_accumulator(grid, grid[:, ::-1]))
+        seven = self.check_against_per_matrix(grid_accumulator(grid, grid[:, ::-1], count=7))
+        for a, b in zip(one, seven):
+            for name in ("s_data", "s_ancilla"):
+                assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-12)
+
+    def test_imaginary_diagonal_rejected(self):
+        grid = layout_grid()
+        bad = grid.copy()
+        bad[2, 0, 3, 3] += 1e-6j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            compute_step_metrics(grid_accumulator(bad, grid))
+
+    def test_entropies_do_not_depend_on_chunking(self, monkeypatch):
+        acc, _ = run_ensemble(
+            StateVector.basis(6, 0), 2, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
+            master_seed=23, store="full",
+        )
+        fields = ("s_total", "s_data", "s_ancilla")
+        whole = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1024)  # one 8x8 block or one entry row per chunk
+        split = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
+        assert split == whole
+
+    def test_one_round_makes_few_stacked_calls(self, monkeypatch):
+        # one call per step would make 16; blocks of one size share calls
+        acc, _ = run_ensemble(
+            StateVector.basis(6, 0), 1, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
+            master_seed=23, store="full",
+        )
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        compute_step_metrics(acc)
+        assert len(MEASURED) == 16 and 0 < len(calls) < 16
 
 
 class TestAncillaFidelityRoundIndependence:

@@ -10,6 +10,7 @@ from thermoqec.qstate import (
     DensityMatrix,
     StateVector,
     block_eigvalsh,
+    block_layout,
     partial_trace,
     squared_fidelity,
     trace_distance,
@@ -304,3 +305,11 @@ class TestBlockEigvalsh:
         diag = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]])
         stack = np.stack([np.diag(row) for row in diag]).astype(complex)
         assert np.array_equal(block_eigvalsh(stack), diag)
+
+    def test_layout_groups_blocks_by_size(self):
+        # blocks {0, 3}, {1}, {2, 4, 5} linked through one triangle only
+        pattern = np.zeros((6, 6), dtype=bool)
+        pattern[3, 0] = pattern[2, 5] = pattern[4, 2] = True
+        layout = block_layout(pattern)
+        assert [idx.tolist() for idx in layout] == [[[1]], [[0, 3]], [[2, 4, 5]]]
+        assert block_layout(np.ones((4, 4), dtype=bool))[0].tolist() == [[0, 1, 2, 3]]
