@@ -100,7 +100,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     # one column per RoundMetrics field, in declaration order
     header = ["round", "step", "time", "f2_data", "f2_ancilla", "s_total", "s_data", "s_anc", "n_traj"]
-    _write_table(out / "metrics.csv", header, (tuple(vars(r).values()) for r in rows))
+    _write_table(out / "metrics.csv", header, rows)
 
     ends = round_end_series(rows, "f2_data")
     tail = ends[max(0, 3 * len(ends) // 4) :]

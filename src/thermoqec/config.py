@@ -44,8 +44,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ConfigError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
+        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}")
         if self.cooling not in COOLING_MODES:
             raise ConfigError(f"cooling must be one of {COOLING_MODES}, got {self.cooling!r}")
         if self.store not in STORE_MODES:

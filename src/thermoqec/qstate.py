@@ -158,7 +158,7 @@ def block_layout(pattern: np.ndarray) -> list[np.ndarray]:
     root = np.argmax(link, axis=1)  # the lowest basis state of each state's component
     if not root.any():
         return [np.arange(len(root))[None]]
-    size =np.bincount(root, minlength=len(root))[root]
+    size = np.bincount(root, minlength=len(root))[root]
     order = np.lexsort((root, size))  # states grouped by block size, then by block
     states_per_size = np.bincount(size)
     layout = []
@@ -170,28 +170,46 @@ def block_layout(pattern: np.ndarray) -> list[np.ndarray]:
     return layout
 
 
-def block_eigvalsh(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every matrix of a (k, d, d) Hermitian stack, solved
-    block by block in the `block_layout` of the stack's union of exact
-    nonzeros.
+def nonzero_union(stack: np.ndarray) -> np.ndarray:
+    """Boolean (..., d, d) pattern of the entries of a complex (n, ..., d, d)
+    stack that are nonzero in some of its n members (-0.0 is zero, nan is
+    not): one or of the members' bit patterns, without the sign bit."""
+    bits = np.bitwise_or.reduce(np.ascontiguousarray(stack, dtype=complex).view(np.uint64), axis=0)
+    bits = bits.reshape(bits.shape[:-1] + (-1, 2))
+    return ((bits[..., 0] | bits[..., 1]) & np.uint64(2**63 - 1)) != 0
 
-    Blocks of one size share one stacked `np.linalg.eigvalsh` call, and a
-    block of size 1 is its diagonal entry. A connected pattern is one
-    whole-matrix call. Row i of the (k, d) result holds matrix i's
-    eigenvalues, grouped by block: sorted only when the pattern is connected.
+
+def block_eigvalsh(stack: np.ndarray, tol: float, layout: list[np.ndarray] | None = None) -> np.ndarray:
+    """Eigenvalues of every matrix of a (..., d, d) Hermitian stack, solved
+    block by block in a `block_layout`, by default that of the stack's
+    `nonzero_union` over all its matrices.
+
+    Each block is gathered from the stack (a connected layout needs no
+    gather), checked to be Hermitian within `tol` (2 |Im| of a size-1
+    block's entry), symmetrised, and solved with one stacked
+    `np.linalg.eigvalsh` call per block size; a size-1 block is its entry.
+    The (..., d) result holds each matrix's eigenvalues grouped by block in
+    the layout's order: sorted only when the layout is connected.
     """
-    layout = block_layout((stack != 0).any(axis=0))
-    if layout[0].shape[1] == stack.shape[-1]:
-        return np.linalg.eigvalsh(stack)
+    d = stack.shape[-1]
+    if layout is None:
+        layout = block_layout(nonzero_union(stack.reshape((-1, d, d))))
     evals = np.empty(stack.shape[:-1])
     start = 0
     for idx in layout:
         stop = start + idx.size
         if idx.shape[1] == 1:
-            evals[:, start:stop] = stack[:, idx[:, 0], idx[:, 0]].real
+            entries = stack[..., idx[:, 0], idx[:, 0]]
+            if 2 * np.abs(entries.imag).max() > tol:
+                raise ValueError("density matrix is not Hermitian")
+            evals[..., start:stop] = entries.real
         else:
-            blocks = stack[:, idx[:, :, None], idx[:, None, :]]
-            evals[:, start:stop] = np.linalg.eigvalsh(blocks).reshape(len(stack), -1)
+            blocks = stack if idx.shape[1] == d else stack[..., idx[:, :, None], idx[:, None, :]]
+            adj = blocks.conj().swapaxes(-1, -2)
+            if np.abs(blocks - adj).max() > tol:
+                raise ValueError("density matrix is not Hermitian")
+            adj += blocks  # in place: the symmetrised sum
+            evals[..., start:stop] = 0.5 * np.linalg.eigvalsh(adj).reshape(evals.shape[:-1] + (-1,))
         start = stop
     return evals
 

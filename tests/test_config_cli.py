@@ -11,6 +11,7 @@ from thermoqec.cli import main
 from thermoqec.compiler import build_measurement_free_round
 from thermoqec.config import ConfigError, ExperimentConfig, load_config
 from thermoqec.dynamics import NoiseParams, evolve_master_equation
+from thermoqec.metrics import RoundMetrics
 from thermoqec.qstate import StateVector
 
 REPO = Path(__file__).resolve().parents[1]
@@ -92,6 +93,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(store="everything")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match="master_seed"):
+            ExperimentConfig(master_seed=seed)
+
     def test_auto_store_policy(self):
         assert ExperimentConfig(rounds=5).resolved_store(16) == "full"
         assert ExperimentConfig(rounds=500).resolved_store(16) == "reduced"
@@ -129,6 +135,25 @@ class TestCliRun:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() != (
             tmp_path / "c" / "metrics.csv"
         ).read_bytes()
+
+    def test_seed_aliasing_past_64_bits_exit_2(self, tmp_path, capsys):
+        # 5 + 2**64 would otherwise key the same streams as seed 5
+        cfg = write(tmp_path, GOOD.replace("rounds = 2", "rounds = 1"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", str(5 + 2**64), "--out", str(out)]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_header_has_one_column_per_field(self, tmp_path):
+        cfg = write(tmp_path, GOOD.replace("rounds = 2", "rounds = 1"))
+        assert main(["run", "--config", str(cfg), "--traj", "3", "--out", str(tmp_path / "out")]) == 0
+        header, rows = _read_table(tmp_path / "out" / "metrics.csv")
+        # the column names shorten three field names
+        names = {"round": "round_index", "step": "step_index", "s_anc": "s_ancilla"}
+        assert [names.get(h, h) for h in header] == list(RoundMetrics._fields)
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0:2] for row in rows] == [[0.0, float(s)] for s in range(16)]
+        assert {row[-1] for row in rows} == {3.0}
 
     def test_oracle_report(self, tmp_path, capsys):
         text = GOOD.replace("n_traj = 20", "n_traj = 10").replace("rounds = 2", "rounds = 1")

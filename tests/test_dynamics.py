@@ -259,6 +259,15 @@ class TestSeedDeterminism:
                 assert a.jumps == b.jumps and a.outcomes == b.outcomes
             assert np.array_equal(acc_s.f2_data, acc_f.f2_data) and np.array_equal(acc_s.f2_anc, acc_f.f2_anc)
 
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_stream_key_outside_64_bits_rejected(self, seed, index):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+            trajectory_stream(seed, index)
+
+    def test_stream_key_at_64_bit_edge(self):
+        top = 2**64 - 1
+        assert trajectory_stream(top, top).random() != trajectory_stream(top, 0).random()
+
 
 class TestPlainDrawOrder:
     """With Gamma_c = 0 every step is plain, so each trajectory's flips follow

@@ -261,6 +261,20 @@ class TestBlockLayoutEntropies:
         split = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
         assert split == whole
 
+    @pytest.mark.parametrize("block_bytes", [3 * 1024 + 512, 5 * 8192 + 100])
+    def test_chunks_of_a_few_steps_match_whole_rounds(self, monkeypatch, block_bytes):
+        # chunks of 3 or 5 steps leave a shorter last chunk in most runs of steps
+        acc, _ = run_ensemble(
+            StateVector.basis(6, 0), 3, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
+            master_seed=29, store="full",
+        )
+        fields = ("s_total", "s_data", "s_ancilla")
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2**24)  # every run of steps in one chunk
+        whole = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+        split = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
+        assert split == whole
+
     def test_one_round_makes_few_stacked_calls(self, monkeypatch):
         # one call per step would make 16; blocks of one size share calls
         acc, _ = run_ensemble(

@@ -11,6 +11,7 @@ from thermoqec.qstate import (
     StateVector,
     block_eigvalsh,
     block_layout,
+    nonzero_union,
     partial_trace,
     squared_fidelity,
     trace_distance,
@@ -291,7 +292,7 @@ class TestBlockEigvalsh:
         cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
         sizes = np.diff(np.concatenate(([0], cuts, [d]))).tolist()  # blocks of sizes 1..d summing to d
         stack = hidden_block_stack(rng, sizes, k)
-        got = np.sort(block_eigvalsh(stack), axis=1)
+        got = np.sort(block_eigvalsh(stack, 1e-12), axis=1)
         assert got.shape == (k, d)
         assert np.abs(got - np.linalg.eigvalsh(stack)).max() <= 1e-12
 
@@ -299,12 +300,42 @@ class TestBlockEigvalsh:
         rng = np.random.default_rng(3)
         stack = hidden_block_stack(rng, [16], 3)
         stack[:, 0, 1:] = stack[:, 1:, 0] = 1e-3  # couple every state to state 0
-        assert np.array_equal(block_eigvalsh(stack), np.linalg.eigvalsh(stack))
+        assert np.array_equal(block_eigvalsh(stack, 1e-12), np.linalg.eigvalsh(stack))
 
     def test_diagonal_input_gives_the_diagonal(self):
         diag = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]])
         stack = np.stack([np.diag(row) for row in diag]).astype(complex)
-        assert np.array_equal(block_eigvalsh(stack), diag)
+        assert np.array_equal(block_eigvalsh(stack, 1e-12), diag)
+
+    def test_four_dimensional_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([hidden_block_stack(rng, [3, 1, 2, 2], 4) for _ in range(3)])  # (r, k, d, d)
+        got = np.sort(block_eigvalsh(stack, 1e-12), axis=-1)
+        want = np.array([[np.linalg.eigvalsh(m) for m in row] for row in stack])
+        assert got.shape == (3, 4, 8)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_asymmetric_block_entry_rejected(self):
+        stack = np.stack([np.diag([0.4, 0.3, 0.2, 0.1])] * 2).astype(complex)
+        stack[:, 0, 1] = stack[:, 1, 0] = 0.05  # blocks {0, 1}, {2}, {3}
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            block_eigvalsh(stack, 1e-9)
+
+    def test_imaginary_size_one_entry_rejected(self):
+        stack = np.stack([np.diag([0.5, 0.25, 0.25]), np.diag([1.0, 0.0, 0.0])]).astype(complex)
+        stack[1, 2, 2] += 1e-6j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            block_eigvalsh(stack, 1e-9)
+
+    def test_nonzero_union_signs_and_nan(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[0, 0, 0] = -0.0
+        stack[1, 0, 1] = complex(0.0, -0.0)
+        stack[2, 1, 0] = complex(-0.0, 1e-300)
+        stack[1, 1, 1] = complex(np.nan, 0.0)
+        assert nonzero_union(stack).tolist() == [[False, False], [True, True]]
+        assert nonzero_union(stack[:, None]).shape == (1, 2, 2)
 
     def test_layout_groups_blocks_by_size(self):
         # blocks {0, 3}, {1}, {2, 4, 5} linked through one triangle only
