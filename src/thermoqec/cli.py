@@ -37,7 +37,7 @@ from .compiler import (
     Step,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .dynamics import NoiseParams, evolve_master_equation, run_ensemble
+from .dynamics import DEFAULT_N_SUB, NoiseParams, evolve_master_equation, run_ensemble
 from .metrics import compute_step_metrics, round_end_series
 from .qstate import StateVector, trace_distance
 from .ratemodel import (
@@ -73,9 +73,9 @@ def _schedule_for(cfg: ExperimentConfig) -> GateSchedule:
     """The protocol's round, once the substeps are known to be fine enough
     for the trajectory kernel (at most one bit flip per substep)."""
     schedule = build_measured_round() if cfg.protocol == "measured" else build_measurement_free_round()
-    if schedule.n_qubits * cfg.gamma_h >= cfg.n_sub:
+    if schedule.n_qubits * cfg.gamma_h >= DEFAULT_N_SUB:
         raise ConfigError(
-            f"n_sub = {cfg.n_sub} too coarse for gamma_h = {_fmt(cfg.gamma_h)}: "
+            f"n_sub = {DEFAULT_N_SUB} too coarse for gamma_h = {_fmt(cfg.gamma_h)}: "
             f"need n_qubits * gamma_h < n_sub ({schedule.n_qubits} qubits)"
         )
     return schedule
@@ -93,7 +93,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         noise,
         cfg.n_traj,
         master_seed=cfg.master_seed,
-        n_sub=cfg.n_sub,
         store=store,
     )
     rows = compute_step_metrics(acc)
@@ -109,7 +108,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         f"protocol = {cfg.protocol} ({len(schedule)} steps/round)",
         f"gamma_h = {_fmt(cfg.gamma_h)}  Gamma_c = {_fmt(cfg.Gamma_c)}  n_c = {_fmt(cfg.n_c)}"
         f"  cooling = {cfg.cooling}",
-        f"rounds = {cfg.rounds}  n_traj = {cfg.n_traj}  n_sub = {cfg.n_sub}  store = {store}",
+        f"rounds = {cfg.rounds}  n_traj = {cfg.n_traj}  n_sub = {DEFAULT_N_SUB}  store = {store}",
         f"master_seed = {cfg.master_seed}  (trajectory k uses Philox key (master_seed, k))",
         f"final-round data fidelity = {_fmt(ends[-1])}",
         f"steady-state estimate (mean of last {len(tail)} rounds) = {_fmt(tail.mean())}",
@@ -365,7 +364,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         noise,
         cfg.n_traj,
         master_seed=cfg.master_seed,
-        n_sub=cfg.n_sub,
         store=store,
         per_step_rho=False,
     )

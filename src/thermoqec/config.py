@@ -4,6 +4,7 @@ section, schema-validated with unknown keys rejected."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -27,7 +28,6 @@ class ExperimentConfig:
     rounds: int = 5
     n_traj: int = 100
     master_seed: int = 1
-    n_sub: int = 20
     oracle: bool = False
     cooling: str = "window"
     store: str = "auto"
@@ -38,9 +38,9 @@ class ExperimentConfig:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         for name in ("gamma_h", "Gamma_c", "n_c"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or v < 0 or v != v:
-                raise ConfigError(f"{name} must be a non-negative number, got {v!r}")
-        for name in ("rounds", "n_traj", "n_sub"):
+            if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+                raise ConfigError(f"{name} must be a finite non-negative number, got {v!r}")
+        for name in ("rounds", "n_traj"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")

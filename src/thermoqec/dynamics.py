@@ -60,16 +60,17 @@ uniforms against the no-jump survival, then, substep by substep, the qubit
 pick of that substep's flip and the channel choice of its cold jump. Last
 comes one uniform if the step measures. Each trajectory reads its stream
 through a buffer of two halves of `_StreamBank.chunk` uniforms (at least
-1024, and at least a step's worst case of 2 * n_sub + 1): once a row has
+1024, and at least a plain step's worst case of 2 * n_sub): once a row has
 read past its first half, the second half moves forward and a fresh chunk
 is drawn behind it.
 
 Steps without cold coupling ("plain" steps) come in groups of consecutive
-steps whose worst-case draws fit one chunk. Their draws do not depend on
-the state, so each group's draws are read before its first step, in one
-pass over a strided window of every row's buffer: a row without a hot hit
-reads a fixed layout, and only the rows with a flip are parsed, over their
-hits, for flip substeps, qubit picks and measurement uniforms. Each plain
+steps whose worst-case draws fit one chunk, and a group ends at a step that
+measures, whose marker reads its own uniform as it does after a cooled
+step. A group's draws do not depend on the state, so they are read before
+its first step, in one peek at every row's next uniforms: a row without a
+hot hit reads `n_sub` uniforms per step, and only the rows with a flip are
+parsed, over their hits, for flip substeps and qubit picks. Each plain
 step then applies the exact full-step unitary (`power(s, n_sub)`) to every
 row in one product, and the rows that flipped replay their substep
 interleaving from their pre-step state, one `power(s, gap)` per gap between
@@ -96,11 +97,9 @@ and, as partial traces, to the data and ancilla reductions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -304,13 +303,14 @@ def _pattern_bits(pattern: int, k: int) -> tuple[int, ...]:
 
 class _StreamBank:
     """Per-trajectory buffers of two `chunk`-uniform halves, one generator
-    per row.
+    per row, read through one window view of `chunk` uniforms.
 
     Before a read, a row whose position has passed its first half is
-    refilled: the second half moves forward, one fresh chunk is drawn behind
-    it and the position drops by `chunk`. A read of up to `chunk` uniforms is
-    then one fancy index, each generator advances by whole chunks, and the
-    uniforms handed to a row equal refills * chunk + pos.
+    refilled in place: the second half moves forward, one fresh chunk is
+    drawn behind it and the position drops by `chunk`. `peek` copies each
+    row's next `count <= chunk` uniforms out of the view; `draw` is a peek
+    that also moves the rows past them. Each generator advances by whole
+    chunks, and the uniforms handed to a row equal refills * chunk + pos.
     """
 
     chunk = 1024
@@ -322,6 +322,7 @@ class _StreamBank:
         for r, g in enumerate(self.gens):
             self.buf[r] = g.random(2 * self.chunk)
         self.pos = np.zeros(len(self.gens), dtype=np.int64)
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.buf, self.chunk, axis=1)
 
     def _refill(self, rows):
         c = self.chunk
@@ -330,18 +331,23 @@ class _StreamBank:
             self.gens[r].random(out=self.buf[r, c:])
         self.pos[rows] -= c
 
+    def peek(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """The next `count <= chunk` uniforms of each of the distinct `rows`,
+        shape (len(rows), count), without consuming them."""
+        if count > self.chunk:
+            raise ValueError(f"a peek reads at most chunk = {self.chunk} uniforms, not {count}")
+        spent = rows[self.pos[rows] >= self.chunk]
+        if spent.size:
+            self._refill(spent)
+        return self.windows[rows, self.pos[rows], :count]
+
     def draw(self, rows: np.ndarray, count: int) -> np.ndarray:
         """The next `count` uniforms of each of the distinct `rows`, shape
         (len(rows), count)."""
         if count > self.chunk:  # a longer read comes in pieces
             return np.concatenate([self.draw(rows, self.chunk), self.draw(rows, count - self.chunk)], axis=1)
-        pos = self.pos[rows]
-        spent = pos >= self.chunk
-        if spent.any():
-            self._refill(rows[spent])
-            pos = self.pos[rows]
-        vals = self.buf[rows[:, None], pos[:, None] + np.arange(count)]
-        self.pos[rows] = pos + count
+        vals = self.peek(rows, count)
+        self.pos[rows] += count
         return vals
 
 
@@ -494,105 +500,68 @@ def run_ensemble(
         batch = indices[lo : lo + BATCH_SIZE]
         states = np.tile(initial.amplitudes.astype(complex), (len(batch), 1))
         # a chunk holds a step's draws even if every substep flips
-        chunk = max(_StreamBank.chunk, 2 * n_sub + 1)
+        chunk = max(_StreamBank.chunk, 2 * n_sub)
         bank = _StreamBank([trajectory_stream(master_seed, int(i)) for i in batch], chunk)
         _run_batch(states, rounds, plan, bank, acc, records[lo : lo + BATCH_SIZE] if record else None)
     return acc, records
 
 
-class _PlainGroup(NamedTuple):
-    """Consecutive steps without cold coupling whose draws are read in one
-    pass. Without flips, step j's `n_sub` hot uniforms start at `starts[j]`
-    (`starts[-1]` is the group's length); `hot` marks them over a window with
-    room for a qubit pick on every substep; `measured` lists the steps that
-    measure."""
-
-    steps: list[int]
-    starts: list[int]
-    hot: np.ndarray
-    measured: list[int]
-
-
-def _plain_groups(plan: _SchedulePlan, chunk: int) -> dict[int, _PlainGroup]:
-    """Runs of steps without cold coupling, split into groups whose draws
-    fit one chunk even if every substep flips; keyed by first step."""
-    size = chunk // (2 * plan.n_sub + 1)
-    runs: dict[int, list[int]] = {}
+def _plain_groups(plan: _SchedulePlan, chunk: int) -> dict[int, list[int]]:
+    """Runs of steps without cold coupling, each closed after a step that
+    measures and split into groups whose draws fit one chunk even if every
+    substep flips; keyed by first step."""
+    size = chunk // (2 * plan.n_sub)
+    groups: dict[int, list[int]] = {}
     run: list[int] = []
-    for s in range(len(plan.schedule)):
+    for s, step in enumerate(plan.schedule.steps):
         if plan.cooling_on[s]:
             run = []
         elif run and len(run) < size:
             run.append(s)
         else:
-            run = runs[s] = [s]
-    groups = {}
-    for first, steps in runs.items():
-        measures = [plan.schedule.steps[s].measure is not None for s in steps]
-        starts = np.cumsum([0] + [plan.n_sub + m for m in measures]).tolist()
-        hot = np.zeros(starts[-1] + len(steps) * plan.n_sub, dtype=bool)
-        for a in starts[:-1]:
-            hot[a : a + plan.n_sub] = True
-        groups[first] = _PlainGroup(steps, starts, hot, [j for j, m in enumerate(measures) if m])
+            run = groups[s] = [s]
+        if step.measure is not None:
+            run = []
     return groups
 
 
-def _read_plain(bank: _StreamBank, plan: _SchedulePlan, group: _PlainGroup):
+def _read_plain(bank: _StreamBank, plan: _SchedulePlan, steps: list[int]) -> dict[int, list]:
     """Read the draws of a group of steps without cold coupling for every
     row of `bank`, in the per-step order of the stream contract.
 
-    Returns (flips, measure_u): flips[j] lists (row, substeps, qubits) for
-    each row flipping in the group's j-th step, and measure_u[j] holds each
-    row's measurement uniform of that step (None when it does not measure).
-    A row without flips reads the group's fixed layout; only rows with a
-    flip are parsed one by one, over the hot hits of their window.
+    Returns flips: flips[s] lists (row, substeps, qubits) for each row
+    flipping in step s. Without flips a row reads `n_sub` hot uniforms per
+    step; only rows with a flip are parsed one by one, over the hits of a
+    window with room for a qubit pick on every substep.
     """
     n, n_sub = plan.n_qubits, plan.n_sub
-    starts, hot, measured = group.starts, group.hot, group.measured
-    base, width = starts[-1], hot.size
-    spent = np.nonzero(bank.pos >= bank.chunk)[0]
-    if spent.size:
-        bank._refill(spent)
-    windows = np.lib.stride_tricks.sliding_window_view(bank.buf, width, axis=1)
-    rows = np.arange(len(bank.pos))
-    shifts = np.zeros((rows.size, len(measured)), dtype=np.int64)  # picks before each measurement
-    used = np.full(rows.size, base)
-    flips: list[list] = [[] for _ in group.steps]
-    for lo in range(0, rows.size, _PARSE_ROWS):
-        block = windows[rows[lo : lo + _PARSE_ROWS], bank.pos[lo : lo + _PARSE_ROWS]]
+    base = len(steps) * n_sub
+    width = 2 * base
+    flips: dict[int, list] = {s: [] for s in steps}
+    for lo in range(0, len(bank.pos), _PARSE_ROWS):
+        rows = np.arange(lo, min(lo + _PARSE_ROWS, len(bank.pos)))
+        block = bank.peek(rows, width)
         hit_rows, hit_pos = np.divmod(np.flatnonzero(block < plan.p_hot), width)
-        jumpers = np.unique(hit_rows[hot[hit_pos]])
+        jumpers = np.unique(hit_rows[hit_pos < base])
         cuts = np.searchsorted(hit_rows, np.stack([jumpers, jumpers + 1])).tolist()
         hit_pos = hit_pos.tolist()
         for i, h, stop in zip(jumpers.tolist(), *cuts):
-            r, u, shift = lo + i, block[i], 0
+            u, shift = block[i], 0
             while h < stop and hit_pos[h] - shift < base:
-                x = hit_pos[h] - shift  # offset in the layout without flips
-                j = bisect_right(starts, x) - 1
-                first = starts[j] + shift
+                j = (hit_pos[h] - shift) // n_sub
+                first = j * n_sub + shift
                 end = first + n_sub
-                if x - starts[j] >= n_sub:  # a measurement uniform
-                    h += 1
-                    continue
                 ks = []
                 while h < stop and hit_pos[h] < end:
                     ks.append(hit_pos[h] - first)
                     h += 1
-                flips[j].append((r, ks, [min(int(p * n), n - 1) for p in u[end : end + len(ks)].tolist()]))
+                flips[steps[j]].append((lo + i, ks, [min(int(p * n), n - 1) for p in u[end : end + len(ks)].tolist()]))
                 shift += len(ks)
                 while h < stop and hit_pos[h] < end + len(ks):  # the qubit picks
                     h += 1
-                for m, jm in enumerate(measured):
-                    if jm >= j:
-                        shifts[r, m] += len(ks)
-            used[r] += shift
-    at = bank.pos[:, None] + shifts + np.array([starts[j] + n_sub for j in measured], dtype=np.int64)
-    vals = bank.buf[rows[:, None], at]
-    bank.pos += used
-    measure_u: list[np.ndarray | None] = [None] * len(group.steps)
-    for m, j in enumerate(measured):
-        measure_u[j] = vals[:, m]
-    return flips, measure_u
+            bank.pos[lo + i] += shift
+        bank.pos[rows] += base
+    return flips
 
 
 def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None):
@@ -622,18 +591,15 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     for rnd in range(rounds):
         for s, step in enumerate(plan.schedule.steps):
             t = rnd * n_steps + s
-            measure_u = None
 
             if not plan.cooling_on[s]:
                 if s in groups:
-                    first = s
-                    flips, group_u = _read_plain(bank, plan, groups[s])
-                measure_u = group_u[s - first]
+                    flips = _read_plain(bank, plan, groups[s])
                 # every row takes the whole step in one product; the rows
                 # that flipped replay their substep interleaving exactly
                 prop = plan.power(s, plan.n_sub)
                 new = states if prop is None else states @ prop.T
-                for r, ks, qubits in flips[s - first]:
+                for r, ks, qubits in flips[s]:
                     psi = states[r]
                     prev = 0
                     for k, q in zip(ks, qubits):
@@ -664,9 +630,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 if np.any(total < 1e-14):
                     raise ValueError("state with vanishing probability at measurement")
                 cum = np.cumsum(probs, axis=1)
-                if measure_u is None:
-                    measure_u = bank.draw(all_rows, 1)[:, 0]
-                u = measure_u * total[:, 0]
+                u = bank.draw(all_rows, 1)[:, 0] * total[:, 0]
                 outcome = (cum < u[:, None]).sum(axis=1)
                 np.clip(outcome, 0, probs.shape[1] - 1, out=outcome)
                 states = states * onehot[outcome]

@@ -49,6 +49,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write(tmp_path, GOOD + "gamma_typo = 3\n"))
 
+    def test_n_sub_is_not_a_key(self, tmp_path):
+        # the kernel's substep count is fixed at dynamics.DEFAULT_N_SUB
+        with pytest.raises(ConfigError, match="unknown key 'n_sub'"):
+            load_config(write(tmp_path, GOOD + "n_sub = 20\n"))
+
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="section"):
             load_config(write(tmp_path, GOOD + "[extra]\nx = 1\n"))
@@ -197,23 +202,34 @@ class TestCliRun:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("key", ["gamma_h", "Gamma_c", "n_c"])
+    def test_infinite_rate_exit_2(self, tmp_path, capsys, key):
+        # a config error naming the key, not a runtime failure or the substep guard
+        line = next(x for x in GOOD.splitlines() if x.startswith(f"{key} ="))
+        cfg = write(tmp_path, GOOD.replace(line, f"{key} = inf"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"configuration error: {key} must be a finite non-negative number, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, protocol",
         [("run", "measured"), ("run", "measurement_free"), ("compare", "measured")],
         ids=["run-measured", "run-mf", "compare"],
     )
     def test_substep_too_coarse_exit_2(self, tmp_path, capsys, command, protocol):
-        # n_qubits * gamma_h >= n_sub: 6 (or 5) qubits at gamma_h = 1 against 5 substeps
-        text = GOOD.replace("measured", protocol).replace("gamma_h = 1e-3", "gamma_h = 1.0")
-        cfg = write(tmp_path, text + "n_sub = 5\n")
+        # n_qubits * gamma_h >= n_sub: 6 (or 5) qubits at gamma_h = 4 against the 20 substeps
+        text = GOOD.replace("measured", protocol).replace("gamma_h = 1e-3", "gamma_h = 4.0")
+        cfg = write(tmp_path, text)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "configuration error: n_sub = 5 too coarse" in capsys.readouterr().err
+        assert "configuration error: n_sub = 20 too coarse" in capsys.readouterr().err
         assert not out.exists()  # rejected before any simulation
 
     def test_substep_just_fine_enough_runs(self, tmp_path):
-        text = GOOD.replace("measured", "measurement_free").replace("gamma_h = 1e-3", "gamma_h = 0.99")
-        cfg = write(tmp_path, text.replace("n_traj = 20", "n_traj = 2") + "n_sub = 5\n")
+        # 5 qubits at gamma_h = 3.99 against the 20 substeps
+        text = GOOD.replace("measured", "measurement_free").replace("gamma_h = 1e-3", "gamma_h = 3.99")
+        cfg = write(tmp_path, text.replace("n_traj = 20", "n_traj = 2"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 

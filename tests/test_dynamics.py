@@ -26,6 +26,7 @@ from thermoqec.dynamics import (
     JUMP_HEAT,
     EnsembleAccumulator,
     NoiseParams,
+    _plain_groups,
     _run_batch,
     _SchedulePlan,
     _StreamBank,
@@ -473,6 +474,7 @@ class TestStreamBank:
             st.tuples(
                 st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
                 st.one_of(st.integers(1, 30), st.integers(CHUNK - 30, CHUNK), st.integers(1, 3 * CHUNK)),
+                st.sampled_from(["draw", "peek"]),
             ),
             min_size=1,
             max_size=16,
@@ -480,18 +482,52 @@ class TestStreamBank:
     )
     def test_rows_read_their_streams_in_order(self, calls):
         # reads of any size, many of them across a half boundary, hand each
-        # row the consecutive uniforms of its own Philox stream
+        # row the consecutive uniforms of its own Philox stream; a peek of up
+        # to a chunk shows the uniforms the next draw reads and consumes none
         bank = _CountingBank([trajectory_stream(11, k) for k in range(3)])
+        streams = [trajectory_stream(11, k).random(16 * 3 * self.CHUNK) for k in range(3)]
         drawn = [[] for _ in range(3)]
-        for rows, count in calls:
-            vals = bank.draw(np.array(rows), count)
+        for rows, count, kind in calls:
+            read = bank.refills * bank.chunk + bank.pos
+            if kind == "peek":
+                count = min(count, self.CHUNK)
+                vals = bank.peek(np.array(rows), count)
+                assert np.array_equal(bank.refills * bank.chunk + bank.pos, read)
+                for r, v in zip(rows, vals):
+                    assert np.array_equal(v, streams[r][read[r] : read[r] + count])
+            else:
+                vals = bank.draw(np.array(rows), count)
+                for r, v in zip(rows, vals):
+                    drawn[r].append(v)
             assert vals.shape == (len(rows), count)
-            for r, v in zip(rows, vals):
-                drawn[r].append(v)
         for k in range(3):
             got = np.concatenate(drawn[k]) if drawn[k] else np.empty(0)
-            assert np.array_equal(got, trajectory_stream(11, k).random(got.size))
+            assert np.array_equal(got, streams[k][: got.size])
             assert got.size == bank.refills[k] * bank.chunk + bank.pos[k]
+
+    def test_peek_past_a_chunk_raises(self):
+        bank = _StreamBank([trajectory_stream(11, k) for k in range(2)])
+        rows = np.arange(2)
+        assert bank.peek(rows, self.CHUNK).shape == (2, self.CHUNK)
+        with pytest.raises(ValueError, match="at most chunk"):
+            bank.peek(rows, self.CHUNK + 1)
+
+
+class TestPlainGroups:
+    @pytest.mark.parametrize("n_sub", [1, 3, 20, 600])
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_groups_end_at_measurements_and_fit_a_chunk(self, schedule, n_sub):
+        chunk = max(_StreamBank.chunk, 2 * n_sub)
+        plan = _SchedulePlan(schedule, NoiseParams(0.01, 3.0, 0.05), n_sub)
+        groups = _plain_groups(plan, chunk)
+        steps = [s for group in groups.values() for s in group]
+        assert steps == [s for s in range(len(schedule)) if not plan.cooling_on[s]]
+        for first, group in groups.items():
+            assert group == list(range(first, first + len(group)))
+            assert all(schedule.steps[s].measure is None for s in group[:-1])
+            assert 2 * n_sub * len(group) <= chunk
+        always = _SchedulePlan(schedule, NoiseParams(0.01, 3.0, 0.05, cooling_gate="always"), n_sub)
+        assert _plain_groups(always, chunk) == {}
 
 
 class TestAccumulator:
