@@ -39,7 +39,7 @@ from .compiler import (
 from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import DEFAULT_N_SUB, NoiseParams, evolve_master_equation, run_ensemble
 from .metrics import compute_step_metrics, round_end_series
-from .qstate import StateVector, trace_distance
+from .qstate import StateVector
 from .ratemodel import (
     CoolingRates,
     RoundChainState,
@@ -70,13 +70,13 @@ def _fmt(x) -> str:
 
 
 def _schedule_for(cfg: ExperimentConfig) -> GateSchedule:
-    """The protocol's round, once the substeps are known to be fine enough
-    for the trajectory kernel (at most one bit flip per substep)."""
+    """The protocol's round, once `gamma_h` is known to be small enough for
+    the trajectory kernel's substeps (at most one bit flip per substep)."""
     schedule = build_measured_round() if cfg.protocol == "measured" else build_measurement_free_round()
     if schedule.n_qubits * cfg.gamma_h >= DEFAULT_N_SUB:
         raise ConfigError(
-            f"n_sub = {DEFAULT_N_SUB} too coarse for gamma_h = {_fmt(cfg.gamma_h)}: "
-            f"need n_qubits * gamma_h < n_sub ({schedule.n_qubits} qubits)"
+            f"gamma_h = {_fmt(cfg.gamma_h)} too large for the trajectory kernel: "
+            f"need n_qubits * gamma_h < {DEFAULT_N_SUB} ({schedule.n_qubits} qubits)"
         )
     return schedule
 
@@ -86,6 +86,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
     initial = StateVector.basis(schedule.n_qubits, 0)
     store = cfg.resolved_store(len(schedule))
+    oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds) if cfg.oracle else None
     acc, _ = run_ensemble(
         initial,
         cfg.rounds,
@@ -94,6 +95,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         cfg.n_traj,
         master_seed=cfg.master_seed,
         store=store,
+        reference=oracle.rho_end if oracle is not None else None,
     )
     rows = compute_step_metrics(acc)
     out = Path(cfg.out)
@@ -127,12 +129,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         ]
     elif cfg.protocol == "measured":
         lines.append("rate-model comparison skipped: per-round error load exceeds 1")
-    if cfg.oracle:
-        oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds)
+    if oracle is not None:
         gap = np.max(np.abs(ends - oracle.f2_series()[:, -1, 0]))
         lines.append(f"trajectory-vs-oracle largest round-end |f2_data difference| = {_fmt(gap)}")
         if store == "full":
-            dists = [trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd)) for rnd in range(cfg.rounds)]
+            dists = acc.trace_distances.tolist()
             lines.append("trajectory-vs-oracle trace distance per round end = " + " ".join(_fmt(d) for d in dists))
         else:
             lines.append(f"trace distances skipped: they need store = full (this run: store = {store})")
@@ -356,7 +357,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     chain = iterate_round_chain(RoundChainState.pristine(), flows, cfg.rounds)
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
     initial = StateVector.basis(schedule.n_qubits, 0)
-    store = "full" if cfg.oracle else "scalar"
+    oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds) if cfg.oracle else None
     acc, _ = run_ensemble(
         initial,
         cfg.rounds,
@@ -364,19 +365,19 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         noise,
         cfg.n_traj,
         master_seed=cfg.master_seed,
-        store=store,
+        store="full" if oracle is not None else "scalar",
         per_step_rho=False,
+        reference=oracle.rho_end if oracle is not None else None,
     )
     sim = acc.mean_f2_data()[:, -1]
-    oracle = None
-    if cfg.oracle:
-        oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds)
+    if oracle is not None:
         f2_oracle = oracle.f2_series()[:, -1, 0]
+        dists = acc.trace_distances.tolist()
     rows = []
     for rnd in range(cfg.rounds):
         row = [rnd + 1, float(sim[rnd]), chain[rnd + 1].P0]
         if oracle is not None:
-            row += [float(f2_oracle[rnd]), trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd))]
+            row += [float(f2_oracle[rnd]), dists[rnd]]
         rows.append(row)
     out = Path(cfg.out)
     header = ["round", "f2_data_traj", "f2_data_chain"]

@@ -90,8 +90,13 @@ substep. Both paths apply a cold jump through one helper.
 Per step the kernel keeps two samples: the basis populations summed over
 the batch and, where a density matrix is kept, the batch's Gram matrix
 states^T @ conj(states). Once per round the populations give the f2 sums,
-and the Gram matrices are added to the whole-register sums (store "full")
-and, as partial traces, to the data and ancilla reductions.
+and the Gram matrices are added to the round's row of the accumulator's
+window: to the whole-register sums (store "full") and, as partial traces,
+to the data and ancilla reductions. A window holds as many rounds as fit
+`_WINDOW_BYTES` of the largest kept register (8 rounds of the measured
+round's 64x64 matrices); the batches advance together through each window,
+which is then reduced to its entropies and reused, so a run's memory does
+not grow with rounds x steps.
 """
 
 from __future__ import annotations
@@ -104,10 +109,11 @@ from functools import cached_property
 import numpy as np
 
 from .compiler import ControlTerm, GateSchedule, step_unitary, term_generator
-from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask, block_eigvalsh
+from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask, block_eigvalsh, mean_entropies, trace_distance
 
 DEFAULT_N_SUB = 20
 BATCH_SIZE = 8192  # trajectories per kernel call; bounds the working memory
+_WINDOW_BYTES = 2**23  # matrix sums of the largest kept register per window of rounds
 _PARSE_ROWS = 256  # rows per window block when reading a group's draws
 
 JUMP_BIT_FLIP = "bit_flip"
@@ -356,10 +362,17 @@ class EnsembleAccumulator:
     """Mergeable sums of trajectory projectors and scalar overlaps.
 
     Scalar samples (populations of the data/ancilla ground patterns) are
-    kept for every step. Density-matrix sums are kept according to `store`:
-    "scalar" none, "reduced" data+ancilla reductions, "full" those plus the
-    whole-register matrix; with per_step_rho=False the matrix grids hold
-    round-end samples only.
+    kept for every step of every round. Density-matrix sums are kept
+    according to `store`: "scalar" none, "reduced" data+ancilla reductions,
+    "full" those plus the whole-register matrix; with per_step_rho=False
+    only round-end samples. The matrix grids hold one window of rounds,
+    `window` rounds from `window_start`, at most `_WINDOW_BYTES` for the
+    largest register kept: `reduce_window` turns the held rounds' sums into
+    their entropies (`s_total`, `s_data`, `s_anc`, (rounds, steps) arrays,
+    nan where no matrix is kept) and, given `reference` round-end matrices
+    and store "full", their round-end `trace_distances`; `next_window`
+    drops the sums to hold the next rounds. Grids given to the constructor
+    must hold every round in one window.
     """
 
     n_rounds: int
@@ -375,6 +388,15 @@ class EnsembleAccumulator:
     rho_data: np.ndarray | None = None
     rho_anc: np.ndarray | None = None
     rho_total: np.ndarray | None = None
+    reference: np.ndarray | None = field(default=None, repr=False)
+    window: int = field(init=False)
+    window_start: int = field(init=False, default=0)
+    s_total: np.ndarray = field(init=False, repr=False)
+    s_data: np.ndarray = field(init=False, repr=False)
+    s_anc: np.ndarray = field(init=False, repr=False)
+    trace_distances: np.ndarray | None = field(init=False, default=None)
+    _reduced: bool = field(init=False, default=False, repr=False)
+    _layouts: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.store not in ("scalar", "reduced", "full"):
@@ -384,17 +406,28 @@ class EnsembleAccumulator:
             self.f2_data = np.zeros(shape)
         if self.f2_anc is None:
             self.f2_anc = np.zeros(shape)
+        self.s_total, self.s_data, self.s_anc = np.full((3,) + shape, math.nan)
         steps = self.n_steps if self.per_step_rho else 1
-        dd = 2 ** len(self.data_qubits)
-        da = 2 ** len(self.ancilla_qubits)
-        d = 2**self.n_qubits
-        if self.store in ("reduced", "full"):
-            if self.rho_data is None:
-                self.rho_data = np.zeros((self.n_rounds, steps, dd, dd), dtype=complex)
-            if self.rho_anc is None:
-                self.rho_anc = np.zeros((self.n_rounds, steps, da, da), dtype=complex)
-        if self.store == "full" and self.rho_total is None:
-            self.rho_total = np.zeros((self.n_rounds, steps, d, d), dtype=complex)
+        dims = {}  # the kept registers' matrix sizes
+        if self.store != "scalar":
+            dims = {"rho_data": 2 ** len(self.data_qubits), "rho_anc": 2 ** len(self.ancilla_qubits)}
+        if self.store == "full":
+            dims["rho_total"] = 2**self.n_qubits
+        self.window = self.n_rounds
+        if dims:
+            per_round = steps * max(dims.values()) ** 2 * np.dtype(complex).itemsize
+            self.window = min(self.n_rounds, max(1, _WINDOW_BYTES // per_round))
+        for name, d in dims.items():
+            grid = getattr(self, name)
+            if grid is None:
+                setattr(self, name, np.zeros((self.window, steps, d, d), dtype=complex))
+            elif self.window < self.n_rounds or grid.shape != (self.n_rounds, steps, d, d):
+                raise ValueError(f"{name} must hold all {self.n_rounds} rounds in one window of {self.window}")
+        if self.reference is not None and self.rho_total is not None:
+            d = 2**self.n_qubits
+            if np.shape(self.reference) != (self.n_rounds, d, d):
+                raise ValueError(f"reference must be {self.n_rounds} round-end ({d}, {d}) matrices")
+            self.trace_distances = np.full(self.n_rounds, math.nan)
 
     def compatible(self, other: "EnsembleAccumulator") -> bool:
         return (
@@ -408,9 +441,16 @@ class EnsembleAccumulator:
         )
 
     def merge(self, other: "EnsembleAccumulator") -> "EnsembleAccumulator":
-        """Combine two accumulators over disjoint trajectory sets."""
+        """Combine two accumulators over disjoint trajectory sets, each still
+        holding its first window; the result reduces its window anew."""
         if not self.compatible(other):
             raise ValueError("cannot merge incompatible accumulators")
+        for acc in (self, other):
+            if acc.window_start:
+                raise ValueError(
+                    f"cannot merge: rounds 0-{acc.window_start - 1} were reduced to entropies and their "
+                    f"matrices dropped (window of {acc.window} rounds)"
+                )
         out = EnsembleAccumulator(
             self.n_rounds,
             self.n_steps,
@@ -419,6 +459,7 @@ class EnsembleAccumulator:
             self.ancilla_qubits,
             self.store,
             self.per_step_rho,
+            reference=self.reference,
         )
         out.count = self.count + other.count
         out.f2_data = self.f2_data + other.f2_data
@@ -428,6 +469,37 @@ class EnsembleAccumulator:
             if a is not None:
                 setattr(out, name, a + b)
         return out
+
+    def _held(self) -> range:
+        """The rounds whose matrix sums the window holds."""
+        return range(self.window_start, min(self.window_start + self.window, self.n_rounds))
+
+    def reduce_window(self) -> None:
+        """Reduce the held window's matrix sums to their entropies and, with a
+        reference, their round-end trace distances; once per window. The
+        sums stay readable until `next_window`."""
+        if self._reduced:
+            return
+        held = self._held()
+        rows, steps = slice(held.start, held.stop), slice(None) if self.per_step_rho else slice(-1, None)
+        for grid, ents in ((self.rho_total, self.s_total), (self.rho_data, self.s_data), (self.rho_anc, self.s_anc)):
+            if grid is not None:
+                ents[rows, steps] = mean_entropies(grid[: len(held)], self.count, self._layouts)
+        if self.trace_distances is not None:
+            for rnd in held:
+                ref = DensityMatrix(self.n_qubits, self.reference[rnd])
+                self.trace_distances[rnd] = trace_distance(self.mean_rho("total", rnd), ref)
+        self._reduced = True
+
+    def next_window(self) -> None:
+        """Reduce the held window if it is not yet, then drop its sums and
+        hold the next `window` rounds."""
+        self.reduce_window()
+        self.window_start += self.window
+        for grid in (self.rho_data, self.rho_anc, self.rho_total):
+            if grid is not None:
+                grid[...] = 0.0
+        self._reduced = False
 
     # --- normalized views -------------------------------------------------
 
@@ -445,11 +517,18 @@ class EnsembleAccumulator:
         return 0
 
     def mean_rho(self, which: str, rnd: int, step: int = -1) -> DensityMatrix:
-        """Ensemble-averaged density matrix at (round, step)."""
+        """Ensemble-averaged density matrix at (round, step), for a round the
+        window holds."""
         grid = {"data": self.rho_data, "ancilla": self.rho_anc, "total": self.rho_total}[which]
         if grid is None:
             raise ValueError(f"{which} matrices were not accumulated (store={self.store!r})")
-        mat = grid[rnd, self._rho_step_index(step)] / self.count
+        held = self._held()
+        if rnd not in held:
+            raise ValueError(
+                f"round {rnd} is not in the held window of rounds {held.start}-{held.stop - 1}: "
+                "its matrices were reduced to entropies and dropped"
+            )
+        mat = grid[rnd - self.window_start, self._rho_step_index(step)] / self.count
         nq = {
             "data": len(self.data_qubits),
             "ancilla": len(self.ancilla_qubits),
@@ -470,12 +549,18 @@ def run_ensemble(
     per_step_rho: bool = True,
     record: bool = False,
     traj_indices=None,
+    reference=None,
 ):
     """Average `n_traj` independent trajectories over `rounds` rounds.
 
     Returns (EnsembleAccumulator, list[TrajectoryRecord] or None). Results
     are deterministic given (master_seed, trajectory indices) and do not
-    depend on how trajectories are batched.
+    depend on how trajectories are batched. The batches advance together,
+    one window of the accumulator's rounds at a time, and each window is
+    reduced to its entropies before the next one starts. `reference`, a
+    (rounds, dim, dim) array of round-end density matrices such as an
+    oracle's `rho_end`, gives with store "full" the accumulator's
+    `trace_distances`.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
@@ -494,15 +579,25 @@ def run_ensemble(
         schedule.ancilla_qubits,
         store,
         per_step_rho,
+        reference=reference,
     )
     records = [TrajectoryRecord(master_seed, int(i)) for i in indices] if record else None
-    for lo in range(0, n_traj, BATCH_SIZE):
-        batch = indices[lo : lo + BATCH_SIZE]
-        states = np.tile(initial.amplitudes.astype(complex), (len(batch), 1))
-        # a chunk holds a step's draws even if every substep flips
-        chunk = max(_StreamBank.chunk, 2 * n_sub)
-        bank = _StreamBank([trajectory_stream(master_seed, int(i)) for i in batch], chunk)
-        _run_batch(states, rounds, plan, bank, acc, records[lo : lo + BATCH_SIZE] if record else None)
+    # every batch's states and streams live through the whole run; a chunk
+    # holds a step's draws even if every substep flips
+    chunk = max(_StreamBank.chunk, 2 * n_sub)
+    batches = [indices[lo : lo + BATCH_SIZE] for lo in range(0, n_traj, BATCH_SIZE)]
+    states = [np.tile(initial.amplitudes.astype(complex), (len(batch), 1)) for batch in batches]
+    banks = [_StreamBank([trajectory_stream(master_seed, int(i)) for i in batch], chunk) for batch in batches]
+    acc.count = n_traj
+    for start in range(0, rounds, acc.window):
+        if start:
+            acc.next_window()
+        stop = min(start + acc.window, rounds)
+        for b in range(len(batches)):
+            recs = records[b * BATCH_SIZE : (b + 1) * BATCH_SIZE] if record else None
+            states[b] = _run_batch(states[b], stop, plan, banks[b], acc, recs, start)
+    del plan, states, banks  # freed first, so the last reduction reuses their memory
+    acc.reduce_window()
     return acc, records
 
 
@@ -564,9 +659,10 @@ def _read_plain(bank: _StreamBank, plan: _SchedulePlan, steps: list[int]) -> dic
     return flips
 
 
-def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None):
+def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None, start=0):
     """Advance the trajectories `states` (one row each, drawing from the same
-    row of `bank`) through `rounds` rounds from time 0.
+    row of `bank`) through rounds `start`..`rounds - 1`, which `acc`'s
+    window must hold, and return their final states.
 
     Post-step samples are added to `acc`; jumps and measurement outcomes are
     appended to `records` when given. Raises ValueError when a substep is too
@@ -576,6 +672,8 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     n = plan.n_qubits
     if n * plan.noise.gamma_h * plan.dt >= 1.0:
         raise ValueError("substep too large for the bit-flip rate: need n_qubits * gamma_h / n_sub < 1")
+    if start < acc.window_start or rounds > acc.window_start + acc.window:
+        raise ValueError(f"rounds {start}-{rounds - 1} lie outside the accumulator's window")
     all_rows = np.arange(B)
     n_steps = len(plan.schedule)
     record = records is not None
@@ -588,7 +686,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     if kept:
         gram = np.empty((n_steps if acc.per_step_rho else 1, plan.dim, plan.dim), dtype=complex)
 
-    for rnd in range(rounds):
+    for rnd in range(start, rounds):
         for s, step in enumerate(plan.schedule.steps):
             t = rnd * n_steps + s
 
@@ -648,18 +746,19 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
             if kept and (acc.per_step_rho or s == n_steps - 1):
                 np.matmul(states.T, states.conj(), out=gram[s if acc.per_step_rho else 0])
 
-        # once per round: f2 sums, the whole-register matrices and their
-        # partial traces
+        # once per round: f2 sums, and the whole-register matrices and their
+        # partial traces into the round's row of the window
         f2 = pops @ ground
         acc.f2_data[rnd] += f2[:, 0]
         acc.f2_anc[rnd] += f2[:, 1]
+        row = rnd - acc.window_start
         if acc.rho_total is not None:
-            acc.rho_total[rnd] += gram
+            acc.rho_total[row] += gram
         if kept:
             data, anc = _partial_traces(gram, plan)
-            acc.rho_data[rnd] += data
-            acc.rho_anc[rnd] += anc
-    acc.count += B
+            acc.rho_data[row] += data
+            acc.rho_anc[row] += anc
+    return states
 
 
 def _hot_flips(plan: _SchedulePlan, bank: _StreamBank, rows, psi, ks, t, records):

@@ -214,6 +214,67 @@ def block_eigvalsh(stack: np.ndarray, tol: float, layout: list[np.ndarray] | Non
     return evals
 
 
+# Bytes of gathered blocks per `block_eigvalsh` call in `mean_entropies`: a
+# chunk is a few rounds of one run of equal-layout steps, or a few of its
+# steps of one round when a round's blocks exceed the bound. Only the
+# eigenvalues are divided by the trajectory count, so no chunk is scaled.
+# The bound keeps each chunk's temporaries small: with a whole round of 64x64
+# matrices (1 MiB) per call, each round's temporaries grew glibc's heap past
+# its trim threshold, so every round faulted its pages in again (about
+# 100,000 page faults and 0.25 s of a 1.5 s `fig4a_iii` run at 50
+# trajectories on a 2-core x86-64 host).
+_BLOCK_BYTES = 2**18
+
+
+def _same_layout(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    return a is b or len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def mean_entropies(grid: np.ndarray, count: int, layouts: dict) -> np.ndarray:
+    """Entropies -tr(rho log2 rho) in bits of the mean density matrices of a
+    (rounds, steps, d, d) grid of sums over `count` trajectories, as a
+    (rounds, steps) array clamped at +0.
+
+    Each step is solved in the `block_layout` of the union of its nonzeros
+    over the grid's rounds; `layouts`, a dict the caller keeps, caches the
+    layouts by pattern bytes across calls. Each run of consecutive steps
+    with equal layouts is solved by `block_eigvalsh`, a few rounds (or, for
+    large blocks, a few steps of one round) at a time, and the eigenvalues
+    are divided by `count` after the solve. Unit trace is checked within 1e-8, Hermiticity within 1e-9
+    and eigenvalues against EIG_FLOOR, all on the mean; eigenvalues at or
+    below 1e-14 contribute zero."""
+    tr = grid.diagonal(0, -2, -1).real.sum(axis=-1) / count
+    bad = np.abs(tr - 1.0) > 1e-8
+    if np.any(bad):
+        raise ValueError(f"density matrix trace is {tr[bad][0]}, expected 1")
+    rounds, steps = grid.shape[:2]
+    step_layouts = []
+    for pattern in nonzero_union(grid):
+        key = pattern.tobytes()  # many steps, windows and registers share a pattern
+        if key not in layouts:
+            layouts[key] = block_layout(pattern)
+        step_layouts.append(layouts[key])
+    starts = [s for s in range(steps) if s == 0 or not _same_layout(step_layouts[s], step_layouts[s - 1])]
+    ents = np.empty((rounds, steps))
+    for first, end in zip(starts, starts[1:] + [steps]):  # runs of steps with equal layouts
+        layout = step_layouts[first]
+        unit = sum(idx.size * idx.shape[1] for idx in layout) * np.dtype(complex).itemsize
+        per_chunk = max(1, _BLOCK_BYTES // unit)
+        width = min(end - first, per_chunk)
+        height = max(1, per_chunk // width)
+        for s0 in range(first, end, width):
+            steps_in = slice(s0, min(s0 + width, end))  # a slice: no copies of whole matrices
+            for r0 in range(0, rounds, height):
+                chunk = grid[r0 : r0 + height, steps_in]
+                evals = block_eigvalsh(chunk, 1e-9 * count, layout) / count
+                low = evals.min()
+                if low < EIG_FLOOR:
+                    raise ValueError(f"negative eigenvalue {low} below tolerance")
+                p = np.where(evals > 1e-14, evals, 1.0)  # a dropped eigenvalue adds 1 * log2(1) = 0
+                ents[r0 : r0 + height, steps_in] = -(p * np.log2(p)).sum(axis=-1)
+    return np.where(ents > 0.0, ents, 0.0)
+
+
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b)."""
     if a.n_qubits != b.n_qubits:

@@ -223,7 +223,9 @@ class TestCliRun:
         cfg = write(tmp_path, text)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "configuration error: n_sub = 20 too coarse" in capsys.readouterr().err
+        n = 6 if protocol == "measured" else 5
+        expect = "gamma_h = 4 too large for the trajectory kernel: need n_qubits * gamma_h < 20"
+        assert f"configuration error: {expect} ({n} qubits)" in capsys.readouterr().err
         assert not out.exists()  # rejected before any simulation
 
     def test_substep_just_fine_enough_runs(self, tmp_path):

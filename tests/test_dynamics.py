@@ -34,6 +34,7 @@ from thermoqec.dynamics import (
     run_ensemble,
     trajectory_stream,
 )
+from thermoqec.metrics import compute_step_metrics
 from thermoqec.qstate import (
     HADAMARD,
     PAULI_X,
@@ -673,6 +674,85 @@ class TestAccumulator:
         b, _ = run_ensemble(StateVector.basis(6, 0), 2, MEASURED, noise, 2, master_seed=1)
         with pytest.raises(ValueError):
             a.merge(b)
+
+
+class TestWindows:
+    """The accumulator reduces its matrix sums one window of rounds at a time."""
+
+    NOISE = NoiseParams(5e-2, 3.0, 0.1)
+
+    def run(self, store, rounds=12, n_traj=10, reference=None, noise=NOISE):
+        acc, _ = run_ensemble(
+            StateVector.basis(6, 0), rounds, MEASURED, noise, n_traj, master_seed=31, store=store,
+            reference=reference,
+        )
+        return acc
+
+    @staticmethod
+    def window_of(monkeypatch, store, rounds):
+        # the window holds `rounds` rounds of the largest kept register
+        d = 64 if store == "full" else 8
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", rounds * len(MEASURED) * d * d * 16)
+
+    @pytest.mark.parametrize("batch_size", [dynamics.BATCH_SIZE, 4], ids=["one_batch", "batches_of_4"])
+    @pytest.mark.parametrize("store", ["full", "reduced"])
+    def test_windows_match_one_window(self, monkeypatch, store, batch_size):
+        oracle = evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE, rounds=12)
+        monkeypatch.setattr(dynamics, "BATCH_SIZE", batch_size)
+        self.window_of(monkeypatch, store, 12)
+        whole = self.run(store, reference=oracle.rho_end)
+        assert whole.window == 12 and whole.window_start == 0
+        self.window_of(monkeypatch, store, 5)
+        split = self.run(store, reference=oracle.rho_end)
+        assert split.window == 5 and split.window_start == 10  # windows of 5, 5 and 2 rounds
+        assert split.rho_data.shape[0] == 5
+        rows, expect = compute_step_metrics(split), compute_step_metrics(whole)
+        assert len(rows) == len(expect) == 12 * 16
+        for r, e in zip(rows, expect):
+            assert (r.f2_data, r.f2_ancilla) == (e.f2_data, e.f2_ancilla)
+            for name in ("s_total", "s_data", "s_ancilla"):
+                a, b = getattr(r, name), getattr(e, name)
+                assert abs(a - b) < 1e-12 or (np.isnan(a) and np.isnan(b) and store == "reduced")
+        assert max(r.s_ancilla for r in rows) > 0.1  # the run is noisy
+        if store == "full":
+            dists = [trace_distance(whole.mean_rho("total", rnd), oracle.rho(rnd)) for rnd in range(12)]
+            assert np.abs(split.trace_distances - dists).max() < 1e-12
+            assert np.array_equal(whole.trace_distances, dists)
+        else:
+            assert split.trace_distances is None
+
+    def test_mean_rho_of_a_dropped_window_raises(self, monkeypatch):
+        self.window_of(monkeypatch, "full", 5)
+        acc = self.run("full")
+        assert abs(np.trace(acc.mean_rho("total", 11).elements) - 1) < 1e-12  # the held window
+        with pytest.raises(ValueError, match="not in the held window of rounds 10-11"):
+            acc.mean_rho("ancilla", 9, 3)
+
+    def test_merge_after_a_dropped_window_raises(self, monkeypatch):
+        self.window_of(monkeypatch, "reduced", 5)
+        a = self.run("reduced", rounds=6)
+        b = self.run("reduced", rounds=6)
+        with pytest.raises(ValueError, match=r"rounds 0-4 were reduced .* \(window of 5 rounds\)"):
+            a.merge(b)
+
+    def test_given_grids_must_hold_every_round(self, monkeypatch):
+        self.window_of(monkeypatch, "reduced", 5)
+        acc = self.run("reduced", rounds=6)
+        with pytest.raises(ValueError, match="must hold all 6 rounds in one window"):
+            EnsembleAccumulator(6, 16, 6, (0, 1, 2), (3, 4, 5), rho_data=acc.rho_data, rho_anc=acc.rho_anc)
+
+    def test_peak_memory_does_not_grow_with_rounds(self):
+        # a whole-run grid of 64x64 matrices would take 1 MiB per round
+        peaks = {}
+        for n in (40, 160):
+            tracemalloc.start()
+            try:
+                compute_step_metrics(self.run("full", rounds=n, n_traj=2, noise=NoiseParams(1e-3, 3.0, 0.01)))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[160] / peaks[40] - 1) < 0.25
+        assert peaks[160] < 32 * 2**20
 
 
 class TestMasterEquationOracle:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import thermoqec as tq
-from thermoqec import metrics
+from thermoqec import qstate
 from thermoqec.cli import main
 from thermoqec.dynamics import EnsembleAccumulator, NoiseParams, run_ensemble
 from thermoqec.metrics import compute_step_metrics, round_end_series
@@ -250,37 +250,33 @@ class TestBlockLayoutEntropies:
         with pytest.raises(ValueError, match="not Hermitian"):
             compute_step_metrics(grid_accumulator(bad, grid))
 
-    def test_entropies_do_not_depend_on_chunking(self, monkeypatch):
+    @staticmethod
+    def noisy_rows(rounds, seed, fields=("s_total", "s_data", "s_ancilla")):
+        # the run reduces its matrix sums to entropies as it goes, so each
+        # chunking is applied by a run of its own with the same draws
         acc, _ = run_ensemble(
-            StateVector.basis(6, 0), 2, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
-            master_seed=23, store="full",
+            StateVector.basis(6, 0), rounds, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
+            master_seed=seed, store="full",
         )
-        fields = ("s_total", "s_data", "s_ancilla")
-        whole = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1024)  # one 8x8 block or one entry row per chunk
-        split = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
+        return [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
+
+    def test_entropies_do_not_depend_on_chunking(self, monkeypatch):
+        whole = self.noisy_rows(2, 23)
+        monkeypatch.setattr(qstate, "_BLOCK_BYTES", 1024)  # one 8x8 block or one entry row per chunk
+        split = self.noisy_rows(2, 23)
         assert split == whole
 
     @pytest.mark.parametrize("block_bytes", [3 * 1024 + 512, 5 * 8192 + 100])
     def test_chunks_of_a_few_steps_match_whole_rounds(self, monkeypatch, block_bytes):
         # chunks of 3 or 5 steps leave a shorter last chunk in most runs of steps
-        acc, _ = run_ensemble(
-            StateVector.basis(6, 0), 3, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
-            master_seed=29, store="full",
-        )
-        fields = ("s_total", "s_data", "s_ancilla")
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2**24)  # every run of steps in one chunk
-        whole = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
-        monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
-        split = [[getattr(r, f) for f in fields] for r in compute_step_metrics(acc)]
+        monkeypatch.setattr(qstate, "_BLOCK_BYTES", 2**24)  # every run of steps in one chunk
+        whole = self.noisy_rows(3, 29)
+        monkeypatch.setattr(qstate, "_BLOCK_BYTES", block_bytes)
+        split = self.noisy_rows(3, 29)
         assert split == whole
 
     def test_one_round_makes_few_stacked_calls(self, monkeypatch):
         # one call per step would make 16; blocks of one size share calls
-        acc, _ = run_ensemble(
-            StateVector.basis(6, 0), 1, MEASURED, NoiseParams(5e-2, 3.0, 0.1), 30,
-            master_seed=23, store="full",
-        )
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -289,7 +285,7 @@ class TestBlockLayoutEntropies:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        compute_step_metrics(acc)
+        self.noisy_rows(1, 23)  # the ensemble's only eigensolves are its entropies
         assert len(MEASURED) == 16 and 0 < len(calls) < 16
 
 
