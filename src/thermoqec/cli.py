@@ -254,7 +254,8 @@ def _check_rate_options(args) -> None:
         values = getattr(args, name, None)
         for v in values if isinstance(values, list) else [values]:
             if v is not None and not (math.isfinite(v) and low <= v <= high):
-                raise ConfigError(f"--{name.replace('_', '-')} must lie in [{low}, {high}], got {v}")
+                bound = f"be finite and lie in [{low}, inf)" if math.isinf(high) else f"lie in [{low}, {high}]"
+                raise ConfigError(f"--{name.replace('_', '-')} must {bound}, got {v}")
 
 
 def cmd_rate_model(args) -> int:

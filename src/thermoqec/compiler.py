@@ -168,17 +168,16 @@ def _term_factor(term: ControlTerm, scale: float) -> np.ndarray:
     return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * _GENERATORS[term.kind]
 
 
-def step_unitary(step: Step, n_qubits: int, scale: float = 1.0) -> np.ndarray:
-    """Product of the step's (commuting) term unitaries, scaled by a fraction
-    of the step duration.
+def _outer_product(step: Step, n_qubits: int, factors) -> np.ndarray:
+    """Dense operator of one (2,) * 2k tensor per term of the step, on the
+    term's qubits (see `_term_factor`), and the identity on the idle qubits.
 
-    The product is the outer product of each term's closed form on its
-    qubits and of the identity on the idle qubits. Its axes, labelled q for
+    The product is the outer product of the factors. Its axes, labelled q for
     qubit q's output and n + q for its input, are then put in label order.
     """
     busy = {q for term in step.terms for q in term.qubits}
     idle = [q for q in range(n_qubits) if q not in busy]
-    groups = [(term.qubits, _term_factor(term, scale)) for term in step.terms]
+    groups = [(term.qubits, factor) for term, factor in zip(step.terms, factors)]
     groups.append((idle, np.eye(2 ** len(idle)).reshape((2,) * 2 * len(idle))))
     u = np.ones((), dtype=complex)
     labels: list[int] = []
@@ -186,6 +185,34 @@ def step_unitary(step: Step, n_qubits: int, scale: float = 1.0) -> np.ndarray:
         u = np.multiply.outer(u, factor)
         labels += [*qubits, *(n_qubits + q for q in qubits)]
     return u.transpose(np.argsort(labels)).reshape(2**n_qubits, 2**n_qubits)
+
+
+def step_unitary(step: Step, n_qubits: int, scale: float = 1.0) -> np.ndarray:
+    """Product of the step's (commuting) term unitaries, scaled by a fraction
+    of the step duration: the outer product of each term's closed form on its
+    qubits and of the identity on the idle qubits."""
+    return _outer_product(step, n_qubits, [_term_factor(term, scale) for term in step.terms])
+
+
+def step_eigenbasis(step: Step, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis (V, lam) of the step's generator H, the sum of its terms'
+    generators: H = V diag(lam) V^dagger, so that step_unitary(step, n_qubits,
+    scale) = V diag(exp(-i * scale * lam)) V^dagger.
+
+    V is the outer product of each term's eigenvectors (one `eigh` of its
+    2x2 or 4x4 generator) and of the identity on the idle qubits; column j's
+    eigenvalue sums each term's eigenvalue at the bits of j on its qubits.
+    """
+    idx = np.arange(2**n_qubits)
+    lam = np.zeros(2**n_qubits)
+    vecs = []
+    for term in step.terms:
+        w, v = np.linalg.eigh(term_generator(term))
+        k = len(term.qubits)
+        vecs.append(v.reshape((2,) * 2 * k))
+        local = sum(((idx >> (n_qubits - 1 - q)) & 1) << (k - 1 - p) for p, q in enumerate(term.qubits))
+        lam += w[local]
+    return _outer_product(step, n_qubits, vecs), lam
 
 
 def schedule_net_unitary(schedule: GateSchedule, stop: int | None = None) -> CompiledUnitary:

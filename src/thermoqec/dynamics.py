@@ -3,11 +3,13 @@
 Two routes are provided, both reading one table of schedule-derived
 operators (`_SchedulePlan`: cooling windows, measurement projectors,
 correction permutations, ground-pattern masks, the kernel's jumps, and two
-tables built on request: the kernel's propagators `power(s, m)`, step s's
-control unitary over m substeps, an exact product of the terms' closed
-forms; and the oracle's step channels `channels[s]`, built on its first
-request once per distinct (term, cooled qubits) group and shared by every
-step with that group):
+tables built on request: the kernel's step propagators `propagators[s]`,
+built once per distinct control-term set and shared by every step with that
+set, which hold the full-step unitary, an exact product of the terms' closed
+forms, and, from the set's first replay, the eigenbasis of the step's
+generator, which gives any part of the step; and the oracle's step channels
+`channels[s]`, built on its first request once per distinct (term, cooled
+qubits) group and shared by every step with that group):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
   with one batched kernel, which `run_ensemble` runs on batches of
@@ -71,11 +73,14 @@ step. A group's draws do not depend on the state, so they are read before
 its first step, in one peek at every row's next uniforms: a row without a
 hot hit reads `n_sub` uniforms per step, and only the rows with a flip are
 parsed, over their hits, for flip substeps and qubit picks. Each plain
-step then applies the exact full-step unitary (`power(s, n_sub)`) to every
-row in one product, and the rows that flipped replay their substep
-interleaving from their pre-step state, one `power(s, gap)` per gap between
-flips; the uniforms and their order are those of the per-step contract
-above, so the sampled distribution is unchanged.
+step then applies the exact full-step unitary to every row in one product.
+A flip of qubit q whose X_q commutes with the step's generator (q in no
+term, or a term that flipping q's bit leaves unchanged) commutes with every
+part of the step, so it permutes the row's product at the step's end. A row
+with any other flip replays those flips' substep interleaving from its
+pre-step state, one eigenbasis propagation per gap between them, and then
+takes its commuting flips. The uniforms and their order are those of the
+per-step contract above, so the sampled distribution is unchanged.
 
 Steps with cold coupling and no control terms (every cooling window) go
 from event to event with the same draws. Their no-jump evolution is
@@ -84,8 +89,8 @@ survival for every substep ahead; each row jumps straight to its next flip
 or to the first substep whose survival uniform reaches its survival, all
 rows' events are applied at once, and a row with no further event ends the
 step in closed form. Steps with cold coupling and control terms (only
-under "always") advance all rows by `power(s, 1)` and the decay per
-substep. Both paths apply a cold jump through one helper.
+under "always") advance all rows by one substep's unitary and the decay
+per substep. Both paths apply a cold jump through one helper.
 
 Per step the kernel keeps two samples: the basis populations summed over
 the batch and, where a density matrix is kept, the batch's Gram matrix
@@ -108,7 +113,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compiler import ControlTerm, GateSchedule, step_unitary, term_generator
+from .compiler import ControlTerm, GateSchedule, Step, step_eigenbasis, step_unitary, term_generator
 from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask, block_eigvalsh, mean_entropies, trace_distance
 
 DEFAULT_N_SUB = 20
@@ -182,10 +187,51 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _StepPropagators:
+    """The trajectory kernel's propagators of one distinct control-term set:
+    the full-step unitary (`step_unitary`, scale 1); where a step with this
+    set is cooled, one substep's unitary (`step_unitary`, scale 1/n_sub);
+    and, built on the first replay gap, the eigenbasis of the step
+    generator, which gives any part of the step without storing it (`gap`).
+    """
+
+    def __init__(self, step: Step, n_qubits: int, dt: float, cooled: bool):
+        self.step = step
+        self.n_qubits = n_qubits
+        self.unitary = step_unitary(step, n_qubits)
+        self.substep = step_unitary(step, n_qubits, scale=dt) if cooled else None
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(V, V^dagger, lam) with generator H = V diag(lam) V^dagger."""
+        vecs, lam = step_eigenbasis(self.step, self.n_qubits)
+        return vecs, vecs.conj().T.copy(), lam
+
+    def gap(self, psi: np.ndarray, fraction: float) -> np.ndarray:
+        """The state `psi` evolved through `fraction` of the step."""
+        vecs, vecs_h, lam = self.eigenbasis
+        return vecs @ (np.exp(-1j * fraction * lam) * (vecs_h @ psi))
+
+
+def _commuting_flips(step: Step, n_qubits: int) -> np.ndarray:
+    """Per qubit q, whether X_q commutes with the step's generator (and so
+    with every part of the step): q is in no term, or flipping q's bit leaves
+    its term's generator unchanged, as for x rotations and pushing phases
+    symmetric in q."""
+    out = np.ones(n_qubits, dtype=bool)
+    for term in step.terms:
+        g = term_generator(term)
+        k = len(term.qubits)
+        for p, q in enumerate(term.qubits):
+            perm = np.arange(2**k) ^ bit_mask(p, k)
+            out[q] = np.array_equal(g[np.ix_(perm, perm)], g)
+    return out
+
+
 class _SchedulePlan:
     """Precomputed arrays for evolving one schedule under one noise setting,
-    the trajectory kernel's step propagators (`power`; the oracle reads
-    none) and the oracle's step channels (`channels`; the kernel reads
+    the trajectory kernel's step propagators (`propagators`; the oracle
+    reads none) and the oracle's step channels (`channels`; the kernel reads
     none)."""
 
     def __init__(self, schedule: GateSchedule, noise: NoiseParams, n_sub: int):
@@ -204,9 +250,11 @@ class _SchedulePlan:
         active = noise.Gamma_c > 0 and len(schedule.ancilla_qubits) > 0
         self.cooling_on = profile & active
 
-        # hot channel: state-independent flip probability per substep
+        # hot channel: state-independent flip probability per substep, and
+        # per step and qubit whether the flip commutes with the step
         self.p_hot = 1.0 - np.exp(-n * noise.gamma_h * self.dt)
         self.flip_perms = np.stack([idx ^ bit_mask(q, n) for q in range(n)])
+        self.commutes = np.array([_commuting_flips(step, n) for step in schedule.steps]).reshape(-1, n)
 
         # cold channels: per-ancilla occupations and the no-jump decay factor
         anc = schedule.ancilla_qubits
@@ -236,14 +284,8 @@ class _SchedulePlan:
         self.data_ground = _pattern_index(idx, schedule.data_qubits, n) == 0
         self.anc_ground = _pattern_index(idx, anc, n) == 0
 
-        # each step's index among the distinct control-term sets (-1 for a
-        # step without terms), so that `power` hashes no terms per call
-        term_sets: dict = {}
-        self.term_set = [term_sets.setdefault(s.terms, len(term_sets)) if s.terms else -1 for s in schedule.steps]
-        self._powers: dict[tuple[int, int], np.ndarray] = {}
-
     @cached_property
-    def decay_powers(self) -> tuple[np.ndarray, np.ndarray]:
+    def decay_table(self) -> tuple[np.ndarray, np.ndarray]:
         """No-jump factors of the cold channels over m = 0..n_sub substeps,
         on amplitudes and on norms, each of shape (n_sub + 1, dim); built on
         first request (powers far below the smallest double are 0)."""
@@ -251,17 +293,23 @@ class _SchedulePlan:
             amp = np.exp(-0.5 * self.dt * np.arange(self.n_sub + 1)[:, None] * self.cool_rates)
             return amp, amp * amp
 
-    def power(self, s: int, m: int) -> np.ndarray | None:
-        """Control unitary of step `s` over `m` of its substeps (None for a
-        step without terms), built on first request from the terms' closed
-        forms, shared by equal term sets; m = n_sub is exactly scale 1."""
-        key = (self.term_set[s], m)
-        if key[0] < 0:
-            return None
-        u = self._powers.get(key)
-        if u is None:
-            u = self._powers[key] = step_unitary(self.schedule.steps[s], self.n_qubits, scale=m / self.n_sub)
-        return u
+    @cached_property
+    def propagators(self) -> list[_StepPropagators | None]:
+        """The kernel's propagators of each step (None for a step without
+        terms), built on first request once per distinct term set and shared
+        by every step with that set, so the table holds O(term sets * dim^2)
+        whatever n_sub."""
+        cooled = {step.terms for step, on in zip(self.schedule.steps, self.cooling_on) if on}
+        built: dict = {}
+        table = []
+        for step in self.schedule.steps:
+            prop = None
+            if step.terms:
+                prop = built.get(step.terms)
+                if prop is None:
+                    prop = built[step.terms] = _StepPropagators(step, self.n_qubits, self.dt, step.terms in cooled)
+            table.append(prop)
+        return table
 
     @cached_property
     def channels(self) -> list[list[tuple[tuple[int, ...], np.ndarray]]]:
@@ -690,35 +738,41 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
         for s, step in enumerate(plan.schedule.steps):
             t = rnd * n_steps + s
 
+            prop = plan.propagators[s]
             if not plan.cooling_on[s]:
                 if s in groups:
                     flips = _read_plain(bank, plan, groups[s])
                 # every row takes the whole step in one product; the rows
-                # that flipped replay their substep interleaving exactly
-                prop = plan.power(s, plan.n_sub)
-                new = states if prop is None else states @ prop.T
+                # that flipped replay their substep interleaving exactly,
+                # up to their last flip that does not commute with the step
+                # (there is none without terms), and end with the others
+                new = states if prop is None else states @ prop.unitary.T
+                commutes = plan.commutes[s]
                 for r, ks, qubits in flips[s]:
                     psi = states[r]
                     prev = 0
                     for k, q in zip(ks, qubits):
-                        if prop is not None:
-                            psi = plan.power(s, k + 1 - prev) @ psi
-                        psi = psi[plan.flip_perms[q]]
-                        prev = k + 1
+                        if not commutes[q]:
+                            psi = prop.gap(psi, (k + 1 - prev) / plan.n_sub)[plan.flip_perms[q]]
+                            prev = k + 1
                         if record:
                             records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
-                    if prop is not None and prev < plan.n_sub:
-                        psi = plan.power(s, plan.n_sub - prev) @ psi
+                    if prev == 0:
+                        psi = new[r]
+                    elif prev < plan.n_sub:
+                        psi = prop.gap(psi, (plan.n_sub - prev) / plan.n_sub)
+                    for q in qubits:
+                        if commutes[q]:
+                            psi = psi[plan.flip_perms[q]]
                     new[r] = psi
                 states = new
             else:
                 hot = bank.draw(all_rows, plan.n_sub) < plan.p_hot  # (B, n_sub)
                 u3 = bank.draw(all_rows, plan.n_sub)
-                prop = plan.power(s, 1)
                 if prop is None:
                     _cool_events(states, plan, bank, hot, u3, t, records)
                 else:
-                    states = _cool_substeps(states, plan, bank, hot, u3, prop, t, records)
+                    states = _cool_substeps(states, plan, bank, hot, u3, prop.substep, t, records)
 
             # marker operations at the end of the step
             if step.measure is not None:
@@ -817,7 +871,7 @@ def _cool_events(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, t, rec
     walk, in its order.
     """
     n_sub = plan.n_sub
-    amp, norms = plan.decay_powers
+    amp, norms = plan.decay_table
     # each row's first flip substep at or after c, then strictly after c
     # (n_sub: none), for c = 0..n_sub-1
     first = np.minimum.accumulate(np.where(hot, np.arange(n_sub), n_sub)[:, ::-1], axis=1)[:, ::-1]

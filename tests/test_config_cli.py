@@ -341,6 +341,20 @@ class TestCliRateModel:
         assert "configuration error: --" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())  # rejected before writing a table
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cooling", "--n-c", "inf"], "--n-c must be finite and lie in [0.0, inf), got inf"),
+            (["chain", "--alpha", "1e-3", "--rounds", "0"], "--rounds must be finite and lie in [1, inf), got 0"),
+            (["chain", "--alpha", "nan"], "--alpha must lie in [0.0, 1.0], got nan"),
+        ],
+        ids=["n-c-inf", "rounds-0", "alpha-nan"],
+    )
+    def test_range_message_names_the_bound(self, tmp_path, capsys, argv, message):
+        # an unbounded range is half-open: infinity itself is rejected
+        assert main(["rate-model", *argv, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_steady_fidelity_table(self, tmp_path, capsys):
         code = main(["rate-model", "steady-fidelity", "--n-c-values", "0", "0.01",
                      "--out", str(tmp_path)])

@@ -306,6 +306,24 @@ class TestPlainDrawOrder:
         for k, rec in enumerate(records):
             assert rec.jumps == self.read_flips(8, k, schedule, gamma_h, n_sub, 2)
 
+    @pytest.mark.parametrize("gamma_h, n_sub", [(0.3, 20), (0.5, 3), (0.05, 1)])
+    def test_states_follow_the_substep_walk(self, gamma_h, n_sub):
+        # each trajectory's round-end state, not only its jumps, is that of
+        # the scalar walk (at Gamma_c = 0: substep unitaries, each flip after
+        # its substep), whether or not the flip commutes with its step
+        schedule, noise, rounds = MEASUREMENT_FREE, NoiseParams(gamma_h, 0.0, 0.0), 2
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=2**schedule.n_qubits) + 1j * rng.normal(size=2**schedule.n_qubits)
+        init = StateVector(schedule.n_qubits, amps / np.linalg.norm(amps))
+        for k in range(4):
+            acc, records = run_ensemble(
+                init, rounds, schedule, noise, 1, master_seed=8, traj_indices=[k], n_sub=n_sub, store="full",
+                record=True,
+            )
+            jumps, _, ends = TestCooledDrawOrder.walk(init.amplitudes, 8, k, schedule, noise, n_sub, rounds)
+            assert records[0].jumps == jumps
+            assert np.abs(acc.rho_total[:, -1] - ends).max() < 1e-12
+
 
 class TestCooledDrawOrder:
     """Cooled steps read, per the "Random streams" paragraph of the
@@ -422,28 +440,74 @@ class TestCooledDrawOrder:
 
 
 class TestPropagators:
-    """The kernel's one table of step propagators, `_SchedulePlan.power`."""
+    """The kernel's one table of step propagators, `_SchedulePlan.propagators`,
+    and the flips that commute with their step, `_SchedulePlan.commutes`."""
+
+    @staticmethod
+    def distinct(schedule):
+        """One step index per distinct term set."""
+        return list({step.terms: s for s, step in enumerate(schedule.steps) if step.terms}.values())
 
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
     def test_whole_step_is_the_step_unitary(self, schedule):
         plan = _SchedulePlan(schedule, ZERO_NOISE, n_sub=20)
         for s, step in enumerate(schedule.steps):
             if step.terms:
-                assert np.array_equal(plan.power(s, 20), step_unitary(step, schedule.n_qubits))
+                assert np.array_equal(plan.propagators[s].unitary, step_unitary(step, schedule.n_qubits))
             else:
-                assert plan.power(s, 20) is None
+                assert plan.propagators[s] is None
+
+    @pytest.mark.parametrize("n_sub", [7, 20])
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_gaps_are_scaled_step_unitaries(self, schedule, n_sub):
+        plan = _SchedulePlan(schedule, ZERO_NOISE, n_sub=n_sub)
+        basis = np.eye(plan.dim, dtype=complex)
+        for s in self.distinct(schedule):
+            prop = plan.propagators[s]
+            for m in range(n_sub + 1):
+                gap = np.column_stack([prop.gap(e, m / n_sub) for e in basis])
+                exact = step_unitary(schedule.steps[s], schedule.n_qubits, scale=m / n_sub)
+                assert np.abs(gap - exact).max() < 1e-12
 
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
-    def test_powers_chain_the_substep_unitary(self, schedule):
-        plan = _SchedulePlan(schedule, ZERO_NOISE, n_sub=7)
-        distinct = {step.terms: s for s, step in enumerate(schedule.steps) if step.terms}
-        for s in distinct.values():
-            for m in range(1, 8):
-                chained = np.linalg.matrix_power(plan.power(s, 1), m)
-                assert np.abs(plan.power(s, m) - chained).max() < 1e-12
+    def test_gaps_compose(self, schedule):
+        rng = np.random.default_rng(3)
+        plan = _SchedulePlan(schedule, ZERO_NOISE, n_sub=20)
+        psi = rng.normal(size=plan.dim) + 1j * rng.normal(size=plan.dim)
+        psi /= np.linalg.norm(psi)
+        for s in self.distinct(schedule):
+            prop = plan.propagators[s]
+            for a, b in [(0.05, 0.35), (0.5, 0.5), (0.0, 1.0), (0.95, 0.05)]:
+                assert np.abs(prop.gap(prop.gap(psi, a), b) - prop.gap(psi, a + b)).max() < 1e-12
 
-    def test_fine_substeps_stay_small(self):
-        # a measured run at n_sub = 600 builds only the powers its gaps need
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_commuting_flips_leave_the_step_unchanged(self, schedule):
+        # X_q commutes with the generator exactly when it commutes with every
+        # part of the step; a generic fraction rules out a full-step unitary
+        # that commutes by accident
+        n = schedule.n_qubits
+        plan = _SchedulePlan(schedule, ZERO_NOISE, n_sub=20)
+        assert plan.commutes.any() and not plan.commutes.all()
+        for s, step in enumerate(schedule.steps):
+            for q in range(n):
+                perm = np.arange(2**n) ^ bit_mask(q, n)
+                same = [
+                    np.abs(u[np.ix_(perm, perm)] - u).max() < 1e-12
+                    for u in (step_unitary(step, n, scale) for scale in (1.0, 0.37))
+                ]
+                assert all(same) == plan.commutes[s, q]
+
+    def test_fine_substeps_stay_small(self, monkeypatch):
+        # a measured run at n_sub = 600 holds one table entry per distinct
+        # term set, whatever its flips' gaps
+        plans = []
+
+        class KeptPlan(_SchedulePlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(self)
+
+        monkeypatch.setattr(dynamics, "_SchedulePlan", KeptPlan)
         noise = NoiseParams(0.2, 3.0, 0.05)
         init = StateVector.basis(MEASURED.n_qubits, 0)
         tracemalloc.start()
@@ -454,6 +518,8 @@ class TestPropagators:
             tracemalloc.stop()
         assert sum(len(rec.jumps) for rec in records) > 0
         assert peak < 64 * 2**20
+        entries = {id(prop) for prop in plans[0].propagators if prop is not None}
+        assert len(entries) == len(self.distinct(MEASURED))
 
 
 class _CountingBank(_StreamBank):
@@ -868,8 +934,13 @@ class TestOracleResult:
         def no_decay_table(plan):
             raise AssertionError("oracle built the cooling window's decay table")
 
+        def no_propagators(plan):
+            raise AssertionError("oracle built the kernel's propagator table")
+
         monkeypatch.setattr(dynamics, "step_unitary", no_unitaries)
-        monkeypatch.setattr(_SchedulePlan, "decay_powers", property(no_decay_table))
+        monkeypatch.setattr(dynamics, "step_eigenbasis", no_unitaries)
+        monkeypatch.setattr(_SchedulePlan, "decay_table", property(no_decay_table))
+        monkeypatch.setattr(_SchedulePlan, "propagators", property(no_propagators))
         evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE)
 
     @pytest.mark.parametrize("cooling", ["window", "always"])
