@@ -26,8 +26,8 @@ import types
 import numpy as np
 
 import thermoqec as tq
-from thermoqec.dynamics import NoiseParams, _pattern_index, evolve_master_equation, run_ensemble
-from thermoqec.qstate import StateVector
+from thermoqec.dynamics import NoiseParams, evolve_master_equation, run_ensemble
+from thermoqec.qstate import StateVector, basis_patterns
 from thermoqec.ratemodel import (
     RoundEventParams,
     chain_steady_state,
@@ -93,8 +93,8 @@ def round_map_values(check: str) -> dict[str, float]:
     schedule = tq.build_measured_round()
     M, D = build_round_map(ROUND_MAP_NOISE[check], schedule)
     n = schedule.n_qubits
-    data = _pattern_index(np.arange(2**n), schedule.data_qubits, n)
-    anc = _pattern_index(np.arange(2**n), schedule.ancilla_qubits, n)
+    data = basis_patterns(n, schedule.data_qubits)
+    anc = basis_patterns(n, schedule.ancilla_qubits)
     evals, vecs = np.linalg.eig(M.T)
     order = np.argsort(-np.abs(evals))
     pi = np.real(vecs[:, order[0]])

@@ -2,7 +2,8 @@
 
 Two routes are provided, both reading one table of schedule-derived
 operators (`_SchedulePlan`: cooling windows, measurement projectors,
-correction permutations, ground-pattern masks, the kernel's jumps, and two
+correction permutations, ground-pattern masks, the kernel's jumps, the
+classical qubits that fix every density matrix's block layout, and two
 tables built on request: the kernel's step propagators `propagators[s]`,
 built once per distinct control-term set and shared by every step with that
 set, which hold the full-step unitary, an exact product of the terms' closed
@@ -102,6 +103,14 @@ to the data and ancilla reductions. A window holds as many rounds as fit
 round's 64x64 matrices); the batches advance together through each window,
 which is then reduced to its entropies and reused, so a run's memory does
 not grow with rounds x steps.
+
+The entropies, and the oracle's positivity check, solve each register's
+matrices in one block layout: one block per pattern of the plan's classical
+qubits (no step's generator mixes their basis) on which the initial state
+or states are block-diagonal. Flips, jumps, measurements and corrections
+keep that structure, so the entries between blocks are exact zeros. The
+measured round's data qubits are classical; the measurement-free round has
+no classical qubit, and its matrices are solved dense.
 """
 
 from __future__ import annotations
@@ -114,7 +123,18 @@ from functools import cached_property
 import numpy as np
 
 from .compiler import ControlTerm, GateSchedule, Step, step_eigenbasis, step_unitary, term_generator
-from .qstate import PAULI_X, DensityMatrix, StateVector, bit_mask, block_eigvalsh, mean_entropies, trace_distance
+from .qstate import (
+    PAULI_X,
+    PAULI_Z,
+    DensityMatrix,
+    StateVector,
+    basis_patterns,
+    bit_mask,
+    block_eigvalsh,
+    mean_entropies,
+    pattern_blocks,
+    trace_distance,
+)
 
 DEFAULT_N_SUB = 20
 BATCH_SIZE = 8192  # trajectories per kernel call; bounds the working memory
@@ -213,18 +233,23 @@ class _StepPropagators:
         return vecs @ (np.exp(-1j * fraction * lam) * (vecs_h @ psi))
 
 
-def _commuting_flips(step: Step, n_qubits: int) -> np.ndarray:
-    """Per qubit q, whether X_q commutes with the step's generator (and so
-    with every part of the step): q is in no term, or flipping q's bit leaves
-    its term's generator unchanged, as for x rotations and pushing phases
-    symmetric in q."""
-    out = np.ones(n_qubits, dtype=bool)
-    for term in step.terms:
+def _symmetric_qubits(schedule: GateSchedule, pauli: np.ndarray) -> np.ndarray:
+    """Per step and qubit q, whether the Pauli `pauli` on q commutes with the
+    step's generator (and so with every part of the step): q is in no term,
+    or conjugating its term's generator by `pauli` on q leaves it unchanged.
+    For X_q, flipping q's bit leaves the term unchanged, as for x rotations
+    and pushing phases symmetric in q; for Z_q, the term does not mix q's
+    basis states, as for pushing phases and z rotations. Each distinct term
+    is tested once."""
+    ops = {1: [pauli], 2: [np.kron(pauli, np.eye(2)), np.kron(np.eye(2), pauli)]}  # on each qubit of a term
+    tested = {}
+    for term in {term for step in schedule.steps for term in step.terms}:
         g = term_generator(term)
-        k = len(term.qubits)
-        for p, q in enumerate(term.qubits):
-            perm = np.arange(2**k) ^ bit_mask(p, k)
-            out[q] = np.array_equal(g[np.ix_(perm, perm)], g)
+        tested[term] = [np.array_equal(op @ g @ op, g) for op in ops[len(term.qubits)]]
+    out = np.ones((len(schedule), schedule.n_qubits), dtype=bool)
+    for s, step in enumerate(schedule.steps):
+        for term in step.terms:
+            out[s, list(term.qubits)] = tested[term]
     return out
 
 
@@ -232,7 +257,8 @@ class _SchedulePlan:
     """Precomputed arrays for evolving one schedule under one noise setting,
     the trajectory kernel's step propagators (`propagators`; the oracle
     reads none) and the oracle's step channels (`channels`; the kernel reads
-    none)."""
+    none), and the `classical` qubits, whose Z_q commutes with every step's
+    generator (see the module docstring)."""
 
     def __init__(self, schedule: GateSchedule, noise: NoiseParams, n_sub: int):
         if n_sub < 1:
@@ -254,7 +280,8 @@ class _SchedulePlan:
         # per step and qubit whether the flip commutes with the step
         self.p_hot = 1.0 - np.exp(-n * noise.gamma_h * self.dt)
         self.flip_perms = np.stack([idx ^ bit_mask(q, n) for q in range(n)])
-        self.commutes = np.array([_commuting_flips(step, n) for step in schedule.steps]).reshape(-1, n)
+        self.commutes = _symmetric_qubits(schedule, PAULI_X)
+        self.classical = tuple(np.flatnonzero(_symmetric_qubits(schedule, PAULI_Z).all(axis=0)).tolist())
 
         # cold channels: per-ancilla occupations and the no-jump decay factor
         anc = schedule.ancilla_qubits
@@ -271,7 +298,7 @@ class _SchedulePlan:
             onehot = perms = None
             if step.measure is not None:
                 onehot = np.zeros((2 ** len(step.measure), self.dim))
-                onehot[_pattern_index(idx, step.measure, n), idx] = 1.0
+                onehot[basis_patterns(n, step.measure), idx] = 1.0
             if step.correction is not None:
                 k = len(next(iter(step.correction)))
                 flips = [step.correction[_pattern_bits(p, k)] for p in range(2**k)]
@@ -281,8 +308,17 @@ class _SchedulePlan:
             self.corr_perms.append(perms)
 
         # ground patterns of the data and ancilla registers
-        self.data_ground = _pattern_index(idx, schedule.data_qubits, n) == 0
-        self.anc_ground = _pattern_index(idx, anc, n) == 0
+        self.data_ground = basis_patterns(n, schedule.data_qubits) == 0
+        self.anc_ground = basis_patterns(n, anc) == 0
+
+    def classical_in(self, states: np.ndarray) -> tuple[int, ...]:
+        """The classical qubits on which every matrix of a (..., dim, dim)
+        stack of initial states is block-diagonal: no nonzero entry joins
+        basis states whose bits on the qubit differ."""
+        idx = np.arange(self.dim)
+        coupled = np.any(states != 0, axis=tuple(range(states.ndim - 2)))
+        crossed = idx[:, None] ^ idx[None, :]
+        return tuple(q for q in self.classical if not coupled[crossed & bit_mask(q, self.n_qubits) != 0].any())
 
     @cached_property
     def decay_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -335,14 +371,6 @@ class _SchedulePlan:
                 factors.append((qubits, chan))
             table.append(factors)
         return table
-
-
-def _pattern_index(idx: np.ndarray, qubits, n: int) -> np.ndarray:
-    """Bits of `qubits` in basis indices `idx`, packed first qubit first."""
-    pat = np.zeros_like(idx)
-    for pos, q in enumerate(qubits):
-        pat |= ((idx >> (n - 1 - q)) & 1) << (len(qubits) - 1 - pos)
-    return pat
 
 
 def _pattern_bits(pattern: int, k: int) -> tuple[int, ...]:
@@ -421,6 +449,11 @@ class EnsembleAccumulator:
     and store "full", their round-end `trace_distances`; `next_window`
     drops the sums to hold the next rounds. Grids given to the constructor
     must hold every round in one window.
+
+    Each register's entropies are solved in one block per pattern of its
+    `classical` qubits (`qstate.pattern_blocks`), which `run_ensemble` sets
+    from its plan and initial state; built directly, an accumulator has
+    none and solves its matrices dense.
     """
 
     n_rounds: int
@@ -443,8 +476,8 @@ class EnsembleAccumulator:
     s_data: np.ndarray = field(init=False, repr=False)
     s_anc: np.ndarray = field(init=False, repr=False)
     trace_distances: np.ndarray | None = field(init=False, default=None)
+    classical: tuple[int, ...] = field(init=False, default=())
     _reduced: bool = field(init=False, default=False, repr=False)
-    _layouts: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.store not in ("scalar", "reduced", "full"):
@@ -486,6 +519,7 @@ class EnsembleAccumulator:
             and self.ancilla_qubits == other.ancilla_qubits
             and self.store == other.store
             and self.per_step_rho == other.per_step_rho
+            and self.classical == other.classical
         )
 
     def merge(self, other: "EnsembleAccumulator") -> "EnsembleAccumulator":
@@ -509,6 +543,7 @@ class EnsembleAccumulator:
             self.per_step_rho,
             reference=self.reference,
         )
+        out.classical = self.classical
         out.count = self.count + other.count
         out.f2_data = self.f2_data + other.f2_data
         out.f2_anc = self.f2_anc + other.f2_anc
@@ -530,9 +565,14 @@ class EnsembleAccumulator:
             return
         held = self._held()
         rows, steps = slice(held.start, held.stop), slice(None) if self.per_step_rho else slice(-1, None)
-        for grid, ents in ((self.rho_total, self.s_total), (self.rho_data, self.s_data), (self.rho_anc, self.s_anc)):
+        for grid, ents, qubits in (
+            (self.rho_total, self.s_total, range(self.n_qubits)),
+            (self.rho_data, self.s_data, self.data_qubits),
+            (self.rho_anc, self.s_anc, self.ancilla_qubits),
+        ):
             if grid is not None:
-                ents[rows, steps] = mean_entropies(grid[: len(held)], self.count, self._layouts)
+                layout = pattern_blocks(len(qubits), [qubits.index(q) for q in self.classical if q in qubits])
+                ents[rows, steps] = mean_entropies(grid[: len(held)], self.count, layout)
         if self.trace_distances is not None:
             for rnd in held:
                 ref = DensityMatrix(self.n_qubits, self.reference[rnd])
@@ -629,6 +669,7 @@ def run_ensemble(
         per_step_rho,
         reference=reference,
     )
+    acc.classical = plan.classical_in(np.outer(initial.amplitudes, initial.amplitudes.conj()))
     records = [TrajectoryRecord(master_seed, int(i)) for i in indices] if record else None
     # every batch's states and streams live through the whole run; a chunk
     # holds a step's draws even if every substep flips
@@ -922,7 +963,9 @@ def _cool_substeps(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, prop
         pre = states
         decayed = states * plan.cool_decay
         survival = (decayed.real**2 + decayed.imag**2).sum(axis=1)
-        states = decayed / np.sqrt(survival)[:, None]
+        # a survival that underflowed to 0 always jumps: its row is overwritten
+        scale = np.sqrt(survival)[:, None]
+        states = np.divide(decayed, scale, out=np.zeros_like(decayed), where=scale > 0)
         jrows = np.nonzero(u3[:, k] >= survival)[0]
         if jrows.size:
             landed, live = _cold_jumps(plan, bank, jrows, pre[jrows], np.full(jrows.size, k), t, records)
@@ -1061,8 +1104,9 @@ def evolve_master_equation(
     outcome's flip set to its own part and sums the axis away. The output is
     therefore the exact trajectory-ensemble limit, including errors that
     strike between measurement and correction. After every step the summed
-    state is checked, read only, by `block_eigvalsh` in the block layout of
-    its nonzeros: Hermitian within 1e-9 and no eigenvalue below -1e-6.
+    state is checked, read only, by `block_eigvalsh` in the blocks of the
+    plan's classical qubits on which every input is block-diagonal:
+    Hermitian within 1e-9 and no eigenvalue below -1e-6.
 
     The result keeps the state at each round end and the basis populations
     after every step; a sequence of K inputs adds a K axis after the rounds
@@ -1083,6 +1127,7 @@ def evolve_master_equation(
 
     k = len(inputs)
     r = np.stack([m.elements for m in inputs])[None]  # (outcomes, K, dim, dim)
+    layout = pattern_blocks(n, plan.classical_in(r))
     rho_end = np.zeros((rounds, k, dim, dim), dtype=complex)
     populations = np.zeros((rounds, len(schedule), k, dim))
     for rnd in range(rounds):
@@ -1097,7 +1142,7 @@ def evolve_master_equation(
                 outcome, member = np.arange(len(r))[:, None, None, None], np.arange(k)[:, None, None]
                 r = r[outcome, member, perms[..., :, None], perms[..., None, :]].sum(axis=0, keepdims=True)
             total = r.sum(axis=0)
-            low = block_eigvalsh(total, 1e-9).min()
+            low = block_eigvalsh(total, 1e-9, layout).min()
             if low < -1e-6:
                 raise RuntimeError(f"oracle lost positivity (min eigenvalue {low})")
             populations[rnd, s] = total.diagonal(axis1=-2, axis2=-1).real

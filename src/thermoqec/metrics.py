@@ -3,14 +3,15 @@ data/ancilla fidelities and the three von Neumann entropies (bits).
 
 The fidelities are the accumulator's f2 sums over the trajectory count. The
 entropies are the accumulator's own: it reduces its matrix sums to entropies
-one window of rounds at a time (`EnsembleAccumulator.reduce_window`), each
-stored step in the exact diagonal-block layout of the union of the step's
-nonzeros over the window (`qstate.mean_entropies`). In the measured protocol
-the data register stays a classical mixture, so its matrices are diagonal,
-and the total matrices split into blocks of at most 8, one per data pattern
-(in the shipped measured runs steps 0, 1, 14 and 15 are diagonal); the
-measurement-free protocol's reduced matrices are dense. A matrix's entropy
-depends only on its own eigenvalues, so not on the window or the chunking.
+one window of rounds at a time (`EnsembleAccumulator.reduce_window`), every
+matrix of a register in one block layout taken from the schedule plan
+(`qstate.mean_entropies`). No control term of the measured protocol mixes a
+data qubit's basis and its runs start from a basis state, so the data
+register stays a classical mixture: its matrices are diagonal and the total
+matrices split into 8 blocks of 8, one per data pattern. The
+measurement-free protocol has no such qubit, so its matrices are dense. A
+matrix's entropy depends only on its own eigenvalues, so not on the window
+or the chunking.
 """
 
 from __future__ import annotations

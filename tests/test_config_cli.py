@@ -279,10 +279,14 @@ class TestCliRateModel:
         assert capsys.readouterr().out.splitlines()[-1] == "P0 = 1 is constant from round 1: no decay to fit"
 
     @pytest.mark.parametrize(
-        "argv", [["--alpha", "0", "--beta", "1"], ["--alpha", "1"]], ids=["alpha0-beta1", "alpha1"]
+        "argv",
+        [["--alpha", "0", "--beta", "1"], ["--alpha", "1"], ["--alpha", "0.5"]],
+        ids=["alpha0-beta1", "alpha1", "alpha0.5"],
     )
     def test_chain_modes_of_equal_magnitude_exit_2(self, tmp_path, capsys, argv):
-        # the chain flips P0 between 0 and 1 every round: |lambda3| = |lambda2| = 1
+        # alpha = 0 or 1: the chain flips P0 between 0 and 1 every round,
+        # |lambda3| = |lambda2| = 1; alpha = beta = 0.5: both are 0.0625,
+        # computed 6e-17 apart
         assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 2
         assert "same magnitude" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

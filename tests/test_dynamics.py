@@ -30,6 +30,7 @@ from thermoqec.dynamics import (
     _run_batch,
     _SchedulePlan,
     _StreamBank,
+    _symmetric_qubits,
     evolve_master_equation,
     run_ensemble,
     trajectory_stream,
@@ -42,7 +43,10 @@ from thermoqec.qstate import (
     DensityMatrix,
     StateVector,
     bit_mask,
+    block_eigvalsh,
+    mean_entropies,
     partial_trace,
+    pattern_blocks,
     trace_distance,
 )
 
@@ -438,6 +442,17 @@ class TestCooledDrawOrder:
             for schedule in (MEASURED, MEASUREMENT_FREE):
                 self.check(schedule, noise, n_sub)
 
+    def test_zero_survival_raises_no_float_warning(self):
+        # at Gamma_c = 1e4 and n_c = 0.5 every basis state's one-substep
+        # survival, exp(-0.05 * R) with R >= 1.5e4, underflows to 0, so a row
+        # jumps on every cooled substep. The decay factors' own harmless
+        # underflow is why numpy's default errstate is kept.
+        noise = NoiseParams(0.3, 1e4, 0.5, cooling_gate="always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, _ = run_ensemble(StateVector.basis(6, 0), 2, MEASURED, noise, 20, master_seed=1, store="full")
+        assert np.isfinite(acc.rho_total).all() and np.isfinite(acc.s_total).all()
+
 
 class TestPropagators:
     """The kernel's one table of step propagators, `_SchedulePlan.propagators`,
@@ -520,6 +535,129 @@ class TestPropagators:
         assert peak < 64 * 2**20
         entries = {id(prop) for prop in plans[0].propagators if prop is not None}
         assert len(entries) == len(self.distinct(MEASURED))
+
+
+class TestClassicalQubits:
+    """The qubits no step mixes, `_SchedulePlan.classical`, and the block
+    layouts that the entropies and the oracle's positivity check take from
+    them."""
+
+    NOISE = NoiseParams(5e-2, 3.0, 0.1)
+
+    @staticmethod
+    def superposed(qubit, n=6):
+        """(|0...0> + X_qubit |0...0>) / sqrt(2)."""
+        amps = np.zeros(2**n, dtype=complex)
+        amps[0] = amps[bit_mask(qubit, n)] = 2**-0.5
+        return StateVector(n, amps)
+
+    def test_measured_data_qubits_are_classical(self):
+        assert _SchedulePlan(MEASURED, ZERO_NOISE, 20).classical == (0, 1, 2)
+        assert _SchedulePlan(MEASUREMENT_FREE, ZERO_NOISE, 20).classical == ()
+
+    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
+    def test_per_term_test_matches_dense_unitaries(self, schedule):
+        # Z_q commutes with the generator exactly when it commutes with every
+        # part of the step; a generic fraction rules out a full-step unitary
+        # that commutes by accident
+        n = schedule.n_qubits
+        signs = 1 - 2 * ((np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1)  # (dim, n): Z_q's diagonal
+        keeps = _symmetric_qubits(schedule, PAULI_Z)
+        for s, step in enumerate(schedule.steps):
+            for q, z in enumerate(signs.T):
+                same = [
+                    np.abs(z[:, None] * u * z[None, :] - u).max() < 1e-12
+                    for u in (step_unitary(step, n, scale) for scale in (1.0, 0.37))
+                ]
+                assert all(same) == keeps[s, q]
+        assert _SchedulePlan(schedule, ZERO_NOISE, 20).classical == tuple(np.flatnonzero(keeps.all(axis=0)))
+
+    def test_x_rotation_on_a_data_qubit_drops_it(self):
+        steps = (*MEASURED.steps, Step((ControlTerm(X_ROTATION, (1,), 0.3),)))
+        schedule = GateSchedule(6, MEASURED.data_qubits, MEASURED.ancilla_qubits, steps)
+        assert _SchedulePlan(schedule, ZERO_NOISE, 20).classical == (0, 2)
+
+    def test_superposed_initial_state_drops_its_qubit(self):
+        acc, _ = run_ensemble(self.superposed(1), 1, MEASURED, self.NOISE, 4, store="full")
+        assert acc.classical == (0, 2)
+        crossed = (np.arange(64)[:, None] ^ np.arange(64)[None, :]) & bit_mask(1, 6) != 0
+        assert np.any(acc.rho_total[..., crossed])  # the run keeps qubit 1's coherence
+        basis, _ = run_ensemble(StateVector.basis(6, 5), 1, MEASURED, self.NOISE, 4, store="full")
+        assert basis.classical == (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "schedule, shapes",
+        [(MEASURED, [(8, 8), (8, 1), (1, 8)]), (MEASUREMENT_FREE, [(1, 32), (1, 8), (1, 4)])],
+        ids=["measured", "mf"],
+    )
+    def test_register_layouts(self, monkeypatch, schedule, shapes):
+        # total, data and ancilla registers, in the accumulator's order
+        seen = []
+
+        def recording(grid, count, layout):
+            seen.append(layout.shape)
+            return mean_entropies(grid, count, layout)
+
+        monkeypatch.setattr(dynamics, "mean_entropies", recording)
+        run_ensemble(StateVector.basis(schedule.n_qubits, 0), 1, schedule, self.NOISE, 2, store="full")
+        assert seen == shapes
+
+    @pytest.mark.parametrize("cooling", ["window", "always"])
+    def test_split_run_matches_dense_run(self, monkeypatch, cooling):
+        noise = NoiseParams(5e-2, 3.0, 0.1, cooling_gate=cooling)
+
+        def run():
+            acc, _ = run_ensemble(StateVector.basis(6, 0), 3, MEASURED, noise, 30, master_seed=11, store="full")
+            return acc
+
+        split = run()
+
+        class DensePlan(_SchedulePlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.classical = ()
+
+        monkeypatch.setattr(dynamics, "_SchedulePlan", DensePlan)
+        dense = run()
+        assert split.classical == (0, 1, 2) and dense.classical == ()
+        assert np.array_equal(split.rho_total, dense.rho_total)
+        for name in ("s_total", "s_data", "s_anc"):
+            assert np.abs(getattr(split, name) - getattr(dense, name)).max() < 1e-12, name
+        assert split.s_total.max() > 0.5 and split.s_data.max() > 0.1  # the run is noisy
+
+    def oracle_layouts(self, monkeypatch, inputs, schedule=MEASURED):
+        """The distinct layouts of the oracle's positivity checks."""
+        seen = set()
+
+        def recording(stack, tol, layout=None):
+            seen.add(None if layout is None else tuple(map(tuple, layout.tolist())))
+            return block_eigvalsh(stack, tol, layout)
+
+        monkeypatch.setattr(dynamics, "block_eigvalsh", recording)
+        evolve_master_equation(inputs, schedule, self.NOISE, rounds=2)
+        return seen
+
+    def test_oracle_checks_in_the_plan_layout(self, monkeypatch):
+        def blocks(n, qubits):
+            return {tuple(map(tuple, pattern_blocks(n, qubits).tolist()))}
+
+        basis = StateVector.basis(6, 0).projector()
+        assert self.oracle_layouts(monkeypatch, basis) == blocks(6, [0, 1, 2])
+        assert self.oracle_layouts(monkeypatch, [basis, self.superposed(1).projector()]) == blocks(6, [0, 2])
+        mixed = random_mixed_state(6, np.random.default_rng(2))
+        assert self.oracle_layouts(monkeypatch, [basis, mixed]) == blocks(6, [])
+        mf = StateVector.basis(5, 0).projector()
+        assert self.oracle_layouts(monkeypatch, mf, MEASUREMENT_FREE) == blocks(5, [])
+
+    def test_merge_compares_the_classical_qubits(self):
+        init = StateVector.basis(6, 0)
+        a, _ = run_ensemble(init, 1, MEASURED, self.NOISE, 3, master_seed=2)
+        b, _ = run_ensemble(init, 1, MEASURED, self.NOISE, 3, master_seed=2, traj_indices=range(3, 6))
+        assert a.merge(b).classical == (0, 1, 2)
+        direct = EnsembleAccumulator(1, len(MEASURED), 6, (0, 1, 2), (3, 4, 5))
+        assert direct.classical == ()  # built directly: dense layouts
+        with pytest.raises(ValueError, match="incompatible"):
+            a.merge(direct)
 
 
 class _CountingBank(_StreamBank):

@@ -10,9 +10,8 @@ from thermoqec.qstate import (
     DensityMatrix,
     StateVector,
     block_eigvalsh,
-    block_layout,
-    nonzero_union,
     partial_trace,
+    pattern_blocks,
     squared_fidelity,
     trace_distance,
     von_neumann_entropy,
@@ -264,83 +263,86 @@ class TestFidelityEntropy:
         assert trace_distance(a, a) < 1e-12
 
 
-def hidden_block_stack(rng, sizes, k):
-    """(k, d, d) stack of PSD matrices, block-diagonal with the given block
-    sizes under one random basis permutation. Some blocks are tridiagonal,
-    so only a chain of links joins their states, and some are zero in some
-    matrices, so only the union of the stack's patterns has every block."""
-    d = sum(sizes)
+def hidden_block_stack(rng, m, s, k):
+    """(k, d, d) stack of PSD matrices, d = m * s, block-diagonal in m blocks
+    of size s under one random basis permutation, and its (m, s) layout.
+    Some blocks are tridiagonal and some are zero in some matrices."""
+    d = m * s
     stack = np.zeros((k, d, d), dtype=complex)
-    start = 0
-    for s in sizes:
+    for b in range(m):
         a = rng.normal(size=(k, s, s)) + 1j * rng.normal(size=(k, s, s))
         if rng.random() < 0.5:
             a = np.tril(np.triu(a, -1))  # lower bidiagonal: a a^H is tridiagonal
         block = a @ a.conj().swapaxes(1, 2) / (d * s)
         block[rng.random(k) < 0.3] = 0.0
-        stack[:, start : start + s, start : start + s] = block
-        start += s
+        stack[:, b * s : (b + 1) * s, b * s : (b + 1) * s] = block
     perm = rng.permutation(d)
-    return stack[:, perm][:, :, perm]
+    layout = np.sort(np.argsort(perm).reshape(m, s), axis=1)  # where each block's states went
+    return stack[:, perm][:, :, perm], layout
+
+
+class TestPatternBlocks:
+    def test_blocks_share_the_pattern_of_the_qubits(self):
+        assert pattern_blocks(3, [0]).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert pattern_blocks(3, [2, 0]).tolist() == [[0, 2], [4, 6], [1, 3], [5, 7]]
+        assert pattern_blocks(2, [0, 1]).tolist() == [[0], [1], [2], [3]]
+
+    def test_no_qubits_is_one_dense_block(self):
+        assert pattern_blocks(3, []).tolist() == [list(range(8))]
 
 
 class TestBlockEigvalsh:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.integers(1, 4))
-    def test_hidden_blocks_match_whole_matrix(self, seed, d, k):
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8), st.integers(1, 4))
+    def test_hidden_blocks_match_whole_matrix(self, seed, m, s, k):
         rng = np.random.default_rng(seed)
-        cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
-        sizes = np.diff(np.concatenate(([0], cuts, [d]))).tolist()  # blocks of sizes 1..d summing to d
-        stack = hidden_block_stack(rng, sizes, k)
-        got = np.sort(block_eigvalsh(stack, 1e-12), axis=1)
-        assert got.shape == (k, d)
+        stack, layout = hidden_block_stack(rng, m, s, k)
+        got = np.sort(block_eigvalsh(stack, 1e-12, layout), axis=1)
+        assert got.shape == (k, m * s)
         assert np.abs(got - np.linalg.eigvalsh(stack)).max() <= 1e-12
 
     def test_dense_input_is_one_whole_matrix_call(self):
         rng = np.random.default_rng(3)
-        stack = hidden_block_stack(rng, [16], 3)
+        stack, layout = hidden_block_stack(rng, 1, 16, 3)
         stack[:, 0, 1:] = stack[:, 1:, 0] = 1e-3  # couple every state to state 0
-        assert np.array_equal(block_eigvalsh(stack, 1e-12), np.linalg.eigvalsh(stack))
+        assert layout.tolist() == [list(range(16))]
+        for dense in (None, layout):
+            assert np.array_equal(block_eigvalsh(stack, 1e-12, dense), np.linalg.eigvalsh(stack))
 
     def test_diagonal_input_gives_the_diagonal(self):
         diag = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]])
         stack = np.stack([np.diag(row) for row in diag]).astype(complex)
-        assert np.array_equal(block_eigvalsh(stack, 1e-12), diag)
+        assert np.array_equal(block_eigvalsh(stack, 1e-12, pattern_blocks(2, [0, 1])), diag)
 
     def test_four_dimensional_stack_matches_per_matrix(self):
+        # blocks of 2 along the diagonal: the blocks of the patterns of qubits 0 and 1
         rng = np.random.default_rng(5)
-        stack = np.stack([hidden_block_stack(rng, [3, 1, 2, 2], 4) for _ in range(3)])  # (r, k, d, d)
-        got = np.sort(block_eigvalsh(stack, 1e-12), axis=-1)
+        stack = np.zeros((3, 4, 8, 8), dtype=complex)  # (r, k, d, d)
+        for r in range(3):
+            for b in range(4):
+                stack[r, :, 2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = hidden_block_stack(rng, 1, 2, 4)[0]
+        got = np.sort(block_eigvalsh(stack, 1e-12, pattern_blocks(3, [0, 1])), axis=-1)
         want = np.array([[np.linalg.eigvalsh(m) for m in row] for row in stack])
         assert got.shape == (3, 4, 8)
         assert np.abs(got - want).max() <= 1e-12
 
+    def test_entries_outside_the_blocks_are_not_read(self):
+        stack = np.stack([np.diag([0.4, 0.3, 0.2, 0.1])] * 2).astype(complex)
+        stack[:, 0, 1] = stack[:, 1, 0] = 0.05
+        stack[1, 0, 2] = 1.0  # joins two blocks, and is not Hermitian
+        got = block_eigvalsh(stack, 1e-9, pattern_blocks(2, [0]))
+        want = np.concatenate([np.linalg.eigvalsh(stack[0, :2, :2]), [0.1, 0.2]])
+        assert np.abs(got - want).max() <= 1e-15
+
     def test_asymmetric_block_entry_rejected(self):
         stack = np.stack([np.diag([0.4, 0.3, 0.2, 0.1])] * 2).astype(complex)
-        stack[:, 0, 1] = stack[:, 1, 0] = 0.05  # blocks {0, 1}, {2}, {3}
+        stack[:, 0, 1] = stack[:, 1, 0] = 0.05  # blocks {0, 1}, {2, 3}
         stack[1, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            block_eigvalsh(stack, 1e-9)
+            block_eigvalsh(stack, 1e-9, pattern_blocks(2, [0]))
 
     def test_imaginary_size_one_entry_rejected(self):
-        stack = np.stack([np.diag([0.5, 0.25, 0.25]), np.diag([1.0, 0.0, 0.0])]).astype(complex)
+        stack = np.stack([np.diag([0.5, 0.25, 0.25, 0.0]), np.diag([1.0, 0.0, 0.0, 0.0])]).astype(complex)
         stack[1, 2, 2] += 1e-6j
         with pytest.raises(ValueError, match="not Hermitian"):
-            block_eigvalsh(stack, 1e-9)
-
-    def test_nonzero_union_signs_and_nan(self):
-        stack = np.zeros((3, 2, 2), dtype=complex)
-        stack[0, 0, 0] = -0.0
-        stack[1, 0, 1] = complex(0.0, -0.0)
-        stack[2, 1, 0] = complex(-0.0, 1e-300)
-        stack[1, 1, 1] = complex(np.nan, 0.0)
-        assert nonzero_union(stack).tolist() == [[False, False], [True, True]]
-        assert nonzero_union(stack[:, None]).shape == (1, 2, 2)
-
-    def test_layout_groups_blocks_by_size(self):
-        # blocks {0, 3}, {1}, {2, 4, 5} linked through one triangle only
-        pattern = np.zeros((6, 6), dtype=bool)
-        pattern[3, 0] = pattern[2, 5] = pattern[4, 2] = True
-        layout = block_layout(pattern)
-        assert [idx.tolist() for idx in layout] == [[[1]], [[0, 3]], [[2, 4, 5]]]
-        assert block_layout(np.ones((4, 4), dtype=bool))[0].tolist() == [[0, 1, 2, 3]]
+            block_eigvalsh(stack, 1e-9, pattern_blocks(2, [0, 1]))
