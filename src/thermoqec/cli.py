@@ -119,12 +119,16 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         params = RoundEventParams.from_physical(cfg.gamma_h, cfg.n_c, steps=len(schedule))
         flows = flow_coefficients(event_probabilities(params))
         chain = iterate_round_chain(RoundChainState.pristine(), flows, cfg.rounds)
+        try:
+            steady = _fmt(chain_steady_state(flows).P0)
+        except ValueError as exc:
+            steady = f"not unique ({exc})"
         lines += [
             "rate-model comparison (weight-class chain):",
             f"  predicted first-round weight-0 = "
             f"{_fmt(first_round_weight0(cfg.n_c, params.alpha, params.beta))}",
             f"  simulated first-round data fidelity = {_fmt(ends[0])}",
-            f"  predicted steady weight-0 = {_fmt(chain_steady_state(flows).P0)}",
+            f"  predicted steady weight-0 = {steady}",
             f"  chain after {cfg.rounds} rounds = {_fmt(chain[-1].P0)}",
         ]
     elif cfg.protocol == "measured":
@@ -367,7 +371,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         cfg.n_traj,
         master_seed=cfg.master_seed,
         store="full" if oracle is not None else "scalar",
-        per_step_rho=False,
         reference=oracle.rho_end if oracle is not None else None,
     )
     sim = acc.mean_f2_data()[:, -1]

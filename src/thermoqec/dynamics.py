@@ -94,11 +94,12 @@ under "always") advance all rows by one substep's unitary and the decay
 per substep. Both paths apply a cold jump through one helper.
 
 Per step the kernel keeps two samples: the basis populations summed over
-the batch and, where a density matrix is kept, the batch's Gram matrix
+the batch and, unless the store is "scalar", the batch's Gram matrix
 states^T @ conj(states). Once per round the populations give the f2 sums,
-and the Gram matrices are added to the round's row of the accumulator's
-window: to the whole-register sums (store "full") and, as partial traces,
-to the data and ancilla reductions. A window holds as many rounds as fit
+and the round's Gram matrices, one per step, are added to the round's row
+of the accumulator's window: to the whole-register sums (store "full") and,
+as partial traces, to the data and ancilla reductions; the round-end
+matrices are those of the last step. A window holds as many rounds as fit
 `_WINDOW_BYTES` of the largest kept register (8 rounds of the measured
 round's 64x64 matrices); the batches advance together through each window,
 which is then reduced to its entropies and reused, so a run's memory does
@@ -417,17 +418,15 @@ class _StreamBank:
         """The next `count <= chunk` uniforms of each of the distinct `rows`,
         shape (len(rows), count), without consuming them."""
         if count > self.chunk:
-            raise ValueError(f"a peek reads at most chunk = {self.chunk} uniforms, not {count}")
+            raise ValueError(f"a read takes at most chunk = {self.chunk} uniforms, not {count}")
         spent = rows[self.pos[rows] >= self.chunk]
         if spent.size:
             self._refill(spent)
         return self.windows[rows, self.pos[rows], :count]
 
     def draw(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """The next `count` uniforms of each of the distinct `rows`, shape
-        (len(rows), count)."""
-        if count > self.chunk:  # a longer read comes in pieces
-            return np.concatenate([self.draw(rows, self.chunk), self.draw(rows, count - self.chunk)], axis=1)
+        """The next `count <= chunk` uniforms of each of the distinct `rows`,
+        shape (len(rows), count)."""
         vals = self.peek(rows, count)
         self.pos[rows] += count
         return vals
@@ -435,20 +434,19 @@ class _StreamBank:
 
 @dataclass
 class EnsembleAccumulator:
-    """Mergeable sums of trajectory projectors and scalar overlaps.
+    """Sums of trajectory projectors and scalar overlaps over `count`
+    trajectories, for every step of every round.
 
     Scalar samples (populations of the data/ancilla ground patterns) are
-    kept for every step of every round. Density-matrix sums are kept
-    according to `store`: "scalar" none, "reduced" data+ancilla reductions,
-    "full" those plus the whole-register matrix; with per_step_rho=False
-    only round-end samples. The matrix grids hold one window of rounds,
+    kept for all rounds. Density-matrix sums are kept according to `store`:
+    "scalar" none, "reduced" data+ancilla reductions, "full" those plus the
+    whole-register matrix. The matrix grids hold one window of rounds,
     `window` rounds from `window_start`, at most `_WINDOW_BYTES` for the
     largest register kept: `reduce_window` turns the held rounds' sums into
     their entropies (`s_total`, `s_data`, `s_anc`, (rounds, steps) arrays,
     nan where no matrix is kept) and, given `reference` round-end matrices
     and store "full", their round-end `trace_distances`; `next_window`
-    drops the sums to hold the next rounds. Grids given to the constructor
-    must hold every round in one window.
+    drops the sums to hold the next rounds.
 
     Each register's entropies are solved in one block per pattern of its
     `classical` qubits (`qstate.pattern_blocks`), which `run_ensemble` sets
@@ -462,14 +460,13 @@ class EnsembleAccumulator:
     data_qubits: tuple[int, ...]
     ancilla_qubits: tuple[int, ...]
     store: str = "reduced"
-    per_step_rho: bool = True
-    count: int = 0
-    f2_data: np.ndarray | None = None
-    f2_anc: np.ndarray | None = None
-    rho_data: np.ndarray | None = None
-    rho_anc: np.ndarray | None = None
-    rho_total: np.ndarray | None = None
     reference: np.ndarray | None = field(default=None, repr=False)
+    count: int = field(init=False, default=0)
+    f2_data: np.ndarray = field(init=False)
+    f2_anc: np.ndarray = field(init=False)
+    rho_data: np.ndarray | None = field(init=False, default=None)
+    rho_anc: np.ndarray | None = field(init=False, default=None)
+    rho_total: np.ndarray | None = field(init=False, default=None)
     window: int = field(init=False)
     window_start: int = field(init=False, default=0)
     s_total: np.ndarray = field(init=False, repr=False)
@@ -483,12 +480,8 @@ class EnsembleAccumulator:
         if self.store not in ("scalar", "reduced", "full"):
             raise ValueError(f"unknown store mode {self.store!r}")
         shape = (self.n_rounds, self.n_steps)
-        if self.f2_data is None:
-            self.f2_data = np.zeros(shape)
-        if self.f2_anc is None:
-            self.f2_anc = np.zeros(shape)
+        self.f2_data, self.f2_anc = np.zeros((2,) + shape)
         self.s_total, self.s_data, self.s_anc = np.full((3,) + shape, math.nan)
-        steps = self.n_steps if self.per_step_rho else 1
         dims = {}  # the kept registers' matrix sizes
         if self.store != "scalar":
             dims = {"rho_data": 2 ** len(self.data_qubits), "rho_anc": 2 ** len(self.ancilla_qubits)}
@@ -496,62 +489,15 @@ class EnsembleAccumulator:
             dims["rho_total"] = 2**self.n_qubits
         self.window = self.n_rounds
         if dims:
-            per_round = steps * max(dims.values()) ** 2 * np.dtype(complex).itemsize
+            per_round = self.n_steps * max(dims.values()) ** 2 * np.dtype(complex).itemsize
             self.window = min(self.n_rounds, max(1, _WINDOW_BYTES // per_round))
         for name, d in dims.items():
-            grid = getattr(self, name)
-            if grid is None:
-                setattr(self, name, np.zeros((self.window, steps, d, d), dtype=complex))
-            elif self.window < self.n_rounds or grid.shape != (self.n_rounds, steps, d, d):
-                raise ValueError(f"{name} must hold all {self.n_rounds} rounds in one window of {self.window}")
+            setattr(self, name, np.zeros((self.window, self.n_steps, d, d), dtype=complex))
         if self.reference is not None and self.rho_total is not None:
             d = 2**self.n_qubits
             if np.shape(self.reference) != (self.n_rounds, d, d):
                 raise ValueError(f"reference must be {self.n_rounds} round-end ({d}, {d}) matrices")
             self.trace_distances = np.full(self.n_rounds, math.nan)
-
-    def compatible(self, other: "EnsembleAccumulator") -> bool:
-        return (
-            self.n_rounds == other.n_rounds
-            and self.n_steps == other.n_steps
-            and self.n_qubits == other.n_qubits
-            and self.data_qubits == other.data_qubits
-            and self.ancilla_qubits == other.ancilla_qubits
-            and self.store == other.store
-            and self.per_step_rho == other.per_step_rho
-            and self.classical == other.classical
-        )
-
-    def merge(self, other: "EnsembleAccumulator") -> "EnsembleAccumulator":
-        """Combine two accumulators over disjoint trajectory sets, each still
-        holding its first window; the result reduces its window anew."""
-        if not self.compatible(other):
-            raise ValueError("cannot merge incompatible accumulators")
-        for acc in (self, other):
-            if acc.window_start:
-                raise ValueError(
-                    f"cannot merge: rounds 0-{acc.window_start - 1} were reduced to entropies and their "
-                    f"matrices dropped (window of {acc.window} rounds)"
-                )
-        out = EnsembleAccumulator(
-            self.n_rounds,
-            self.n_steps,
-            self.n_qubits,
-            self.data_qubits,
-            self.ancilla_qubits,
-            self.store,
-            self.per_step_rho,
-            reference=self.reference,
-        )
-        out.classical = self.classical
-        out.count = self.count + other.count
-        out.f2_data = self.f2_data + other.f2_data
-        out.f2_anc = self.f2_anc + other.f2_anc
-        for name in ("rho_data", "rho_anc", "rho_total"):
-            a, b = getattr(self, name), getattr(other, name)
-            if a is not None:
-                setattr(out, name, a + b)
-        return out
 
     def _held(self) -> range:
         """The rounds whose matrix sums the window holds."""
@@ -564,7 +510,6 @@ class EnsembleAccumulator:
         if self._reduced:
             return
         held = self._held()
-        rows, steps = slice(held.start, held.stop), slice(None) if self.per_step_rho else slice(-1, None)
         for grid, ents, qubits in (
             (self.rho_total, self.s_total, range(self.n_qubits)),
             (self.rho_data, self.s_data, self.data_qubits),
@@ -572,7 +517,7 @@ class EnsembleAccumulator:
         ):
             if grid is not None:
                 layout = pattern_blocks(len(qubits), [qubits.index(q) for q in self.classical if q in qubits])
-                ents[rows, steps] = mean_entropies(grid[: len(held)], self.count, layout)
+                ents[held.start : held.stop] = mean_entropies(grid[: len(held)], self.count, layout)
         if self.trace_distances is not None:
             for rnd in held:
                 ref = DensityMatrix(self.n_qubits, self.reference[rnd])
@@ -597,13 +542,6 @@ class EnsembleAccumulator:
     def mean_f2_anc(self) -> np.ndarray:
         return self.f2_anc / self.count
 
-    def _rho_step_index(self, step: int) -> int:
-        if self.per_step_rho:
-            return step
-        if step not in (-1, self.n_steps - 1):
-            raise ValueError("only round-end matrices were accumulated")
-        return 0
-
     def mean_rho(self, which: str, rnd: int, step: int = -1) -> DensityMatrix:
         """Ensemble-averaged density matrix at (round, step), for a round the
         window holds."""
@@ -616,7 +554,7 @@ class EnsembleAccumulator:
                 f"round {rnd} is not in the held window of rounds {held.start}-{held.stop - 1}: "
                 "its matrices were reduced to entropies and dropped"
             )
-        mat = grid[rnd - self.window_start, self._rho_step_index(step)] / self.count
+        mat = grid[rnd - self.window_start, step] / self.count
         nq = {
             "data": len(self.data_qubits),
             "ancilla": len(self.ancilla_qubits),
@@ -634,21 +572,21 @@ def run_ensemble(
     master_seed: int = 0,
     n_sub: int = DEFAULT_N_SUB,
     store: str = "reduced",
-    per_step_rho: bool = True,
     record: bool = False,
     traj_indices=None,
     reference=None,
 ):
     """Average `n_traj` independent trajectories over `rounds` rounds.
 
-    Returns (EnsembleAccumulator, list[TrajectoryRecord] or None). Results
-    are deterministic given (master_seed, trajectory indices) and do not
-    depend on how trajectories are batched. The batches advance together,
-    one window of the accumulator's rounds at a time, and each window is
-    reduced to its entropies before the next one starts. `reference`, a
-    (rounds, dim, dim) array of round-end density matrices such as an
-    oracle's `rho_end`, gives with store "full" the accumulator's
-    `trace_distances`.
+    Returns (EnsembleAccumulator, list[TrajectoryRecord] or None). The
+    accumulator samples every step of every round, holding the matrix sums
+    that `store` keeps. Results are deterministic given (master_seed,
+    trajectory indices) and do not depend on how trajectories are batched.
+    The batches advance together, one window of the accumulator's rounds at
+    a time, and each window is reduced to its entropies before the next one
+    starts. `reference`, a (rounds, dim, dim) array of round-end density
+    matrices such as an oracle's `rho_end`, gives with store "full" the
+    accumulator's `trace_distances`.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
@@ -666,7 +604,6 @@ def run_ensemble(
         schedule.data_qubits,
         schedule.ancilla_qubits,
         store,
-        per_step_rho,
         reference=reference,
     )
     acc.classical = plan.classical_in(np.outer(initial.amplitudes, initial.amplitudes.conj()))
@@ -773,7 +710,7 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
     ground = np.repeat(np.stack([plan.data_ground, plan.anc_ground], axis=1), 2, axis=0).astype(float)
     kept = acc.store != "scalar"
     if kept:
-        gram = np.empty((n_steps if acc.per_step_rho else 1, plan.dim, plan.dim), dtype=complex)
+        gram = np.empty((n_steps, plan.dim, plan.dim), dtype=complex)
 
     for rnd in range(start, rounds):
         for s, step in enumerate(plan.schedule.steps):
@@ -838,8 +775,8 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
             # where a density matrix is kept
             f = states.view(float)
             np.einsum("bk,bk->k", f, f, out=pops[s])
-            if kept and (acc.per_step_rho or s == n_steps - 1):
-                np.matmul(states.T, states.conj(), out=gram[s if acc.per_step_rho else 0])
+            if kept:
+                np.matmul(states.T, states.conj(), out=gram[s])
 
         # once per round: f2 sums, and the whole-register matrices and their
         # partial traces into the round's row of the window

@@ -223,9 +223,14 @@ def iterate_round_chain(initial: RoundChainState, f: dict[str, float], rounds: i
 
 
 def chain_steady_state(f: dict[str, float]) -> RoundChainState:
-    """Exact fixed point of the class chain (left eigenvector at eigenvalue 1)."""
+    """Exact fixed point of the class chain (left eigenvector at eigenvalue 1).
+    Raises ValueError when eigenvalue 1 is not simple (within 1e-9): the
+    chain then has more than one fixed point."""
     M = flow_matrix(f)
     evals, vecs = np.linalg.eig(M.T)
+    multiplicity = int(np.sum(np.abs(evals - 1.0) < 1e-9))
+    if multiplicity > 1:
+        raise ValueError(f"eigenvalue 1 of the class chain has multiplicity {multiplicity}: no unique fixed point")
     k = int(np.argmin(np.abs(evals - 1.0)))
     v = np.real(vecs[:, k])
     v = np.abs(v) / np.abs(v).sum()

@@ -15,7 +15,6 @@ engine regressions show without sampling noise.
 pooled entropy estimates over 20 groups of trajectories.
 """
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -26,13 +25,12 @@ import thermoqec as tq
 from thermoqec.cli import _verification_table
 from thermoqec.compiler import phase_aligned_distance
 from thermoqec.dynamics import (
-    EnsembleAccumulator,
     NoiseParams,
     evolve_master_equation,
     run_ensemble,
 )
 from thermoqec.metrics import compute_step_metrics
-from thermoqec.qstate import StateVector, bit_mask, trace_distance
+from thermoqec.qstate import StateVector, bit_mask, mean_entropies, pattern_blocks, trace_distance
 from thermoqec.ratemodel import (
     RoundChainState,
     RoundEventParams,
@@ -60,20 +58,6 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / n)
-
-
-def leave_out(total: EnsembleAccumulator, part: EnsembleAccumulator) -> EnsembleAccumulator:
-    """Accumulator of the trajectories of `total` that are not in `part`
-    (the inverse of merge, for reduced stores)."""
-    assert total.compatible(part) and total.store == "reduced", "leave_out takes reduced stores"
-    return dataclasses.replace(
-        total,
-        count=total.count - part.count,
-        f2_data=total.f2_data - part.f2_data,
-        f2_anc=total.f2_anc - part.f2_anc,
-        rho_data=total.rho_data - part.rho_data,
-        rho_anc=total.rho_anc - part.rho_anc,
-    )
 
 
 def exact_values():
@@ -155,7 +139,7 @@ class TestCriterion4TrajectoryOracleAgreement:
         psi = StateVector.basis(6, 0)
         oracle = evolve_master_equation(psi.projector(), MEASURED, noise, rounds=5)
         acc, _ = run_ensemble(
-            psi, 5, MEASURED, noise, 5000, master_seed=SEED, store="full", per_step_rho=False
+            psi, 5, MEASURED, noise, 5000, master_seed=SEED, store="full"
         )
         dists = [
             trace_distance(acc.mean_rho("total", rnd), oracle.rho(rnd)) for rnd in range(5)
@@ -313,10 +297,10 @@ class TestCriterion8SlowCoolingSelfConsistency:
 class TestCriterion9EntropyCycle:
     def test_effective_cooling_entropy_floor_and_data_growth(self):
         # Trajectories 0-1999 in 20 groups of 100. Streams are keyed by
-        # trajectory index, so the pooled values do not depend on the grouping.
-        # The allowances are delete-one-group jackknife standard errors of the
-        # pooled entropy estimates; only the data and ancilla entropies are
-        # read, so the reduced store suffices.
+        # trajectory index, so the groups' matrix sums add up to the pooled
+        # run's, whatever the grouping. The allowances are delete-one-group
+        # jackknife standard errors of the pooled entropy estimates; only the
+        # data and ancilla entropies are read, so the reduced store suffices.
         noise = NoiseParams(1e-3, 3.0, 1e-2)
         n_groups, size = 20, 100
         groups = [
@@ -327,18 +311,23 @@ class TestCriterion9EntropyCycle:
             )[0]
             for g in range(n_groups)
         ]
-        acc = groups[0]
-        for g in groups[1:]:
-            acc = acc.merge(g)
+        # (groups, rounds, steps, 8, 8) sums, solved in the accumulator's
+        # layouts: the data qubits are classical, the ancilla matrices dense
+        assert all(g.classical == (0, 1, 2) and g.window == 10 for g in groups)
+        rho_data = np.array([g.rho_data for g in groups])
+        rho_anc = np.array([g.rho_anc for g in groups])
+        data_layout, anc_layout = pattern_blocks(3, [0, 1, 2]), pattern_blocks(3, [])
 
-        def floors_and_data_means(a: EnsembleAccumulator):
-            rows = compute_step_metrics(a)
-            s_anc = np.array([r.s_ancilla for r in rows]).reshape(10, 16)
-            s_data = np.array([r.s_data for r in rows]).reshape(10, 16)
+        def floors_and_data_means(data, anc, count):
+            s_anc = mean_entropies(anc, count, anc_layout)
+            s_data = mean_entropies(data, count, data_layout)
             return s_anc[3:, 0], s_data.mean(axis=1)
 
-        floors, data_means = floors_and_data_means(acc)
-        loo = [floors_and_data_means(leave_out(acc, g)) for g in groups]
+        data_sum, anc_sum = rho_data.sum(axis=0), rho_anc.sum(axis=0)
+        floors, data_means = floors_and_data_means(data_sum, anc_sum, n_groups * size)
+        loo = [
+            floors_and_data_means(data_sum - d, anc_sum - a, (n_groups - 1) * size) for d, a in zip(rho_data, rho_anc)
+        ]
         floors_loo = np.array([f for f, _ in loo])
         increments_loo = np.diff(np.array([d for _, d in loo]), axis=1)
 

@@ -189,6 +189,21 @@ class TestCliRun:
         assert len(ends) == 2 and want > 0
         assert float(line.rsplit("=", 1)[1]) == pytest.approx(want, abs=1e-11)
 
+    def test_non_unique_chain_fixed_point_is_reported(self, tmp_path, capsys):
+        # no heating and a zero-temperature cold bath: the weight-class chain
+        # keeps both codewords, so it has no one steady state to predict
+        text = GOOD.replace("gamma_h = 1e-3", "gamma_h = 0").replace("n_c = 0.01", "n_c = 0")
+        cfg = write(tmp_path, text.replace("rounds = 2", "rounds = 3").replace("n_traj = 20", "n_traj = 4"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert (
+            "  predicted steady weight-0 = not unique "
+            "(eigenvalue 1 of the class chain has multiplicity 2: no unique fixed point)"
+        ) in summary
+        assert "  chain after 3 rounds = 1" in summary
+        assert "final-round data fidelity = 1" in summary
+
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path, GOOD + "bogus = 1\n")
         assert main(["run", "--config", str(cfg)]) == 2

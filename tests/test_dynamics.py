@@ -402,9 +402,9 @@ class TestCooledDrawOrder:
         init = StateVector(schedule.n_qubits, amps / np.linalg.norm(amps))
         acc, records = run_ensemble(
             init, self.ROUNDS, schedule, noise, self.N_TRAJ, master_seed=master_seed, n_sub=n_sub, store="full",
-            per_step_rho=False, record=True,
+            record=True,
         )
-        rho_end = np.zeros_like(acc.rho_total[:, 0])
+        rho_end = np.zeros_like(acc.rho_total[:, -1])
         for k, rec in enumerate(records):
             jumps, outcomes, ends = self.walk(
                 init.amplitudes, master_seed, k, schedule, noise, n_sub, self.ROUNDS
@@ -412,7 +412,7 @@ class TestCooledDrawOrder:
             assert rec.jumps == jumps
             assert rec.outcomes == outcomes
             rho_end += ends
-        assert np.abs(acc.rho_total[:, 0] - rho_end).max() < 1e-12
+        assert np.abs(acc.rho_total[:, -1] - rho_end).max() < 1e-12
         return [jump for rec in records for jump in rec.jumps]
 
     @pytest.mark.parametrize("n_sub", [1, 3, 20, 600])
@@ -649,15 +649,9 @@ class TestClassicalQubits:
         mf = StateVector.basis(5, 0).projector()
         assert self.oracle_layouts(monkeypatch, mf, MEASUREMENT_FREE) == blocks(5, [])
 
-    def test_merge_compares_the_classical_qubits(self):
-        init = StateVector.basis(6, 0)
-        a, _ = run_ensemble(init, 1, MEASURED, self.NOISE, 3, master_seed=2)
-        b, _ = run_ensemble(init, 1, MEASURED, self.NOISE, 3, master_seed=2, traj_indices=range(3, 6))
-        assert a.merge(b).classical == (0, 1, 2)
+    def test_directly_built_accumulator_is_dense(self):
         direct = EnsembleAccumulator(1, len(MEASURED), 6, (0, 1, 2), (3, 4, 5))
         assert direct.classical == ()  # built directly: dense layouts
-        with pytest.raises(ValueError, match="incompatible"):
-            a.merge(direct)
 
 
 class _CountingBank(_StreamBank):
@@ -678,7 +672,7 @@ class TestStreamBank:
         st.lists(
             st.tuples(
                 st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
-                st.one_of(st.integers(1, 30), st.integers(CHUNK - 30, CHUNK), st.integers(1, 3 * CHUNK)),
+                st.one_of(st.integers(1, 30), st.integers(CHUNK - 30, CHUNK), st.integers(1, CHUNK)),
                 st.sampled_from(["draw", "peek"]),
             ),
             min_size=1,
@@ -686,16 +680,15 @@ class TestStreamBank:
         )
     )
     def test_rows_read_their_streams_in_order(self, calls):
-        # reads of any size, many of them across a half boundary, hand each
-        # row the consecutive uniforms of its own Philox stream; a peek of up
-        # to a chunk shows the uniforms the next draw reads and consumes none
+        # reads of up to a chunk, many of them across a half boundary, hand
+        # each row the consecutive uniforms of its own Philox stream; a peek
+        # shows the uniforms the next draw reads and consumes none
         bank = _CountingBank([trajectory_stream(11, k) for k in range(3)])
         streams = [trajectory_stream(11, k).random(16 * 3 * self.CHUNK) for k in range(3)]
         drawn = [[] for _ in range(3)]
         for rows, count, kind in calls:
             read = bank.refills * bank.chunk + bank.pos
             if kind == "peek":
-                count = min(count, self.CHUNK)
                 vals = bank.peek(np.array(rows), count)
                 assert np.array_equal(bank.refills * bank.chunk + bank.pos, read)
                 for r, v in zip(rows, vals):
@@ -711,11 +704,15 @@ class TestStreamBank:
             assert got.size == bank.refills[k] * bank.chunk + bank.pos[k]
 
     def test_peek_past_a_chunk_raises(self):
+        # and so does a draw, which consumes nothing when it is refused
         bank = _StreamBank([trajectory_stream(11, k) for k in range(2)])
         rows = np.arange(2)
         assert bank.peek(rows, self.CHUNK).shape == (2, self.CHUNK)
         with pytest.raises(ValueError, match="at most chunk"):
             bank.peek(rows, self.CHUNK + 1)
+        with pytest.raises(ValueError, match="at most chunk"):
+            bank.draw(rows, self.CHUNK + 1)
+        assert np.array_equal(bank.draw(rows, self.CHUNK)[0], trajectory_stream(11, 0).random(self.CHUNK))
 
 
 class TestPlainGroups:
@@ -806,35 +803,29 @@ class TestAccumulator:
             if a is not None:
                 assert np.abs(a - b).max() < 1e-12, name
 
-    @pytest.mark.parametrize("per_step_rho", [True, False], ids=["per_step", "round_end"])
-    def test_matrix_sums_match_explicit_outer_products(self, per_step_rho):
+    def test_matrix_sums_match_explicit_outer_products(self):
         # noiseless measurement-free round: every step is its unitary, so the
         # batch's states after each step are known without the kernel
         n, steps = MEASUREMENT_FREE.n_qubits, len(MEASUREMENT_FREE)
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(4, 2**n)) + 1j * rng.normal(size=(4, 2**n))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        acc = EnsembleAccumulator(
-            1, steps, n, MEASUREMENT_FREE.data_qubits, MEASUREMENT_FREE.ancilla_qubits, "full", per_step_rho
-        )
+        acc = EnsembleAccumulator(1, steps, n, MEASUREMENT_FREE.data_qubits, MEASUREMENT_FREE.ancilla_qubits, "full")
         plan = _SchedulePlan(MEASUREMENT_FREE, ZERO_NOISE, 4)
         bank = _StreamBank([np.random.default_rng(i) for i in range(4)])
         _run_batch(psi.copy(), 1, plan, bank, acc)
         u = np.eye(2**n, dtype=complex)
         for s, step in enumerate(MEASUREMENT_FREE.steps):
             u = step_unitary(step, n) @ u
-            if not per_step_rho and s < steps - 1:
-                continue
             states = psi @ u.T
             expect = sum(np.outer(v, v.conj()) for v in states)
-            si = s if per_step_rho else 0
-            assert np.abs(acc.rho_total[0, si] - expect).max() < 1e-12
+            assert np.abs(acc.rho_total[0, s] - expect).max() < 1e-12
             mean = DensityMatrix(n, expect / 4)
             for grid, qubits in (
                 (acc.rho_data, MEASUREMENT_FREE.data_qubits),
                 (acc.rho_anc, MEASUREMENT_FREE.ancilla_qubits),
             ):
-                assert np.abs(grid[0, si] / 4 - partial_trace(mean, qubits).elements).max() < 1e-12
+                assert np.abs(grid[0, s] / 4 - partial_trace(mean, qubits).elements).max() < 1e-12
 
     def test_mean_trace_one(self):
         noise = NoiseParams(5e-3, 3.0, 1e-2)
@@ -846,38 +837,26 @@ class TestAccumulator:
                 tr = np.trace(acc.mean_rho(which, rnd, -1).elements).real
                 assert abs(tr - 1.0) < 1e-10
 
-    def test_merge_matches_joint_run(self):
+    def test_disjoint_runs_sum_to_the_joint_run(self):
+        # streams are keyed by trajectory index, so runs over indices 0-5
+        # and 6-9 hold the sums of the run over 0-9
         noise = NoiseParams(5e-3, 3.0, 1e-2)
-        whole, _ = run_ensemble(
-            StateVector.basis(6, 0), 1, MEASURED, noise, 10, master_seed=13
-        )
-        part_a, _ = run_ensemble(
-            StateVector.basis(6, 0), 1, MEASURED, noise, 6, master_seed=13,
-            traj_indices=range(6),
-        )
+        init = StateVector.basis(6, 0)
+        whole, _ = run_ensemble(init, 1, MEASURED, noise, 10, master_seed=13, store="full")
+        part_a, _ = run_ensemble(init, 1, MEASURED, noise, 6, master_seed=13, store="full", traj_indices=range(6))
         part_b, _ = run_ensemble(
-            StateVector.basis(6, 0), 1, MEASURED, noise, 4, master_seed=13,
-            traj_indices=range(6, 10),
+            init, 1, MEASURED, noise, 4, master_seed=13, store="full", traj_indices=range(6, 10)
         )
-        ab = part_a.merge(part_b)
-        ba = part_b.merge(part_a)
-        assert ab.count == ba.count == whole.count
-        assert np.allclose(ab.f2_data, whole.f2_data, atol=1e-12)
-        assert np.allclose(ba.f2_data, ab.f2_data, atol=1e-12)
-        assert np.allclose(ab.rho_data, whole.rho_data, atol=1e-12)
+        assert part_a.count + part_b.count == whole.count
+        for name in ("f2_data", "f2_anc", "rho_data", "rho_anc", "rho_total"):
+            a, b, joint = getattr(part_a, name), getattr(part_b, name), getattr(whole, name)
+            assert np.abs(a + b - joint).max() < 1e-12, name
 
     def test_mean_rho_rejects_non_hermitian_sum(self):
-        acc, _ = run_ensemble(StateVector.basis(6, 0), 1, MEASURED, ZERO_NOISE, 2, store="full", per_step_rho=False)
-        acc.rho_total[0, 0, 0, 1] += 1e-6 * acc.count
+        acc, _ = run_ensemble(StateVector.basis(6, 0), 1, MEASURED, ZERO_NOISE, 2, store="full")
+        acc.rho_total[0, -1, 0, 1] += 1e-6 * acc.count
         with pytest.raises(ValueError, match="not Hermitian"):
             acc.mean_rho("total", 0)
-
-    def test_merge_rejects_incompatible(self):
-        noise = NoiseParams(5e-3, 3.0, 1e-2)
-        a, _ = run_ensemble(StateVector.basis(6, 0), 1, MEASURED, noise, 2, master_seed=1)
-        b, _ = run_ensemble(StateVector.basis(6, 0), 2, MEASURED, noise, 2, master_seed=1)
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestWindows:
@@ -931,19 +910,6 @@ class TestWindows:
         assert abs(np.trace(acc.mean_rho("total", 11).elements) - 1) < 1e-12  # the held window
         with pytest.raises(ValueError, match="not in the held window of rounds 10-11"):
             acc.mean_rho("ancilla", 9, 3)
-
-    def test_merge_after_a_dropped_window_raises(self, monkeypatch):
-        self.window_of(monkeypatch, "reduced", 5)
-        a = self.run("reduced", rounds=6)
-        b = self.run("reduced", rounds=6)
-        with pytest.raises(ValueError, match=r"rounds 0-4 were reduced .* \(window of 5 rounds\)"):
-            a.merge(b)
-
-    def test_given_grids_must_hold_every_round(self, monkeypatch):
-        self.window_of(monkeypatch, "reduced", 5)
-        acc = self.run("reduced", rounds=6)
-        with pytest.raises(ValueError, match="must hold all 6 rounds in one window"):
-            EnsembleAccumulator(6, 16, 6, (0, 1, 2), (3, 4, 5), rho_data=acc.rho_data, rho_anc=acc.rho_anc)
 
     def test_peak_memory_does_not_grow_with_rounds(self):
         # a whole-run grid of 64x64 matrices would take 1 MiB per round
@@ -1010,8 +976,7 @@ class TestMasterEquationOracle:
         noise = NoiseParams(1e-2, 3.0, 1e-2)
         psi = StateVector.basis(6, 0)
         oracle = evolve_master_equation(psi.projector(), MEASURED, noise)
-        acc, _ = run_ensemble(psi, 1, MEASURED, noise, 2000, master_seed=21, store="full",
-                              per_step_rho=False)
+        acc, _ = run_ensemble(psi, 1, MEASURED, noise, 2000, master_seed=21, store="full")
         td = trace_distance(acc.mean_rho("total", 0), oracle.rho(0))
         assert td < 5 / np.sqrt(2000)
 
@@ -1327,7 +1292,7 @@ class TestMonteCarloConvergence:
                 acc, _ = run_ensemble(
                     psi, 1, MEASURED, noise, n, master_seed=31 + k,
                     traj_indices=range(rep * n, (rep + 1) * n),
-                    store="full", per_step_rho=False,
+                    store="full",
                 )
                 tds.append(trace_distance(acc.mean_rho("total", 0), oracle))
             gaps.append(np.mean(tds))

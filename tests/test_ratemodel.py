@@ -312,6 +312,22 @@ class TestRoundChain:
         assert ss.P0 == pytest.approx(ss.P7, abs=1e-12)
         assert ss.Pa == pytest.approx(ss.Pb, abs=1e-12)
 
+    def test_fixed_point_must_be_unique(self):
+        # error-free rounds with perfect cooling absorb both codewords, and
+        # rounds that flip every data qubit swap 0 with 7 and a with b: two
+        # fixed points each
+        for params in (RoundEventParams(1.0, 0.0, 0.0), RoundEventParams(1.0, 0.0, 1.0)):
+            f = flow_coefficients(event_probabilities(params))
+            with pytest.raises(ValueError, match="multiplicity 2: no unique fixed point"):
+                chain_steady_state(f)
+        # never-cooled ancillas give a period-2 mode, eigenvalue -1, beside
+        # a simple eigenvalue 1
+        f = flow_coefficients(event_probabilities(RoundEventParams(0.0, 0.0, 0.0)))
+        m = flow_matrix(f)
+        assert np.min(np.abs(np.linalg.eigvals(m) + 1.0)) < 1e-12
+        v = chain_steady_state(f).class_vector()
+        assert np.abs(v @ m - v).max() < 1e-12
+
     def test_error_free_chain_absorbs_codewords(self):
         f = flow_coefficients(event_probabilities(RoundEventParams(1.0, 0.0, 0.0)))
         one = iterate_round_chain(RoundChainState(0.0, 1 / 3, 0.0, 0.0), f, 1)[1]
