@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
-"""Produce the analytic-model tables: cooling curves, steady ancilla
-fidelities, slow-cooling fixed points, and weight-class chain fits."""
+"""Produce the analytic-model tables under results/rate_models: the cooling
+curve, steady ancilla fidelities and weight-class chain iterates. The
+slow-cooling fixed point and each chain's exact steady state and decay
+constant are printed. Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/run_rate_models.py
+"""
 
 import sys
 from pathlib import Path
@@ -16,8 +21,7 @@ def run():
          "--initial", "7", "--out", str(OUT / "cooling_from_full")],
         ["rate-model", "steady-fidelity", "--n-c-values", "0", "1e-3", "1e-2", "1e-1", "0.5",
          "--out", str(OUT)],
-        ["rate-model", "slow-cooling", "--gamma-h", "1e-3", "--Gamma-c", "0.1",
-         "--n-c", "1e-2", "--steps", "16", "--out", str(OUT)],
+        ["rate-model", "slow-cooling", "--gamma-h", "1e-3", "--Gamma-c", "0.1", "--n-c", "1e-2", "--steps", "16"],
     ]
     for alpha in ("5e-4", "1e-3", "2e-3"):
         jobs.append(["rate-model", "chain", "--alpha", alpha, "--rounds", "4000",

@@ -50,16 +50,13 @@ from .ratemodel import (
     decay_constant_series,
     event_probabilities,
     first_round_weight0,
-    fit_decay_constant,
     flow_coefficients,
-    flow_matrix,
     integrate_cooling,
     iterate_round_chain,
     perturbative_weight0,
     slow_cooling_steady_fidelity,
     steady_weight0_ratio,
     steady_weight0_series,
-    tail_is_constant,
 )
 
 GATE_TOL = 1e-9
@@ -125,8 +122,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             steady = f"not unique ({exc})"
         lines += [
             "rate-model comparison (weight-class chain):",
-            f"  predicted first-round weight-0 = "
-            f"{_fmt(first_round_weight0(cfg.n_c, params.alpha, params.beta))}",
+            f"  predicted first-round weight-0 = {_fmt(first_round_weight0(params))}",
             f"  simulated first-round data fidelity = {_fmt(ends[0])}",
             f"  predicted steady weight-0 = {steady}",
             f"  chain after {cfg.rounds} rounds = {_fmt(chain[-1].P0)}",
@@ -264,7 +260,21 @@ def _check_rate_options(args) -> None:
 
 def cmd_rate_model(args) -> int:
     _check_rate_options(args)
-    out = Path(args.out)
+    if args.model == "slow-cooling":
+        a_rate = args.Gamma_c * (args.n_c + 1.0)
+        alpha = 6 * args.steps * args.gamma_h
+        x = float(np.exp(-args.steps * a_rate))
+        if not (alpha < 1.0 and x < 1.0):
+            raise ConfigError(
+                f"--gamma-h, --Gamma-c, --n-c and --steps give alpha = {_fmt(alpha)} and x = {_fmt(x)}, but "
+                "slow-cooling needs alpha = 6 * steps * gamma_h < 1 and x = exp(-steps * Gamma_c * (n_c + 1)) < 1"
+            )
+        fss = slow_cooling_steady_fidelity(alpha, x)
+        print(f"alpha (per-round ancilla error load) = {_fmt(alpha)}")
+        print(f"x (per-bit cooling survival over {args.steps} steps) = {_fmt(x)}")
+        print(f"self-consistent steady ancilla fidelity = {_fmt(fss)}")
+        return 0
+    out = Path(args.out)  # every other model writes a table
     if args.model == "cooling":
         rates = CoolingRates.from_reservoir(args.Gamma_c, args.n_c)
         P = np.zeros(8)
@@ -293,54 +303,27 @@ def cmd_rate_model(args) -> int:
         for n_c, f in rows:
             print(f"n_c = {_fmt(float(n_c))}  steady ancilla fidelity = {_fmt(f)}")
         return 0
-    if args.model == "slow-cooling":
-        a_rate = args.Gamma_c * (args.n_c + 1.0)
-        alpha = 6 * args.steps * args.gamma_h
-        x = float(np.exp(-args.steps * a_rate))
-        if not (alpha < 1.0 and x < 1.0):
-            raise ConfigError(
-                f"--gamma-h, --Gamma-c, --n-c and --steps give alpha = {_fmt(alpha)} and x = {_fmt(x)}, but "
-                "slow-cooling needs alpha = 6 * steps * gamma_h < 1 and x = exp(-steps * Gamma_c * (n_c + 1)) < 1"
-            )
-        fss = slow_cooling_steady_fidelity(alpha, x)
-        print(f"alpha (per-round ancilla error load) = {_fmt(alpha)}")
-        print(f"x (per-bit cooling survival over {args.steps} steps) = {_fmt(x)}")
-        print(f"self-consistent steady ancilla fidelity = {_fmt(fss)}")
-        return 0
     if args.model == "chain":
         params = RoundEventParams(args.F_a, args.alpha, args.beta if args.beta is not None else args.alpha)
         flows = flow_coefficients(event_probabilities(params))
         states = iterate_round_chain(RoundChainState.pristine(), flows, args.rounds)
-        p0_seq = [s.P0 for s in states]
-        # fit from the round where the faster modes are 1e-10 of the slow one
-        lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(flows))), reverse=True)
-        ratio = max(lam[2], 1e-300) / lam[1]
-        if ratio >= 1.0 - 1e-9:  # equal magnitudes may differ in their last bits
-            raise ConfigError(
-                f"--alpha, --beta and --F-a give a chain whose second and third modes have the same magnitude "
-                f"{_fmt(lam[1])}: no round separates the slow decay, so there is nothing to fit"
-            )
-        skip = math.ceil(np.log(1e-10) / np.log(ratio))
-        constant = tail_is_constant(p0_seq, skip)
-        if not constant and len(p0_seq) < skip + 8:
-            raise ConfigError(f"--rounds {args.rounds} too few to fit the decay from round {skip}: need {skip + 7}")
         rows = [
             [n, s.P0, s.Pa, s.Pb, s.P7, perturbative_weight0(max(n, 1), params.alpha)]
             for n, s in enumerate(states)
         ]
         _write_table(out / "chain.csv", ["round", "P0", "Pa", "Pb", "P7", "P0_series"], rows)
         print(f"wrote {out / 'chain.csv'}")
-        if constant:
-            print(f"P0 = {_fmt(p0_seq[-1])} is constant from round {skip}: no decay to fit")
-            return 0
-        p_ss, delta = fit_decay_constant(p0_seq, skip)
-        first_order = params.F_a * (1.0 - 3.0 * params.alpha - params.beta) + params.beta
-        print(f"first-round weight-0 (first-order) = {_fmt(first_order)}")
-        print(f"steady state: chain fixed point = {_fmt(chain_steady_state(flows).P0)}")
-        print(f"              symmetric-ratio closed form = {_fmt(steady_weight0_ratio(flows))}")
+        print(f"first-round weight-0 (first-order) = {_fmt(first_round_weight0(params))}")
+        try:
+            steady = chain_steady_state(flows).P0
+        except ValueError as exc:
+            print(f"steady state: not unique ({exc})")
+        else:
+            print(f"steady state: chain fixed point = {_fmt(steady)}")
+            print(f"              symmetric-ratio closed form = {_fmt(steady_weight0_ratio(flows))}")
         print(f"              matched second-order series = {_fmt(steady_weight0_series(params.alpha))}")
-        print(f"fitted plateau = {_fmt(p_ss)}  fitted delta0 = {_fmt(delta)}")
-        print(f"eigenvalue delta0 = {_fmt(chain_decay_constant(flows))}")
+        delta = chain_decay_constant(flows)
+        print(f"eigenvalue delta0 = {_fmt(delta)}")
         print(f"series delta0 = 1 + 42*alpha^2 = {_fmt(decay_constant_series(params.alpha))}")
         if params.alpha > 0:
             print(f"(delta0 - 1)/alpha^2 = {_fmt((delta - 1) / params.alpha**2)}")
@@ -427,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--Gamma-c", dest="Gamma_c", type=float, default=0.1)
     c.add_argument("--n-c", dest="n_c", type=float, default=1e-2)
     c.add_argument("--steps", type=int, default=16)
-    c.add_argument("--out", default="results")
     c = rm.add_parser("chain")
     c.add_argument("--alpha", type=float, required=True)
     c.add_argument("--beta", type=float, default=None)

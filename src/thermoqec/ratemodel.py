@@ -239,14 +239,12 @@ def chain_steady_state(f: dict[str, float]) -> RoundChainState:
 
 def chain_decay_constant(f: dict[str, float]) -> float:
     """Per-round decay constant of the slow relaxation mode: the inverse of
-    the subdominant eigenvalue magnitude of the class chain."""
-    M = flow_matrix(f)
-    evals = np.linalg.eigvals(M)
-    evals = sorted(evals, key=lambda z: -abs(z))
-    lam = abs(evals[1])
-    if lam <= 0:
-        raise ValueError("chain has no decaying mode")
-    return float(1.0 / lam)
+    the subdominant eigenvalue magnitude of the class chain. Infinite when
+    that magnitude is below 1e-12, the roundoff of a zero eigenvalue: the
+    chain then has no slow mode and reaches its fixed point within three
+    rounds."""
+    lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(f))))[-2]
+    return float(1.0 / lam) if lam >= 1e-12 else np.inf
 
 
 def steady_weight0_ratio(f: dict[str, float]) -> float:
@@ -281,11 +279,10 @@ def perturbative_weight0(n: int, alpha: float) -> float:
     return 1.0 - 3.0 * alpha + (33.0 - 21.0 * n) * alpha**2
 
 
-def first_round_weight0(n_c: float, alpha: float, beta: float) -> float:
+def first_round_weight0(params: RoundEventParams) -> float:
     """First-order weight-0 occupation after one round from a pristine
-    register: F_a * (1 - 3*alpha - beta) + beta with F_a the cooling
-    fixed-point fidelity."""
-    return ancilla_steady_fidelity(n_c) * (1.0 - 3.0 * alpha - beta) + beta
+    register: F_a * (1 - 3*alpha - beta) + beta."""
+    return params.F_a * (1.0 - 3.0 * params.alpha - params.beta) + params.beta
 
 
 def integrate_cooling(P0, rates: CoolingRates, t: float) -> np.ndarray:
@@ -304,58 +301,3 @@ def integrate_cooling(P0, rates: CoolingRates, t: float) -> np.ndarray:
     bit = np.array([[1.0 - up, down], [up, 1.0 - down]])  # [final, initial]
     return np.kron(np.kron(bit, bit), bit) @ P
 
-
-def _plateau_estimates(tail: np.ndarray) -> list[float]:
-    """Aitken plateau estimates from the final triples of a fit window; none
-    when their second differences all vanish."""
-    estimates = []
-    for j in range(max(0, len(tail) - 12), len(tail) - 2):
-        denom = tail[j] + tail[j + 2] - 2 * tail[j + 1]
-        if abs(denom) > 1e-300:
-            estimates.append((tail[j] * tail[j + 2] - tail[j + 1] ** 2) / denom)
-    return estimates
-
-
-def tail_is_constant(sequence, skip: int) -> bool:
-    """True when the fit window of `fit_decay_constant` from `skip` holds at
-    least three values and gives no plateau estimate: the tail is constant
-    and there is no decay to fit."""
-    tail = np.asarray(sequence, dtype=float)[skip : skip + 201]
-    return len(tail) >= 3 and not _plateau_estimates(tail)
-
-
-def fit_decay_constant(sequence, skip: int) -> tuple[float, float]:
-    """Fit P(n) = P_ss + (P(k) - P_ss) * delta**-(n-k) to the tail of a
-    per-round sequence, n in [k, k+200].
-
-    The plateau P_ss is extrapolated from the tail (Aitken), then delta
-    comes from a least-squares line through log(P(n) - P_ss). Returns
-    (P_ss, delta). Raises on a non-monotone tail or a poor fit.
-    """
-    seq = np.asarray(sequence, dtype=float)
-    if skip < 0 or len(seq) < skip + 8:
-        raise ValueError("sequence too short for the requested skip")
-    tail = seq[skip : skip + 201]
-    m = len(tail)
-    estimates = _plateau_estimates(tail)
-    if not estimates:
-        raise ValueError("tail is constant; nothing to fit")
-    p_ss = float(np.median(estimates))
-
-    diffs = tail - p_ss
-    sign = np.sign(diffs[0])
-    if sign == 0 or np.any(sign * diffs <= 0):
-        raise ValueError("tail does not approach the plateau from one side")
-    mags = sign * diffs
-    if np.any(np.diff(mags) > 0):
-        raise ValueError("non-monotone tail; fit rejected")
-
-    n = np.arange(m, dtype=float)
-    slope, intercept = np.polyfit(n, np.log(mags), 1)
-    delta = float(np.exp(-slope))
-    model = p_ss + sign * np.exp(intercept + slope * n)
-    resid = np.linalg.norm(model - tail)
-    signal = np.linalg.norm(mags)
-    if resid > 1e-8 * max(signal, 1e-300):
-        raise ValueError(f"fit residual {resid} too large for signal {signal}")
-    return p_ss, delta

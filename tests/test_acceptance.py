@@ -32,16 +32,14 @@ from thermoqec.dynamics import (
 from thermoqec.metrics import compute_step_metrics
 from thermoqec.qstate import StateVector, bit_mask, mean_entropies, pattern_blocks, trace_distance
 from thermoqec.ratemodel import (
-    RoundChainState,
     RoundEventParams,
     ancilla_steady_fidelity,
+    chain_decay_constant,
     chain_steady_state,
     decay_constant_series,
     event_probabilities,
     first_round_weight0,
-    fit_decay_constant,
     flow_coefficients,
-    iterate_round_chain,
     slow_cooling_steady_fidelity,
     steady_weight0_series,
 )
@@ -205,7 +203,7 @@ class TestCriterion6FirstRoundDrop:
             master_seed=SEED, store="scalar",
         )
         sim = acc.mean_f2_data()[0, -1]
-        pred = first_round_weight0(1e-2, 15e-3, 16e-3)
+        pred = first_round_weight0(RoundEventParams(ancilla_steady_fidelity(1e-2), 15e-3, 16e-3))
         tol = binomial_3sigma(sim, n_traj)
         ok = abs(sim - pred) <= tol
         assert report(
@@ -245,8 +243,7 @@ class TestCriterion7RateChainPerturbative:
         ok = True
         for alpha in (5e-4, 1e-3, 2e-3):
             flows = flow_coefficients(event_probabilities(RoundEventParams(1.0, alpha, alpha)))
-            seq = [s.P0 for s in iterate_round_chain(RoundChainState.pristine(), flows, 3000)]
-            _, delta = fit_decay_constant(seq, 4)
+            delta = chain_decay_constant(flows)
             coeff = (delta - 1.0) / alpha**2
             ok &= abs(coeff - 42.0) <= 2.0
             results.append(f"alpha={alpha}: (delta-1)/a^2={coeff:.3f}")

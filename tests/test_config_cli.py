@@ -283,42 +283,45 @@ class TestCliRateModel:
         line = next(s for s in out if "first-round weight-0" in s)
         # F_a * (1 - 3*alpha - beta) + beta = 0.9 * (1 - 0.004) + 0.001 with beta = alpha
         assert float(line.split("=")[1]) == pytest.approx(0.8974, abs=1e-12)
-        # the fit starts once the fast modes have decayed, so it finds the slow mode
-        fitted = float(next(s for s in out if "fitted delta0" in s).split("=")[-1])
-        exact = float(next(s for s in out if s.startswith("eigenvalue delta0")).split("=")[1])
-        assert fitted == pytest.approx(exact, abs=1e-10)
-
-    def test_chain_without_errors_has_no_decay_to_fit(self, tmp_path, capsys):
-        code = main(["rate-model", "chain", "--alpha", "0", "--out", str(tmp_path)])
-        assert code == 0 and (tmp_path / "chain.csv").exists()
-        assert capsys.readouterr().out.splitlines()[-1] == "P0 = 1 is constant from round 1: no decay to fit"
 
     @pytest.mark.parametrize(
         "argv",
-        [["--alpha", "0", "--beta", "1"], ["--alpha", "1"], ["--alpha", "0.5"]],
-        ids=["alpha0-beta1", "alpha1", "alpha0.5"],
+        [["--F-a", "0", "--alpha", "1e-3"], ["--alpha", "0.1"], ["--F-a", "0.7", "--alpha", "1e-3"]],
+        ids=["F_a0", "alpha0.1", "F_a0.7"],
     )
-    def test_chain_modes_of_equal_magnitude_exit_2(self, tmp_path, capsys, argv):
-        # alpha = 0 or 1: the chain flips P0 between 0 and 1 every round,
-        # |lambda3| = |lambda2| = 1; alpha = beta = 0.5: both are 0.0625,
-        # computed 6e-17 apart
-        assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 2
-        assert "same magnitude" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    def test_chain_tail_flat_by_the_fit_test_exits_0(self, tmp_path, capsys):
-        # F_a = 0, alpha = beta = 1: P0 settles at 1/4 through a -1/3 mode, so
-        # the tail from round 21 varies by 1e-10 and the fit window ends flat
-        assert main(["rate-model", "chain", "--alpha", "1", "--beta", "1", "--F-a", "0", "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "P0 = 0.25 is constant from round 21: no decay to fit"
+    def test_chain_reports_the_eigenvalue_decay_constant(self, tmp_path, capsys, argv):
+        # slow eigenvalue -0.994 (an oscillating tail), a -0.28 mode beside
+        # 0.82 (a non-monotone tail) and a 0.91 mode: none has a tail a
+        # one-exponential fit takes, and none needs one
+        assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "eigenvalue delta0 = " in out and "steady state: chain fixed point = " in out
         assert (tmp_path / "chain.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--alpha", "0"], ["--alpha", "0", "--beta", "1"], ["--alpha", "1"]],
+        ids=["alpha0", "alpha0-beta1", "alpha1"],
+    )
+    def test_chain_without_a_unique_fixed_point(self, tmp_path, capsys, argv):
+        # no errors: codewords 0 and 7 both absorb; alpha = 1, or beta = 1
+        # with alpha = 0: P0 flips between 0 and 1 every round. Eigenvalue 1
+        # is double and nothing decays.
+        assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "chain.csv").exists()
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == "steady state: not unique (eigenvalue 1 of the class chain has multiplicity 2: no unique fixed point)"
+        assert not any("symmetric-ratio" in s for s in out)
+        assert "eigenvalue delta0 = 1" in out
+
     def test_chain_with_ancilla_errors_only(self, tmp_path, capsys):
-        # alpha = 0 but F_a < 1: the chain still decays, and the fit runs
+        # alpha = 0 but F_a < 1: the chain still decays
         code = main(["rate-model", "chain", "--alpha", "0", "--F-a", "0.9", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "fitted delta0" in out and "(delta0 - 1)/alpha^2" not in out
+        assert "eigenvalue delta0 = " in out and "(delta0 - 1)/alpha^2" not in out
+        delta = float(next(s for s in out.splitlines() if s.startswith("eigenvalue delta0")).split("=")[1])
+        assert delta > 1
 
     def test_cooling_curve(self, tmp_path):
         code = main([
@@ -348,15 +351,15 @@ class TestCliRateModel:
             # each option in range alone, the combination not
             ["slow-cooling", "--gamma-h", "0.02"],  # alpha = 6 * 16 * 0.02 = 1.92
             ["slow-cooling", "--Gamma-c", "0"],  # x = 1: no cooling
-            ["chain", "--alpha", "1e-3", "--rounds", "3"],  # the fit starts at round 5
         ],
         ids=[
             "t-max", "Gamma-c", "n-c", "n-c-values", "steps", "alpha", "F-a", "rounds",
-            "slow-cooling-alpha", "slow-cooling-x", "chain-too-few-rounds",
+            "slow-cooling-alpha", "slow-cooling-x",
         ],
     )
     def test_out_of_range_option_exit_2(self, tmp_path, capsys, argv):
-        assert main(["rate-model", *argv, "--out", str(tmp_path)]) == 2
+        out = [] if argv[0] == "slow-cooling" else ["--out", str(tmp_path)]  # slow-cooling writes no table
+        assert main(["rate-model", *argv, *out]) == 2
         assert "configuration error: --" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())  # rejected before writing a table
 
@@ -380,9 +383,8 @@ class TestCliRateModel:
         assert code == 0
         assert "0.970875" in capsys.readouterr().out
 
-    def test_slow_cooling_report(self, tmp_path, capsys):
-        code = main(["rate-model", "slow-cooling", "--gamma-h", "1e-3", "--Gamma-c", "0.1",
-                     "--n-c", "0.01", "--out", str(tmp_path)])
+    def test_slow_cooling_report(self, capsys):
+        code = main(["rate-model", "slow-cooling", "--gamma-h", "1e-3", "--Gamma-c", "0.1", "--n-c", "0.01"])
         assert code == 0
         assert "steady ancilla fidelity" in capsys.readouterr().out
 

@@ -15,7 +15,6 @@ from thermoqec.ratemodel import (
     decay_constant_series,
     event_probabilities,
     first_round_weight0,
-    fit_decay_constant,
     flow_coefficients,
     flow_matrix,
     integrate_cooling,
@@ -290,7 +289,7 @@ class TestRoundChain:
         f = flow_coefficients(event_probabilities(params))
         states = iterate_round_chain(RoundChainState.pristine(), f, 1)
         assert states[1].P0 == pytest.approx(f["00"], abs=1e-15)
-        first_order = first_round_weight0(1e-2, params.alpha, params.beta)
+        first_order = first_round_weight0(params)
         # agreement to first order: the gap carries the neglected second-
         # order terms, bounded by the square of the total error load
         assert abs(states[1].P0 - first_order) < (3 * params.alpha + params.beta) ** 2
@@ -352,6 +351,13 @@ class TestChainPerturbativeForms:
             assert abs((delta - 1.0) / alpha**2 - 42.0) <= 2.0
             assert decay_constant_series(alpha) == pytest.approx(1 + 42 * alpha**2)
 
+    def test_decay_constant_of_a_chain_without_slow_mode(self):
+        # F_a = 0, beta = 1/2: every class moves to the same distribution in
+        # one round, so every eigenvalue but 1 is 0 (computed as 4e-17)
+        f = flow_coefficients(event_probabilities(RoundEventParams(0.0, 0.3, 0.5)))
+        assert chain_decay_constant(f) == np.inf
+        assert chain_steady_state(f).P0 == pytest.approx(0.125, abs=1e-15)
+
     def test_perturbative_weight0_values(self):
         assert perturbative_weight0(5, 0.0) == 1.0
         assert perturbative_weight0(1, 1e-3) == pytest.approx(0.997012, abs=1e-12)
@@ -369,46 +375,5 @@ class TestChainPerturbativeForms:
         assert states[20].P0 == pytest.approx(0.9966189844259, abs=1e-12)
 
     def test_first_round_value(self):
-        assert first_round_weight0(1e-2, 15e-3, 16e-3) == pytest.approx(0.9276522293, abs=1e-9)
-
-
-class TestFitDecayConstant:
-    def test_recovers_synthetic_geometric(self):
-        n = np.arange(300)
-        seq = 0.25 + 0.5 * 1.001 ** (-n)
-        p_ss, delta = fit_decay_constant(seq, 0)
-        assert abs(delta - 1.001) < 1e-6
-        assert abs(p_ss - 0.25) < 1e-9
-
-    def test_matches_chain_eigenvalue(self):
-        alpha = 1e-3
-        f = flow_coefficients(event_probabilities(RoundEventParams(1.0, alpha, alpha)))
-        seq = [s.P0 for s in iterate_round_chain(RoundChainState.pristine(), f, 3000)]
-        p_ss, delta = fit_decay_constant(seq, 4)
-        assert abs(delta - chain_decay_constant(f)) < 1e-8
-        assert abs(p_ss - chain_steady_state(f).P0) < 1e-6
-
-    def test_second_order_coefficient_window(self):
-        for alpha in (5e-4, 1e-3, 2e-3):
-            f = flow_coefficients(event_probabilities(RoundEventParams(1.0, alpha, alpha)))
-            seq = [s.P0 for s in iterate_round_chain(RoundChainState.pristine(), f, 3000)]
-            _, delta = fit_decay_constant(seq, 4)
-            assert abs((delta - 1.0) / alpha**2 - 42.0) <= 2.0
-
-    def test_rejects_non_monotone_tail(self):
-        n = np.arange(300)
-        seq = 0.25 + 0.5 * 1.001 ** (-n)
-        seq[150] += 0.2
-        with pytest.raises(ValueError):
-            fit_decay_constant(seq, 0)
-
-    def test_rejects_noisy_signal(self):
-        rng = np.random.default_rng(0)
-        n = np.arange(300)
-        seq = 0.25 + 0.5 * 1.01 ** (-n) * (1 + 1e-3 * rng.random(300))
-        with pytest.raises(ValueError):
-            fit_decay_constant(seq, 0)
-
-    def test_rejects_short_sequence(self):
-        with pytest.raises(ValueError):
-            fit_decay_constant([1.0, 0.9, 0.8], 0)
+        params = RoundEventParams(ancilla_steady_fidelity(1e-2), 15e-3, 16e-3)
+        assert first_round_weight0(params) == pytest.approx(0.9276522293, abs=1e-9)
