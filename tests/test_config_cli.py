@@ -286,12 +286,16 @@ class TestCliRateModel:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--F-a", "0", "--alpha", "1e-3"], ["--alpha", "0.1"], ["--F-a", "0.7", "--alpha", "1e-3"]],
-        ids=["F_a0", "alpha0.1", "F_a0.7"],
+        [
+            ["--F-a", "0", "--alpha", "1e-3"], ["--alpha", "0.1"], ["--F-a", "0.7", "--alpha", "1e-3"],
+            ["--alpha", "0.5"],
+        ],
+        ids=["F_a0", "alpha0.1", "F_a0.7", "alpha0.5"],
     )
     def test_chain_reports_the_eigenvalue_decay_constant(self, tmp_path, capsys, argv):
         # slow eigenvalue -0.994 (an oscillating tail), a -0.28 mode beside
-        # 0.82 (a non-monotone tail) and a 0.91 mode: none has a tail a
+        # 0.82 (a non-monotone tail), a 0.91 mode, and at alpha = beta = 0.5
+        # two modes of the same magnitude 0.0625: none has a tail a
         # one-exponential fit takes, and none needs one
         assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -300,19 +304,35 @@ class TestCliRateModel:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--alpha", "0"], ["--alpha", "0", "--beta", "1"], ["--alpha", "1"]],
-        ids=["alpha0", "alpha0-beta1", "alpha1"],
+        [
+            ["--alpha", "0"], ["--alpha", "0", "--beta", "1"], ["--alpha", "1"],
+            ["--alpha", "1", "--beta", "1", "--F-a", "0"],
+        ],
+        ids=["alpha0", "alpha0-beta1", "alpha1", "F_a0-alpha1-beta1"],
     )
     def test_chain_without_a_unique_fixed_point(self, tmp_path, capsys, argv):
         # no errors: codewords 0 and 7 both absorb; alpha = 1, or beta = 1
-        # with alpha = 0: P0 flips between 0 and 1 every round. Eigenvalue 1
-        # is double and nothing decays.
+        # with alpha = 0: P0 flips between 0 and 1 every round; F_a = 0 with
+        # alpha = beta = 1: the pristine start settles at P0 = 1/4, another
+        # start elsewhere. Eigenvalue 1 is double and nothing decays.
         assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "chain.csv").exists()
         out = capsys.readouterr().out.splitlines()
         assert out[2] == "steady state: not unique (eigenvalue 1 of the class chain has multiplicity 2: no unique fixed point)"
         assert not any("symmetric-ratio" in s for s in out)
         assert "eigenvalue delta0 = 1" in out
+
+    def test_chain_with_few_rounds(self, tmp_path, capsys):
+        # --rounds sets only the table's length: the eigenvalue constants
+        # need no iterates, so three rounds print what four thousand do
+        argv = ["rate-model", "chain", "--alpha", "1e-3"]
+        assert main([*argv, "--rounds", "4000", "--out", str(tmp_path / "long")]) == 0
+        long_out = capsys.readouterr().out.splitlines()[1:]
+        assert main([*argv, "--rounds", "3", "--out", str(tmp_path / "short")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == long_out
+        assert "eigenvalue delta0 = 1.00004147696" in long_out
+        with open(tmp_path / "short" / "chain.csv", newline="") as fh:
+            assert [r["round"] for r in csv.DictReader(fh)] == ["0", "1", "2", "3"]
 
     def test_chain_with_ancilla_errors_only(self, tmp_path, capsys):
         # alpha = 0 but F_a < 1: the chain still decays

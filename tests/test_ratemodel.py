@@ -351,6 +351,25 @@ class TestChainPerturbativeForms:
             assert abs((delta - 1.0) / alpha**2 - 42.0) <= 2.0
             assert decay_constant_series(alpha) == pytest.approx(1 + 42 * alpha**2)
 
+    def test_decay_constant_is_the_iterated_tail_ratio(self):
+        # once the fast modes have decayed, successive deviations of the
+        # iterated chain from its fixed point shrink by exactly delta0
+        f = flow_coefficients(event_probabilities(RoundEventParams(1.0, 1e-3, 1e-3)))
+        seq = [s.P0 for s in iterate_round_chain(RoundChainState.pristine(), f, 3000)]
+        p_ss, delta = chain_steady_state(f).P0, chain_decay_constant(f)
+        for n in (1000, 2000, 3000):
+            assert (seq[n - 1] - p_ss) / (seq[n] - p_ss) == pytest.approx(delta, abs=1e-12)
+
+    def test_decay_constant_of_an_oscillating_tail(self):
+        # F_a = 0: the slow eigenvalue is -0.994, so the deviation flips sign
+        # every round while its magnitude shrinks by delta0
+        f = flow_coefficients(event_probabilities(RoundEventParams(0.0, 1e-3, 1e-3)))
+        seq = [s.P0 for s in iterate_round_chain(RoundChainState.pristine(), f, 200)]
+        p_ss, delta = chain_steady_state(f).P0, chain_decay_constant(f)
+        assert delta == pytest.approx(1.00602408024, abs=1e-10)
+        for n in (50, 100, 200):
+            assert (seq[n - 1] - p_ss) / (seq[n] - p_ss) == pytest.approx(-delta, abs=1e-12)
+
     def test_decay_constant_of_a_chain_without_slow_mode(self):
         # F_a = 0, beta = 1/2: every class moves to the same distribution in
         # one round, so every eigenvalue but 1 is 0 (computed as 4e-17)
