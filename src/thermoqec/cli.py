@@ -313,7 +313,7 @@ def cmd_rate_model(args) -> int:
         ]
         _write_table(out / "chain.csv", ["round", "P0", "Pa", "Pb", "P7", "P0_series"], rows)
         print(f"wrote {out / 'chain.csv'}")
-        print(f"first-round weight-0 (first-order) = {_fmt(first_round_weight0(params))}")
+        print(_series_line("first-round weight-0 (first-order)", first_round_weight0(params)))
         try:
             steady = chain_steady_state(flows).P0
         except ValueError as exc:
@@ -321,14 +321,30 @@ def cmd_rate_model(args) -> int:
         else:
             print(f"steady state: chain fixed point = {_fmt(steady)}")
             print(f"              symmetric-ratio closed form = {_fmt(steady_weight0_ratio(flows))}")
-        print(f"              matched second-order series = {_fmt(steady_weight0_series(params.alpha))}")
+        print(_series_line("              matched second-order series", steady_weight0_series(params.alpha), params))
         delta = chain_decay_constant(flows)
         print(f"eigenvalue delta0 = {_fmt(delta)}")
-        print(f"series delta0 = 1 + 42*alpha^2 = {_fmt(decay_constant_series(params.alpha))}")
+        print(_series_line("series delta0 = 1 + 42*alpha^2", decay_constant_series(params.alpha), params, False))
         if params.alpha > 0:
             print(f"(delta0 - 1)/alpha^2 = {_fmt((delta - 1) / params.alpha**2)}")
         return 0
     raise ConfigError(f"unknown rate-model subcommand {args.model!r}")
+
+
+def _series_line(label: str, value: float, params: RoundEventParams | None = None, probability: bool = True) -> str:
+    """`label = value` for a perturbative series, ending in "(series does not
+    apply: <reasons>)" when the value is a probability outside [0, 1] or when
+    the series assumes a perfect ancilla and equal error loads (`params`
+    given) and the chain's F_a or beta differ."""
+    reasons = []
+    if probability and not 0.0 <= value <= 1.0:
+        reasons.append(f"{_fmt(value)} lies outside [0, 1]")
+    if params is not None and params.F_a != 1.0:
+        reasons.append(f"it assumes F_a = 1, not {_fmt(params.F_a)}")
+    if params is not None and params.beta != params.alpha:
+        reasons.append(f"it assumes beta = alpha, not {_fmt(params.beta)}")
+    line = f"{label} = {_fmt(value)}"
+    return f"{line} (series does not apply: {'; '.join(reasons)})" if reasons else line
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:

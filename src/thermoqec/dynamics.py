@@ -2,19 +2,21 @@
 
 Two routes are provided, both reading one table of schedule-derived
 operators (`_SchedulePlan`: cooling windows, measurement projectors,
-correction permutations, ground-pattern masks, the kernel's jumps, the
-classical qubits that fix every density matrix's block layout, and two
-tables built on request: the kernel's step propagators `propagators[s]`,
-built once per distinct control-term set and shared by every step with that
-set, which hold the full-step unitary, an exact product of the terms' closed
-forms, and, from the set's first replay, the eigenbasis of the step's
-generator, which gives any part of the step; and the oracle's step channels
-`channels[s]`, built on its first request once per distinct (term, cooled
-qubits) group and shared by every step with that group):
+correction permutations, ground-pattern masks, the hot channel's flips, the
+classical qubits that fix the kernel's state and every density matrix's
+block layout, and two tables built on request: the kernel's step
+propagators `propagators[s]`, built once per distinct control-term set and
+shared by every step with that set, which hold the full-step unitary, an
+exact product of the terms' closed forms, and, from the set's first replay,
+the eigenbasis of the step's generator, which gives any part of the step;
+and the oracle's step channels `channels[s]`, built on its first request
+once per distinct (term, cooled qubits) group and shared by every step with
+that group):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
   with one batched kernel, which `run_ensemble` runs on batches of
-  trajectories, and
+  trajectories, reading its tables over the basis from a `_SplitPlan` of
+  the schedule plan, and
 * the exact master-equation propagator, used as the oracle: within a step
   the Lindbladian is a sum of commuting terms on disjoint qubit groups, so
   each step's map is a tensor product of small exact channels. It takes one
@@ -74,14 +76,15 @@ step. A group's draws do not depend on the state, so they are read before
 its first step, in one peek at every row's next uniforms: a row without a
 hot hit reads `n_sub` uniforms per step, and only the rows with a flip are
 parsed, over their hits, for flip substeps and qubit picks. Each plain
-step then applies the exact full-step unitary to every row in one product.
+step then applies the exact full-step unitary to every row.
 A flip of qubit q whose X_q commutes with the step's generator (q in no
 term, or a term that flipping q's bit leaves unchanged) commutes with every
 part of the step, so it permutes the row's product at the step's end. A row
 with any other flip replays those flips' substep interleaving from its
-pre-step state, one eigenbasis propagation per gap between them, and then
-takes its commuting flips. The uniforms and their order are those of the
-per-step contract above, so the sampled distribution is unchanged.
+pre-step state, placed in the whole register, one eigenbasis propagation
+per gap between them, and then takes its commuting flips. The uniforms and
+their order are those of the per-step contract above, so the sampled
+distribution is unchanged.
 
 Steps with cold coupling and no control terms (every cooling window) go
 from event to event with the same draws. Their no-jump evolution is
@@ -93,25 +96,45 @@ step in closed form. Steps with cold coupling and control terms (only
 under "always") advance all rows by one substep's unitary and the decay
 per substep. Both paths apply a cold jump through one helper.
 
-Per step the kernel keeps two samples: the basis populations summed over
-the batch and, unless the store is "scalar", the batch's Gram matrix
-states^T @ conj(states). Once per round the populations give the f2 sums,
-and the round's Gram matrices, one per step, are added to the round's row
-of the accumulator's window: to the whole-register sums (store "full") and,
-as partial traces, to the data and ancilla reductions; the round-end
-matrices are those of the last step. A window holds as many rounds as fit
-`_WINDOW_BYTES` of the largest kept register (8 rounds of the measured
-round's 64x64 matrices); the batches advance together through each window,
-which is then reduced to its entropies and reused, so a run's memory does
-not grow with rounds x steps.
+The kernel's state is split on the classical qubits: the qubits whose Z_q
+commutes with every step's generator, on which no measurement and no cold
+coupling acts, and which the initial state does not superpose (its one
+classical set, `EnsembleAccumulator.classical`). No step mixes their basis
+and bit flips and corrections map basis states to basis states, so every
+trajectory stays on one pattern of them: a row is that `pattern` and `amp`,
+its 2^q amplitudes on the sub-basis of the q other qubits. Every table the
+kernel reads works per pattern (`_SplitPlan`): a step's unitary is its
+2^c diagonal blocks, one product `amp @ block.T` where all are equal (10
+of the measured round's 12 steps with terms) and each row's own block
+otherwise; a flip or correction is an XOR of the pattern and a permutation
+of `amp`; the decay factors, ancilla occupations and measurement projectors
+are the same on every pattern, so they are tables over the sub-basis. The
+measured round from a basis state has the data qubits as its classical
+set, 8 amplitudes per row; the measurement-free round has none, so it runs
+with one pattern of all 32 amplitudes.
 
-The entropies, and the oracle's positivity check, solve each register's
-matrices in one block layout: one block per pattern of the plan's classical
-qubits (no step's generator mixes their basis) on which the initial state
-or states are block-diagonal. Flips, jumps, measurements and corrections
-keep that structure, so the entries between blocks are exact zeros. The
-measured round's data qubits are classical; the measurement-free round has
-no classical qubit, and its matrices are solved dense.
+Per step the kernel keeps two samples: the basis populations summed over
+the batch and, unless the store is "scalar", the batch's Gram matrix of
+each pattern, the sum of amp^T @ conj(amp) over its rows, both from the
+rows laid out in the register's block order. Once per round the
+populations give the f2 sums, and the round's Gram blocks, one stack per
+step, are added to the round's row of the accumulator's window: to the
+whole-register sums (store "full"; `rho_total` holds them as (window,
+steps, 2^c * 2^q, 2^q), the blocks stacked in pattern order) and, as
+partial traces, to the dense data and ancilla reductions; the round-end
+matrices are those of the last step. A window holds as many rounds as fit
+`_WINDOW_BYTES` of all kept registers together (51 rounds of the measured
+round's blocks and reductions); the batches advance together through each
+window, which is then reduced to its entropies and reused, so a run's
+memory does not grow with rounds x steps.
+
+The entropies solve the whole-register blocks directly, and the data and
+ancilla matrices, and the oracle's positivity check, in one block per
+pattern of their classical qubits. The oracle's layout takes the plan's
+classical qubits on which every input is block-diagonal. Flips, jumps,
+measurements and corrections keep that structure, so the entries between
+blocks are exact zeros. The measurement-free round has no classical qubit,
+and its matrices are solved dense.
 """
 
 from __future__ import annotations
@@ -132,6 +155,7 @@ from .qstate import (
     basis_patterns,
     bit_mask,
     block_eigvalsh,
+    gather_blocks,
     mean_entropies,
     pattern_blocks,
     trace_distance,
@@ -255,11 +279,19 @@ def _symmetric_qubits(schedule: GateSchedule, pauli: np.ndarray) -> np.ndarray:
 
 
 class _SchedulePlan:
-    """Precomputed arrays for evolving one schedule under one noise setting,
-    the trajectory kernel's step propagators (`propagators`; the oracle
-    reads none) and the oracle's step channels (`channels`; the kernel reads
-    none), and the `classical` qubits, whose Z_q commutes with every step's
-    generator (see the module docstring)."""
+    """Precomputed arrays for evolving one schedule under one noise setting:
+    cooling windows, the hot channel's flip probability and permutations,
+    measurement projectors and correction permutations over the whole
+    register, the ground masks, the `classical` qubits, the trajectory
+    kernel's step propagators (`propagators`; the oracle reads none) and the
+    oracle's step channels (`channels`; the kernel reads none). The kernel
+    reads its tables over the basis from a `_SplitPlan` of this plan.
+
+    The `classical` qubits are those whose Z_q commutes with every step's
+    generator and on which no measurement and no cold coupling act: no step
+    mixes their basis, and every decay factor, ancilla occupation and
+    measurement projector reads the same on each of their patterns (see the
+    module docstring)."""
 
     def __init__(self, schedule: GateSchedule, noise: NoiseParams, n_sub: int):
         if n_sub < 1:
@@ -282,14 +314,11 @@ class _SchedulePlan:
         self.p_hot = 1.0 - np.exp(-n * noise.gamma_h * self.dt)
         self.flip_perms = np.stack([idx ^ bit_mask(q, n) for q in range(n)])
         self.commutes = _symmetric_qubits(schedule, PAULI_X)
-        self.classical = tuple(np.flatnonzero(_symmetric_qubits(schedule, PAULI_Z).all(axis=0)).tolist())
-
-        # cold channels: per-ancilla occupations and the no-jump decay factor
-        anc = schedule.ancilla_qubits
-        self.anc_bits = np.array([(idx >> (n - 1 - a)) & 1 for a in anc], dtype=float).reshape(-1, self.dim)
-        self.anc_perms = np.array([idx ^ bit_mask(a, n) for a in anc], dtype=np.int64).reshape(-1, self.dim)
-        self.cool_rates = (noise.rate_down * self.anc_bits + noise.rate_up * (1.0 - self.anc_bits)).sum(axis=0)
-        self.cool_decay = np.exp(-0.5 * self.dt * self.cool_rates)
+        acted = {q for step in schedule.steps for q in step.measure or ()}
+        if self.cooling_on.any():
+            acted.update(schedule.ancilla_qubits)
+        symmetric = np.flatnonzero(_symmetric_qubits(schedule, PAULI_Z).all(axis=0)).tolist()
+        self.classical = tuple(q for q in symmetric if q not in acted)
 
         # measurement projectors (row = measured pattern) and, per measured
         # pattern, the basis permutation of its correction's flip set
@@ -310,7 +339,7 @@ class _SchedulePlan:
 
         # ground patterns of the data and ancilla registers
         self.data_ground = basis_patterns(n, schedule.data_qubits) == 0
-        self.anc_ground = basis_patterns(n, anc) == 0
+        self.anc_ground = basis_patterns(n, schedule.ancilla_qubits) == 0
 
     def classical_in(self, states: np.ndarray) -> tuple[int, ...]:
         """The classical qubits on which every matrix of a (..., dim, dim)
@@ -320,15 +349,6 @@ class _SchedulePlan:
         coupled = np.any(states != 0, axis=tuple(range(states.ndim - 2)))
         crossed = idx[:, None] ^ idx[None, :]
         return tuple(q for q in self.classical if not coupled[crossed & bit_mask(q, self.n_qubits) != 0].any())
-
-    @cached_property
-    def decay_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """No-jump factors of the cold channels over m = 0..n_sub substeps,
-        on amplitudes and on norms, each of shape (n_sub + 1, dim); built on
-        first request (powers far below the smallest double are 0)."""
-        with np.errstate(under="ignore"):
-            amp = np.exp(-0.5 * self.dt * np.arange(self.n_sub + 1)[:, None] * self.cool_rates)
-            return amp, amp * amp
 
     @cached_property
     def propagators(self) -> list[_StepPropagators | None]:
@@ -372,6 +392,90 @@ class _SchedulePlan:
                 factors.append((qubits, chan))
             table.append(factors)
         return table
+
+
+class _SplitPlan:
+    """The trajectory kernel's tables for its split state over `classical`,
+    a subset of a plan's classical qubits: a row is the `pattern` of those
+    qubits and `amp`, its amplitudes on the sub-basis of the other qubits.
+    `layout` (`qstate.pattern_blocks`) holds the register index of each
+    (pattern, sub-basis state).
+
+    * `unitaries[s]` and `substeps[s]`, step s's full-step and (where the
+      step is cooled) one-substep unitary on the patterns: one (size, size)
+      block where every pattern's block is the same, else the
+      (patterns, size, size) stack of them (None for a step without terms);
+    * the flip of each qubit (`flip_xor`, `flip_perms`) and each measured
+      pattern's correction (`corrections[s]`) as an XOR of the pattern and a
+      permutation of the sub-basis;
+    * the measurement projectors, ancilla occupations and permutations and
+      cold decay factors over the sub-basis, the same on every pattern, as
+      no measurement or cold coupling acts on a classical qubit;
+    * the ground masks over `layout`.
+
+    Building it applies the kernel's substep guard, n_qubits * gamma_h *
+    dt < 1, so that a substep holds at most one bit flip.
+    """
+
+    def __init__(self, plan: _SchedulePlan, classical: tuple[int, ...]):
+        n = plan.n_qubits
+        if n * plan.noise.gamma_h * plan.dt >= 1.0:
+            raise ValueError("substep too large for the bit-flip rate: need n_qubits * gamma_h / n_sub < 1")
+        self.plan = plan
+        self.classical = classical
+        self.layout = layout = pattern_blocks(n, classical)
+        patterns, size = layout.shape
+        pattern_of, sub_of = np.empty((2, plan.dim), dtype=np.int64)
+        pattern_of[layout] = np.arange(patterns)[:, None]
+        sub_of[layout] = np.arange(size)
+        base = layout[0]  # the sub-basis, as register indices of pattern 0
+
+        def split(masks):
+            """(pattern XORs, sub-basis permutations) of flips by bit masks."""
+            masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+            return pattern_of[masks], sub_of[base[None, :] ^ masks[:, None]]
+
+        def blocks(u):
+            if u is None:
+                return None
+            stack = gather_blocks(u, layout)  # one pattern: a view of u
+            return stack[0] if (stack == stack[0]).all() else stack
+
+        self.flip_xor, self.flip_perms = split([bit_mask(q, n) for q in range(n)])
+        self.corrections = [None if perms is None else split(perms[:, 0]) for perms in plan.corr_perms]
+        self.measure_onehot = [None if onehot is None else onehot[:, base] for onehot in plan.measure_onehot]
+        table = {prop: (blocks(prop.unitary), blocks(prop.substep)) for prop in plan.propagators if prop is not None}
+        self.unitaries = [None if prop is None else table[prop][0] for prop in plan.propagators]
+        self.substeps = [None if prop is None else table[prop][1] for prop in plan.propagators]
+
+        # cold channels: per-ancilla occupations and the no-jump decay factor
+        anc = plan.schedule.ancilla_qubits
+        self.anc_bits = np.array([(base >> (n - 1 - a)) & 1 for a in anc], dtype=float).reshape(-1, size)
+        self.anc_perms = split([bit_mask(a, n) for a in anc])[1]
+        noise = plan.noise
+        self.cool_rates = (noise.rate_down * self.anc_bits + noise.rate_up * (1.0 - self.anc_bits)).sum(axis=0)
+        self.cool_decay = np.exp(-0.5 * plan.dt * self.cool_rates)
+
+        self.data_ground = plan.data_ground[layout]
+        self.anc_ground = plan.anc_ground[layout]
+
+    @cached_property
+    def decay_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """No-jump factors of the cold channels over m = 0..n_sub substeps,
+        on amplitudes and on norms, each of shape (n_sub + 1, size); built on
+        first request (powers far below the smallest double are 0)."""
+        plan = self.plan
+        with np.errstate(under="ignore"):
+            amp = np.exp(-0.5 * plan.dt * np.arange(plan.n_sub + 1)[:, None] * self.cool_rates)
+            return amp, amp * amp
+
+
+def _propagate(amp: np.ndarray, pattern: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Rows `amp` on patterns `pattern` through a (sub)step's `blocks`: one
+    product where all patterns share one block, else each row's own."""
+    if blocks.ndim == 2:
+        return amp @ blocks.T
+    return np.matmul(blocks[pattern], amp[:, :, None])[:, :, 0]
 
 
 def _pattern_bits(pattern: int, k: int) -> tuple[int, ...]:
@@ -440,18 +544,23 @@ class EnsembleAccumulator:
     Scalar samples (populations of the data/ancilla ground patterns) are
     kept for all rounds. Density-matrix sums are kept according to `store`:
     "scalar" none, "reduced" data+ancilla reductions, "full" those plus the
-    whole-register matrix. The matrix grids hold one window of rounds,
-    `window` rounds from `window_start`, at most `_WINDOW_BYTES` for the
-    largest register kept: `reduce_window` turns the held rounds' sums into
-    their entropies (`s_total`, `s_data`, `s_anc`, (rounds, steps) arrays,
-    nan where no matrix is kept) and, given `reference` round-end matrices
-    and store "full", their round-end `trace_distances`; `next_window`
-    drops the sums to hold the next rounds.
+    whole-register sums. The matrix grids hold one window of rounds,
+    `window` rounds from `window_start`, at most `_WINDOW_BYTES` for all
+    kept registers together: `reduce_window` turns the held rounds' sums
+    into their entropies (`s_total`, `s_data`, `s_anc`, (rounds, steps)
+    arrays, nan where no matrix is kept) and, given `reference` round-end
+    matrices and store "full", their round-end `trace_distances`;
+    `next_window` drops the sums to hold the next rounds.
 
-    Each register's entropies are solved in one block per pattern of its
-    `classical` qubits (`qstate.pattern_blocks`), which `run_ensemble` sets
-    from its plan and initial state; built directly, an accumulator has
-    none and solves its matrices dense.
+    The whole-register sums are kept in the block layout of the `classical`
+    qubits (`layout`, `qstate.pattern_blocks`; `run_ensemble` passes its
+    kernel's set): `rho_total` is (window, steps, patterns * size, size),
+    the blocks of one matrix stacked in pattern order, so that with no
+    classical qubit it holds the dense matrices. `mean_rho("total", ...)`
+    assembles a dense matrix from them. The data and ancilla sums
+    (`rho_data`, `rho_anc`) are dense. Each register's entropies are solved
+    in one block per pattern of its classical qubits; built directly, an
+    accumulator has none and solves its matrices dense.
     """
 
     n_rounds: int
@@ -461,19 +570,20 @@ class EnsembleAccumulator:
     ancilla_qubits: tuple[int, ...]
     store: str = "reduced"
     reference: np.ndarray | None = field(default=None, repr=False)
+    classical: tuple[int, ...] = ()
     count: int = field(init=False, default=0)
     f2_data: np.ndarray = field(init=False)
     f2_anc: np.ndarray = field(init=False)
     rho_data: np.ndarray | None = field(init=False, default=None)
     rho_anc: np.ndarray | None = field(init=False, default=None)
     rho_total: np.ndarray | None = field(init=False, default=None)
+    layout: np.ndarray = field(init=False, repr=False)
     window: int = field(init=False)
     window_start: int = field(init=False, default=0)
     s_total: np.ndarray = field(init=False, repr=False)
     s_data: np.ndarray = field(init=False, repr=False)
     s_anc: np.ndarray = field(init=False, repr=False)
     trace_distances: np.ndarray | None = field(init=False, default=None)
-    classical: tuple[int, ...] = field(init=False, default=())
     _reduced: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self):
@@ -482,17 +592,19 @@ class EnsembleAccumulator:
         shape = (self.n_rounds, self.n_steps)
         self.f2_data, self.f2_anc = np.zeros((2,) + shape)
         self.s_total, self.s_data, self.s_anc = np.full((3,) + shape, math.nan)
-        dims = {}  # the kept registers' matrix sizes
+        self.layout = pattern_blocks(self.n_qubits, self.classical)
+        grids = {}  # the kept registers' (rows, columns) per step
         if self.store != "scalar":
-            dims = {"rho_data": 2 ** len(self.data_qubits), "rho_anc": 2 ** len(self.ancilla_qubits)}
+            registers = {"rho_data": self.data_qubits, "rho_anc": self.ancilla_qubits}
+            grids = {name: (2 ** len(qubits),) * 2 for name, qubits in registers.items()}
         if self.store == "full":
-            dims["rho_total"] = 2**self.n_qubits
+            grids["rho_total"] = (self.layout.size, self.layout.shape[1])
         self.window = self.n_rounds
-        if dims:
-            per_round = self.n_steps * max(dims.values()) ** 2 * np.dtype(complex).itemsize
+        if grids:
+            per_round = self.n_steps * sum(r * c for r, c in grids.values()) * np.dtype(complex).itemsize
             self.window = min(self.n_rounds, max(1, _WINDOW_BYTES // per_round))
-        for name, d in dims.items():
-            setattr(self, name, np.zeros((self.window, self.n_steps, d, d), dtype=complex))
+        for name, rc in grids.items():
+            setattr(self, name, np.zeros((self.window, self.n_steps) + rc, dtype=complex))
         if self.reference is not None and self.rho_total is not None:
             d = 2**self.n_qubits
             if np.shape(self.reference) != (self.n_rounds, d, d):
@@ -510,14 +622,16 @@ class EnsembleAccumulator:
         if self._reduced:
             return
         held = self._held()
+        if self.rho_total is not None:
+            blocks = self.rho_total[: len(held)].reshape((len(held), self.n_steps) + self.layout.shape + (-1,))
+            self.s_total[held.start : held.stop] = mean_entropies(blocks, self.count)
         for grid, ents, qubits in (
-            (self.rho_total, self.s_total, range(self.n_qubits)),
             (self.rho_data, self.s_data, self.data_qubits),
             (self.rho_anc, self.s_anc, self.ancilla_qubits),
         ):
             if grid is not None:
                 layout = pattern_blocks(len(qubits), [qubits.index(q) for q in self.classical if q in qubits])
-                ents[held.start : held.stop] = mean_entropies(grid[: len(held)], self.count, layout)
+                ents[held.start : held.stop] = mean_entropies(gather_blocks(grid[: len(held)], layout), self.count)
         if self.trace_distances is not None:
             for rnd in held:
                 ref = DensityMatrix(self.n_qubits, self.reference[rnd])
@@ -544,7 +658,8 @@ class EnsembleAccumulator:
 
     def mean_rho(self, which: str, rnd: int, step: int = -1) -> DensityMatrix:
         """Ensemble-averaged density matrix at (round, step), for a round the
-        window holds."""
+        window holds; the whole-register matrix is assembled from its
+        blocks."""
         grid = {"data": self.rho_data, "ancilla": self.rho_anc, "total": self.rho_total}[which]
         if grid is None:
             raise ValueError(f"{which} matrices were not accumulated (store={self.store!r})")
@@ -555,6 +670,9 @@ class EnsembleAccumulator:
                 "its matrices were reduced to entropies and dropped"
             )
         mat = grid[rnd - self.window_start, step] / self.count
+        if which == "total":
+            blocks, mat = mat, np.zeros((self.layout.size,) * 2, dtype=complex)
+            mat[self.layout[:, :, None], self.layout[:, None, :]] = blocks.reshape(self.layout.shape + (-1,))
         nq = {
             "data": len(self.data_qubits),
             "ancilla": len(self.ancilla_qubits),
@@ -596,7 +714,8 @@ def run_ensemble(
     if len(indices) != n_traj:
         raise ValueError("traj_indices length must equal n_traj")
     plan = _SchedulePlan(schedule, noise, n_sub)
-
+    amps = initial.amplitudes.astype(complex)
+    split = _SplitPlan(plan, plan.classical_in(np.outer(amps, amps.conj())))
     acc = EnsembleAccumulator(
         rounds,
         len(schedule),
@@ -605,14 +724,17 @@ def run_ensemble(
         schedule.ancilla_qubits,
         store,
         reference=reference,
+        classical=split.classical,
     )
-    acc.classical = plan.classical_in(np.outer(initial.amplitudes, initial.amplitudes.conj()))
     records = [TrajectoryRecord(master_seed, int(i)) for i in indices] if record else None
     # every batch's states and streams live through the whole run; a chunk
-    # holds a step's draws even if every substep flips
+    # holds a step's draws even if every substep flips. The initial state
+    # lies on one pattern of the split's classical qubits.
     chunk = max(_StreamBank.chunk, 2 * n_sub)
     batches = [indices[lo : lo + BATCH_SIZE] for lo in range(0, n_traj, BATCH_SIZE)]
-    states = [np.tile(initial.amplitudes.astype(complex), (len(batch), 1)) for batch in batches]
+    start_pattern = basis_patterns(schedule.n_qubits, split.classical)[np.flatnonzero(amps)[0]]
+    patterns = [np.full(len(batch), start_pattern) for batch in batches]
+    states = [np.tile(amps[split.layout[start_pattern]], (len(batch), 1)) for batch in batches]
     banks = [_StreamBank([trajectory_stream(master_seed, int(i)) for i in batch], chunk) for batch in batches]
     acc.count = n_traj
     for start in range(0, rounds, acc.window):
@@ -621,8 +743,8 @@ def run_ensemble(
         stop = min(start + acc.window, rounds)
         for b in range(len(batches)):
             recs = records[b * BATCH_SIZE : (b + 1) * BATCH_SIZE] if record else None
-            states[b] = _run_batch(states[b], stop, plan, banks[b], acc, recs, start)
-    del plan, states, banks  # freed first, so the last reduction reuses their memory
+            states[b] = _run_batch(patterns[b], states[b], stop, split, banks[b], acc, recs, start)
+    del plan, split, patterns, states, banks  # freed first, so the last reduction reuses their memory
     acc.reduce_window()
     return acc, records
 
@@ -685,32 +807,35 @@ def _read_plain(bank: _StreamBank, plan: _SchedulePlan, steps: list[int]) -> dic
     return flips
 
 
-def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, records=None, start=0):
-    """Advance the trajectories `states` (one row each, drawing from the same
-    row of `bank`) through rounds `start`..`rounds - 1`, which `acc`'s
-    window must hold, and return their final states.
+def _run_batch(pattern, amp, rounds, split: _SplitPlan, bank: _StreamBank, acc, records=None, start=0):
+    """Advance the trajectories of split state (`pattern`, `amp`), one row
+    each, drawing from the same row of `bank`, through rounds
+    `start`..`rounds - 1`, which `acc`'s window must hold; `pattern` is
+    updated in place and the final amplitudes are returned.
 
     Post-step samples are added to `acc`; jumps and measurement outcomes are
-    appended to `records` when given. Raises ValueError when a substep is too
-    coarse for at most one bit flip.
+    appended to `records` when given.
     """
-    B = states.shape[0]
-    n = plan.n_qubits
-    if n * plan.noise.gamma_h * plan.dt >= 1.0:
-        raise ValueError("substep too large for the bit-flip rate: need n_qubits * gamma_h / n_sub < 1")
+    plan = split.plan
+    B = len(pattern)
     if start < acc.window_start or rounds > acc.window_start + acc.window:
         raise ValueError(f"rounds {start}-{rounds - 1} lie outside the accumulator's window")
     all_rows = np.arange(B)
     n_steps = len(plan.schedule)
     record = records is not None
     groups = _plain_groups(plan, bank.chunk)
-    # populations after each step of the round, as (re, im) column sums, and
-    # the ground-pattern columns that turn them into f2 sums
-    pops = np.empty((n_steps, 2 * plan.dim))
-    ground = np.repeat(np.stack([plan.data_ground, plan.anc_ground], axis=1), 2, axis=0).astype(float)
+    n_pat, size = split.layout.shape
+    # populations after each step of the round in layout order, as (re, im)
+    # column sums, and the ground-pattern columns that turn them into f2
+    # sums; with more than one pattern, the rows are laid out in the
+    # register's layout order (zero off their pattern) to take them
+    pops = np.empty((n_steps, 2 * split.layout.size))
+    ground = np.stack([split.data_ground.ravel(), split.anc_ground.ravel()], axis=1)
+    ground = np.repeat(ground, 2, axis=0).astype(float)
+    placed = np.zeros((B, n_pat, size), dtype=complex) if n_pat > 1 else None
     kept = acc.store != "scalar"
     if kept:
-        gram = np.empty((n_steps, plan.dim, plan.dim), dtype=complex)
+        gram = np.empty((n_steps, split.layout.size, size), dtype=complex)
 
     for rnd in range(start, rounds):
         for s, step in enumerate(plan.schedule.steps):
@@ -720,42 +845,50 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
             if not plan.cooling_on[s]:
                 if s in groups:
                     flips = _read_plain(bank, plan, groups[s])
-                # every row takes the whole step in one product; the rows
-                # that flipped replay their substep interleaving exactly,
-                # up to their last flip that does not commute with the step
-                # (there is none without terms), and end with the others
-                new = states if prop is None else states @ prop.unitary.T
+                # every row takes the whole step on its pattern; the rows
+                # that flipped replay their substep interleaving exactly in
+                # the whole register, up to their last flip that does not
+                # commute with the step (there is none without terms), and
+                # end with the others
+                new = amp if prop is None else _propagate(amp, pattern, split.unitaries[s])
                 commutes = plan.commutes[s]
                 for r, ks, qubits in flips[s]:
-                    psi = states[r]
-                    prev = 0
+                    p = pattern[r]
+                    psi, prev = None, 0
                     for k, q in zip(ks, qubits):
                         if not commutes[q]:
+                            if psi is None:
+                                psi = np.zeros(plan.dim, dtype=complex)
+                                psi[split.layout[p]] = amp[r]
                             psi = prop.gap(psi, (k + 1 - prev) / plan.n_sub)[plan.flip_perms[q]]
+                            p ^= split.flip_xor[q]
                             prev = k + 1
                         if record:
                             records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
                     if prev == 0:
-                        psi = new[r]
-                    elif prev < plan.n_sub:
-                        psi = prop.gap(psi, (plan.n_sub - prev) / plan.n_sub)
+                        row = new[r]
+                    else:
+                        if prev < plan.n_sub:
+                            psi = prop.gap(psi, (plan.n_sub - prev) / plan.n_sub)
+                        row = psi[split.layout[p]]
                     for q in qubits:
                         if commutes[q]:
-                            psi = psi[plan.flip_perms[q]]
-                    new[r] = psi
-                states = new
+                            row = row[split.flip_perms[q]]
+                            p ^= split.flip_xor[q]
+                    new[r], pattern[r] = row, p
+                amp = new
             else:
                 hot = bank.draw(all_rows, plan.n_sub) < plan.p_hot  # (B, n_sub)
                 u3 = bank.draw(all_rows, plan.n_sub)
                 if prop is None:
-                    _cool_events(states, plan, bank, hot, u3, t, records)
+                    _cool_events(pattern, amp, split, bank, hot, u3, t, records)
                 else:
-                    states = _cool_substeps(states, plan, bank, hot, u3, prop.substep, t, records)
+                    amp = _cool_substeps(pattern, amp, split, bank, hot, u3, split.substeps[s], t, records)
 
             # marker operations at the end of the step
             if step.measure is not None:
-                onehot = plan.measure_onehot[s]
-                probs = (np.abs(states) ** 2) @ onehot.T
+                onehot = split.measure_onehot[s]
+                probs = (np.abs(amp) ** 2) @ onehot.T
                 total = probs.sum(axis=1, keepdims=True)
                 if np.any(total < 1e-14):
                     raise ValueError("state with vanishing probability at measurement")
@@ -763,23 +896,30 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
                 u = bank.draw(all_rows, 1)[:, 0] * total[:, 0]
                 outcome = (cum < u[:, None]).sum(axis=1)
                 np.clip(outcome, 0, probs.shape[1] - 1, out=outcome)
-                states = states * onehot[outcome]
-                states /= np.linalg.norm(states, axis=1, keepdims=True)
+                amp = amp * onehot[outcome]
+                amp /= np.linalg.norm(amp, axis=1, keepdims=True)
                 if record:
                     for r in range(B):
                         records[r].outcomes.append(_pattern_bits(outcome[r], len(step.measure)))
             if step.correction is not None:
-                states = states[all_rows[:, None], plan.corr_perms[s][outcome]]
+                xor, perms = split.corrections[s]
+                amp = amp[all_rows[:, None], perms[outcome]]
+                pattern ^= xor[outcome]
 
             # post-step samples: populations, and the batch's Gram matrix
-            # where a density matrix is kept
-            f = states.view(float)
+            # per pattern where a density matrix is kept
+            rows = amp
+            if placed is not None:
+                placed.fill(0.0)
+                placed[all_rows, pattern] = amp
+                rows = placed.reshape(B, -1)
+            f = rows.view(float)
             np.einsum("bk,bk->k", f, f, out=pops[s])
             if kept:
-                np.matmul(states.T, states.conj(), out=gram[s])
+                np.matmul(rows.T, amp.conj(), out=gram[s])
 
-        # once per round: f2 sums, and the whole-register matrices and their
-        # partial traces into the round's row of the window
+        # once per round: f2 sums, and the whole-register block sums and
+        # their partial traces into the round's row of the window
         f2 = pops @ ground
         acc.f2_data[rnd] += f2[:, 0]
         acc.f2_anc[rnd] += f2[:, 1]
@@ -787,34 +927,40 @@ def _run_batch(states, rounds, plan: _SchedulePlan, bank: _StreamBank, acc, reco
         if acc.rho_total is not None:
             acc.rho_total[row] += gram
         if kept:
-            data, anc = _partial_traces(gram, plan)
+            data, anc = _partial_traces(gram, split)
             acc.rho_data[row] += data
             acc.rho_anc[row] += anc
-    return states
+    return amp
 
 
-def _hot_flips(plan: _SchedulePlan, bank: _StreamBank, rows, psi, ks, t, records):
-    """Bit flips of `rows` (states `psi`) at substeps `ks` of the step that
-    starts at time `t`: reads each row's qubit pick and returns the flipped
-    states."""
+def _hot_flips(split: _SplitPlan, bank: _StreamBank, rows, psi, pattern, ks, t, records):
+    """Bit flips of `rows` (amplitudes `psi`) at substeps `ks` of the step
+    that starts at time `t`: reads each row's qubit pick, flips the rows'
+    entries of the batch's `pattern` in place and returns the flipped
+    amplitudes."""
+    plan = split.plan
     n = plan.n_qubits
     qubits = np.minimum((bank.draw(rows, 1)[:, 0] * n).astype(np.int64), n - 1)
     if records is not None:
         for r, k, q in zip(rows.tolist(), ks.tolist(), qubits.tolist()):
             records[r].jumps.append((t + (k + 1) * plan.dt, q, JUMP_BIT_FLIP))
-    return psi[np.arange(len(rows))[:, None], plan.flip_perms[qubits]]
+    pattern[rows] ^= split.flip_xor[qubits]
+    return psi[np.arange(len(rows))[:, None], split.flip_perms[qubits]]
 
 
-def _cold_jumps(plan: _SchedulePlan, bank: _StreamBank, rows, pre, ks, t, records):
+def _cold_jumps(split: _SplitPlan, bank: _StreamBank, rows, pre, ks, t, records):
     """Cold jumps of `rows` at substeps `ks` of the step that starts at time
-    `t`, from their normalised states `pre` before that substep's decay.
+    `t`, from their normalised amplitudes `pre` before that substep's decay.
 
     Reads each row's channel choice and returns (landed, live): the
-    renormalised states after the jump of the rows with an open channel, and
-    the mask of those rows; a row without one keeps its decayed state.
+    renormalised amplitudes after the jump of the rows with an open channel,
+    and the mask of those rows; a row without one keeps its decayed state.
+    No classical qubit is an ancilla under cold coupling, so a jump keeps
+    the row's pattern.
     """
-    anc_count = plan.anc_bits.shape[0]
-    occ = (np.abs(pre) ** 2) @ plan.anc_bits.T
+    plan = split.plan
+    anc_count = split.anc_bits.shape[0]
+    occ = (np.abs(pre) ** 2) @ split.anc_bits.T
     chan = np.concatenate([plan.noise.rate_down * occ, plan.noise.rate_up * (1.0 - occ)], axis=1)
     totals = chan.sum(axis=1)
     u4 = bank.draw(rows, 1)[:, 0] * totals
@@ -824,8 +970,8 @@ def _cold_jumps(plan: _SchedulePlan, bank: _StreamBank, rows, pre, ks, t, record
     a, cool = cidx % anc_count, cidx < anc_count
     # the jump flips ancilla a into the state it lands in: ground for
     # cooling, excited for heating
-    lands = np.where(cool[:, None], 1.0 - plan.anc_bits[a], plan.anc_bits[a])
-    psi = pre[np.flatnonzero(live)[:, None], plan.anc_perms[a]] * lands
+    lands = np.where(cool[:, None], 1.0 - split.anc_bits[a], split.anc_bits[a])
+    psi = pre[np.flatnonzero(live)[:, None], split.anc_perms[a]] * lands
     if records is not None:
         for r, k, ai, c in zip(rows[live].tolist(), ks[live].tolist(), a.tolist(), cool.tolist()):
             q = plan.schedule.ancilla_qubits[ai]
@@ -833,10 +979,10 @@ def _cold_jumps(plan: _SchedulePlan, bank: _StreamBank, rows, pre, ks, t, record
     return psi / np.linalg.norm(psi, axis=1)[:, None], live
 
 
-def _cool_events(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, t, records):
-    """Advance every row of `states`, in place, through a cooled step without
-    control terms, from event to event; `hot` marks each row's flip substeps
-    and `u3` holds its survival uniforms.
+def _cool_events(pattern, amp, split: _SplitPlan, bank: _StreamBank, hot, u3, t, records):
+    """Advance every row of split state (`pattern`, `amp`), in place, through
+    a cooled step without control terms, from event to event; `hot` marks
+    each row's flip substeps and `u3` holds its survival uniforms.
 
     The no-jump evolution is diagonal here: from the start of substep c, a
     row's unnormalised norm after m more substeps is N_m = sum_i |psi_i|^2
@@ -848,21 +994,21 @@ def _cool_events(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, t, rec
     the step in closed form. The uniforms read are those of the substep
     walk, in its order.
     """
-    n_sub = plan.n_sub
-    amp, norms = plan.decay_table
+    n_sub = split.plan.n_sub
+    decay, norms = split.decay_table
     # each row's first flip substep at or after c, then strictly after c
     # (n_sub: none), for c = 0..n_sub-1
     first = np.minimum.accumulate(np.where(hot, np.arange(n_sub), n_sub)[:, ::-1], axis=1)[:, ::-1]
     next_flip = np.column_stack([first[:, 1:], np.full(len(first), n_sub)])
     offsets = np.arange(n_sub)
-    rows = np.arange(len(states))
-    c = np.zeros(len(states), dtype=np.int64)
+    rows = np.arange(len(amp))
+    c = np.zeros(len(amp), dtype=np.int64)
     with np.errstate(under="ignore"):
         while rows.size:
-            psi = states[rows]
+            psi = amp[rows]
             flip = np.flatnonzero(hot[rows, c])
             if flip.size:
-                psi[flip] = _hot_flips(plan, bank, rows[flip], psi[flip], c[flip], t, records)
+                psi[flip] = _hot_flips(split, bank, rows[flip], psi[flip], pattern, c[flip], t, records)
             norm = (psi.real**2 + psi.imag**2) @ norms.T  # (rows, n_sub + 1)
             # a norm that underflowed to 0 lies past the row's next event
             survival = np.divide(norm[:, 1:], norm[:, :-1], out=np.zeros((rows.size, n_sub)), where=norm[:, :-1] > 0)
@@ -873,56 +1019,68 @@ def _cool_events(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, t, rec
             m = stop - c
             m[jumped] = jump[jumped].argmax(axis=1)
             # every row to the start of its event's substep, or to its stop
-            psi *= amp[m] / np.sqrt(norm[np.arange(rows.size), m])[:, None]
+            psi *= decay[m] / np.sqrt(norm[np.arange(rows.size), m])[:, None]
             if jumped.size:
-                landed, live = _cold_jumps(plan, bank, rows[jumped], psi[jumped], c[jumped] + m[jumped], t, records)
+                landed, live = _cold_jumps(split, bank, rows[jumped], psi[jumped], c[jumped] + m[jumped], t, records)
                 stay = jumped[~live]  # no open channel: the decayed state
-                psi[stay] *= plan.cool_decay / np.sqrt(survival[stay, m[stay]])[:, None]
+                psi[stay] *= split.cool_decay / np.sqrt(survival[stay, m[stay]])[:, None]
                 psi[jumped[live]] = landed
                 m[jumped] += 1
-            states[rows] = psi
+            amp[rows] = psi
             c += m
             going = c < n_sub
             rows, c = rows[going], c[going]
 
 
-def _cool_substeps(states, plan: _SchedulePlan, bank: _StreamBank, hot, u3, prop, t, records):
-    """Advance `states` through a cooled step with control terms, all rows in
-    lockstep over its substeps (`prop` is one substep's control unitary);
-    returns the new states."""
+def _cool_substeps(pattern, amp, split: _SplitPlan, bank: _StreamBank, hot, u3, blocks, t, records):
+    """Advance split state (`pattern`, `amp`) through a cooled step with
+    control terms, all rows in lockstep over its substeps (`blocks` is one
+    substep's control unitary on the patterns); returns the new amplitudes
+    and updates `pattern` in place."""
     hot_k, hot_rows = np.nonzero(hot.T)
-    cuts = np.searchsorted(hot_k, np.arange(plan.n_sub + 1)).tolist()
-    for k in range(plan.n_sub):
-        states = states @ prop.T
+    cuts = np.searchsorted(hot_k, np.arange(split.plan.n_sub + 1)).tolist()
+    for k in range(split.plan.n_sub):
+        amp = _propagate(amp, pattern, blocks)
         flip = hot_rows[cuts[k] : cuts[k + 1]]
         if flip.size:
-            states[flip] = _hot_flips(plan, bank, flip, states[flip], np.full(flip.size, k), t, records)
-        pre = states
-        decayed = states * plan.cool_decay
+            amp[flip] = _hot_flips(split, bank, flip, amp[flip], pattern, np.full(flip.size, k), t, records)
+        pre = amp
+        decayed = amp * split.cool_decay
         survival = (decayed.real**2 + decayed.imag**2).sum(axis=1)
         # a survival that underflowed to 0 always jumps: its row is overwritten
         scale = np.sqrt(survival)[:, None]
-        states = np.divide(decayed, scale, out=np.zeros_like(decayed), where=scale > 0)
+        amp = np.divide(decayed, scale, out=np.zeros_like(decayed), where=scale > 0)
         jrows = np.nonzero(u3[:, k] >= survival)[0]
         if jrows.size:
-            landed, live = _cold_jumps(plan, bank, jrows, pre[jrows], np.full(jrows.size, k), t, records)
-            states[jrows[live]] = landed
-    return states
+            landed, live = _cold_jumps(split, bank, jrows, pre[jrows], np.full(jrows.size, k), t, records)
+            amp[jrows[live]] = landed
+    return amp
 
 
-def _partial_traces(mats: np.ndarray, plan: _SchedulePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Data and ancilla reductions of a (k, dim, dim) stack of register
-    matrices: one einsum each, summing the diagonal of the other qubits."""
-    n = plan.n_qubits
-    tensor = mats.reshape((len(mats),) + (2,) * (2 * n))
+def _partial_traces(gram: np.ndarray, split: _SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Dense data and ancilla reductions of a (k, patterns * size, size)
+    stack of block sums in the layout of `split`: one einsum each over the
+    blocks, summing the diagonal of the other qubits (a classical qubit has
+    one bit for row and column), then the kept classical qubits' blocks
+    placed in the reduced register's layout."""
+    n, classical = split.plan.n_qubits, split.classical
+    quantum = [q for q in range(n) if q not in classical]
+    k = len(gram)
+    tensor = gram.reshape((k,) + (2,) * (len(classical) + 2 * len(quantum)))
     out = []
-    for keep in (plan.schedule.data_qubits, plan.schedule.ancilla_qubits):
-        # axis labels: 0 the stack, 1..n the rows, n+1..2n the columns; a
-        # traced qubit's column shares its row's label
-        cols = [n + 1 + q if q in keep else 1 + q for q in range(n)]
-        labels = [1 + q for q in keep] + [n + 1 + q for q in keep]
-        d = 2 ** len(keep)
-        out.append(np.einsum(tensor, [0, *range(1, n + 1), *cols], [0, *labels]).reshape(len(mats), d, d))
+    for keep in (split.plan.schedule.data_qubits, split.plan.schedule.ancilla_qubits):
+        # axis labels: 0 the stack, 1 + q qubit q's row (and a classical
+        # qubit's column), n + 1 + q a quantum qubit's column; a traced
+        # qubit's column shares its row's label
+        cols = [n + 1 + q if q in keep else 1 + q for q in quantum]
+        keep_c = [q for q in keep if q in classical]
+        keep_q = [q for q in keep if q not in classical]
+        labels = [1 + q for q in keep_c] + [1 + q for q in keep_q] + [n + 1 + q for q in keep_q]
+        blocks = np.einsum(tensor, [0, *(1 + q for q in classical), *(1 + q for q in quantum), *cols], [0, *labels])
+        layout = pattern_blocks(len(keep), [i for i, q in enumerate(keep) if q in classical])
+        dense = np.zeros((k, layout.size, layout.size), dtype=complex)
+        dense[:, layout[:, :, None], layout[:, None, :]] = blocks.reshape((k,) + layout.shape + layout.shape[1:])
+        out.append(dense)
     return out[0], out[1]
 
 

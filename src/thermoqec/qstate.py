@@ -150,72 +150,83 @@ def pattern_blocks(n_qubits: int, qubits) -> np.ndarray:
     return np.argsort(basis_patterns(n_qubits, qubits), kind="stable").reshape(2 ** len(qubits), -1)
 
 
+def gather_blocks(stack: np.ndarray, layout: np.ndarray) -> np.ndarray:
+    """The (..., m, s, s) diagonal blocks of a (..., d, d) stack in an (m, s)
+    `layout` (see `pattern_blocks`); a layout of one block of all d states is
+    a view of the stack."""
+    if layout.shape[1] == stack.shape[-1]:
+        return stack[..., None, :, :]
+    return stack[..., layout[:, :, None], layout[:, None, :]]
+
+
 def block_eigvalsh(stack: np.ndarray, tol: float, layout: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of every matrix of a (..., d, d) Hermitian stack whose
     matrices couple no two blocks of `layout`, an (m, s) array whose rows
     are the basis states of its m blocks (see `pattern_blocks`); None is one
     dense block.
 
-    The blocks are gathered from the stack (a dense layout needs no gather),
-    checked to be Hermitian within `tol` (2 |Im| of a size-1 block's entry),
-    symmetrised, and solved in one stacked `np.linalg.eigvalsh` call; a
-    size-1 block is its entry. Entries outside the blocks are not read. The
-    (..., d) result holds each matrix's eigenvalues grouped by block in the
-    layout's order, ascending within a block.
+    The blocks are gathered from the stack (`gather_blocks`) and solved by
+    `_blocks_eigvalsh`; entries outside the blocks are not read. The (..., d)
+    result holds each matrix's eigenvalues grouped by block in the layout's
+    order, ascending within a block.
     """
-    d = stack.shape[-1]
-    if layout is None or layout.shape[1] == d:
-        blocks = stack
-    elif layout.shape[1] == 1:
-        entries = stack[..., layout[:, 0], layout[:, 0]]
+    blocks = stack[..., None, :, :] if layout is None else gather_blocks(stack, layout)
+    return _blocks_eigvalsh(blocks, tol).reshape(stack.shape[:-1])
+
+
+def _blocks_eigvalsh(blocks: np.ndarray, tol: float) -> np.ndarray:
+    """Eigenvalues of a (..., m, s, s) stack of Hermitian blocks as a
+    (..., m * s) array: each block is checked to be Hermitian within `tol`
+    (2 |Im| of a size-1 block's entry), symmetrised and solved in one stacked
+    `np.linalg.eigvalsh` call; a size-1 block is its entry."""
+    if blocks.shape[-1] == 1:
+        entries = blocks[..., 0, 0]
         if 2 * np.abs(entries.imag).max() > tol:
             raise ValueError("density matrix is not Hermitian")
         return entries.real
-    else:
-        blocks = stack[..., layout[:, :, None], layout[:, None, :]]
     adj = blocks.conj().swapaxes(-1, -2)
     if np.abs(blocks - adj).max() > tol:
         raise ValueError("density matrix is not Hermitian")
     adj += blocks  # in place: the symmetrised sum
-    return 0.5 * np.linalg.eigvalsh(adj).reshape(stack.shape[:-1])
+    return 0.5 * np.linalg.eigvalsh(adj).reshape(blocks.shape[:-3] + (-1,))
 
 
-# Bytes of gathered blocks per `block_eigvalsh` call in `mean_entropies`: a
-# chunk is a few rounds of the grid's steps, or a few steps of one round when
-# a round's blocks exceed the bound. Only the eigenvalues are divided by the
-# trajectory count, so no chunk is scaled. The bound keeps each chunk's
-# temporaries small: with a whole round of 64x64 matrices (1 MiB) per call,
-# each round's temporaries grew glibc's heap past its trim threshold, so
-# every round faulted its pages in again (about 100,000 page faults and
-# 0.25 s of a 1.5 s `fig4a_iii` run at 50 trajectories on a 2-core x86-64
-# host).
+# Bytes of blocks per eigensolver call in `mean_entropies`: a chunk is a few
+# rounds of the grid's steps, or a few steps of one round when a round's
+# blocks exceed the bound. Only the eigenvalues are divided by the trajectory
+# count, so no chunk is scaled. The bound keeps each chunk's temporaries
+# small: with a whole round of 64x64 matrices (1 MiB) per call, each round's
+# temporaries grew glibc's heap past its trim threshold, so every round
+# faulted its pages in again (about 100,000 page faults and 0.25 s of a 1.5 s
+# `fig4a_iii` run at 50 trajectories on a 2-core x86-64 host).
 _BLOCK_BYTES = 2**18
 
 
-def mean_entropies(grid: np.ndarray, count: int, layout: np.ndarray) -> np.ndarray:
+def mean_entropies(blocks: np.ndarray, count: int) -> np.ndarray:
     """Entropies -tr(rho log2 rho) in bits of the mean density matrices of a
-    (rounds, steps, d, d) grid of sums over `count` trajectories, as a
-    (rounds, steps) array clamped at +0.
+    (rounds, steps, m, s, s) grid of block sums over `count` trajectories,
+    each matrix held as its m diagonal blocks of size s (`gather_blocks`
+    takes them from dense matrices), as a (rounds, steps) array clamped at
+    +0.
 
-    Every matrix is solved in the one (m, s) block `layout` (see
-    `block_eigvalsh`), a few rounds (or, for large blocks, a few steps of one
-    round) at a time, and the eigenvalues are divided by `count` after the
-    solve. Unit trace is checked within 1e-8, Hermiticity within 1e-9 and
-    eigenvalues against EIG_FLOOR, all on the mean; eigenvalues at or below
-    1e-14 contribute zero."""
-    tr = grid.diagonal(0, -2, -1).real.sum(axis=-1) / count
+    The blocks are solved a few rounds (or, for large blocks, a few steps of
+    one round) at a time, and the eigenvalues are divided by `count` after
+    the solve. Unit trace is checked within 1e-8, Hermiticity within 1e-9
+    and eigenvalues against EIG_FLOOR, all on the mean; eigenvalues at or
+    below 1e-14 contribute zero."""
+    tr = blocks.diagonal(0, -2, -1).real.sum(axis=(-2, -1)) / count
     bad = np.abs(tr - 1.0) > 1e-8
     if np.any(bad):
         raise ValueError(f"density matrix trace is {tr[bad][0]}, expected 1")
-    rounds, steps, d = grid.shape[:3]
-    per_chunk = max(1, _BLOCK_BYTES // (d * layout.shape[1] * np.dtype(complex).itemsize))
+    rounds, steps = blocks.shape[:2]
+    per_chunk = max(1, _BLOCK_BYTES // (blocks[0, 0].size * np.dtype(complex).itemsize))
     width = min(steps, per_chunk)
     height = max(1, per_chunk // width)
     ents = np.empty((rounds, steps))
     for s0 in range(0, steps, width):
         steps_in = slice(s0, s0 + width)  # a slice: no copies of whole matrices
         for r0 in range(0, rounds, height):
-            evals = block_eigvalsh(grid[r0 : r0 + height, steps_in], 1e-9 * count, layout) / count
+            evals = _blocks_eigvalsh(blocks[r0 : r0 + height, steps_in], 1e-9 * count) / count
             low = evals.min()
             if low < EIG_FLOOR:
                 raise ValueError(f"negative eigenvalue {low} below tolerance")

@@ -30,7 +30,7 @@ from thermoqec.dynamics import (
     run_ensemble,
 )
 from thermoqec.metrics import compute_step_metrics
-from thermoqec.qstate import StateVector, bit_mask, mean_entropies, pattern_blocks, trace_distance
+from thermoqec.qstate import StateVector, bit_mask, gather_blocks, mean_entropies, pattern_blocks, trace_distance
 from thermoqec.ratemodel import (
     RoundEventParams,
     ancilla_steady_fidelity,
@@ -316,8 +316,8 @@ class TestCriterion9EntropyCycle:
         data_layout, anc_layout = pattern_blocks(3, [0, 1, 2]), pattern_blocks(3, [])
 
         def floors_and_data_means(data, anc, count):
-            s_anc = mean_entropies(anc, count, anc_layout)
-            s_data = mean_entropies(data, count, data_layout)
+            s_anc = mean_entropies(gather_blocks(anc, anc_layout), count)
+            s_data = mean_entropies(gather_blocks(data, data_layout), count)
             return s_anc[3:, 0], s_data.mean(axis=1)
 
         data_sum, anc_sum = rho_data.sum(axis=0), rho_anc.sum(axis=0)

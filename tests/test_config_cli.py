@@ -334,6 +334,55 @@ class TestCliRateModel:
         with open(tmp_path / "short" / "chain.csv", newline="") as fh:
             assert [r["round"] for r in csv.DictReader(fh)] == ["0", "1", "2", "3"]
 
+    @pytest.mark.parametrize(
+        "argv, marked",
+        [
+            (
+                ["--alpha", "1"],
+                {
+                    "first-round weight-0 (first-order) = -2": "-2 lies outside [0, 1]",
+                    "              matched second-order series = 11": "11 lies outside [0, 1]",
+                },
+            ),
+            (
+                ["--F-a", "0", "--alpha", "1e-3"],
+                {
+                    "              matched second-order series = 0.498512": "it assumes F_a = 1, not 0",
+                    "series delta0 = 1 + 42*alpha^2 = 1.000042": "it assumes F_a = 1, not 0",
+                },
+            ),
+            (
+                ["--alpha", "1e-3", "--beta", "2e-3"],
+                {
+                    "              matched second-order series = 0.498512": "it assumes beta = alpha, not 0.002",
+                    "series delta0 = 1 + 42*alpha^2 = 1.000042": "it assumes beta = alpha, not 0.002",
+                },
+            ),
+        ],
+        ids=["alpha1", "F_a0", "beta2alpha"],
+    )
+    def test_chain_marks_series_that_do_not_apply(self, tmp_path, capsys, argv, marked):
+        # a series probability outside [0, 1], or a series that assumes
+        # F_a = 1 and beta = alpha on a chain without them, ends its line
+        # with the reason; every other line is unmarked
+        assert main(["rate-model", "chain", *argv, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for value, reason in marked.items():
+            assert f"{value} (series does not apply: {reason})" in out
+        assert sum("series does not apply" in line for line in out) == len(marked)
+
+    def test_chain_series_within_their_range_are_unmarked(self, tmp_path, capsys):
+        assert main(["rate-model", "chain", "--alpha", "1e-3", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "first-round weight-0 (first-order) = 0.997",
+            "steady state: chain fixed point = 0.498500011973",
+            "              symmetric-ratio closed form = 0.498500011979",
+            "              matched second-order series = 0.498512",
+            "eigenvalue delta0 = 1.00004147696",
+            "series delta0 = 1 + 42*alpha^2 = 1.000042",
+            "(delta0 - 1)/alpha^2 = 41.476962382",
+        ]
+
     def test_chain_with_ancilla_errors_only(self, tmp_path, capsys):
         # alpha = 0 but F_a < 1: the chain still decays
         code = main(["rate-model", "chain", "--alpha", "0", "--F-a", "0.9", "--out", str(tmp_path)])

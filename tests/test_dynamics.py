@@ -29,6 +29,7 @@ from thermoqec.dynamics import (
     _plain_groups,
     _run_batch,
     _SchedulePlan,
+    _SplitPlan,
     _StreamBank,
     _symmetric_qubits,
     evolve_master_equation,
@@ -151,6 +152,21 @@ class TestSubstepGuard:
     def test_runs_just_under_the_bound(self, driver):
         self.run(driver, 1.99)
 
+    @pytest.mark.parametrize(
+        "schedule", [SCHEDULE, MEASURED, MEASUREMENT_FREE], ids=["idle", "measured", "mf"]
+    )
+    def test_raises_before_any_work(self, monkeypatch, schedule):
+        # with classical qubits (idle, measured) and without (mf): no
+        # accumulator and no stream is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("the kernel started before its substep guard")
+
+        monkeypatch.setattr(dynamics, "EnsembleAccumulator", no_work)
+        monkeypatch.setattr(dynamics, "_StreamBank", no_work)
+        noise = NoiseParams(2.0, 0.0, 0.0)  # n_qubits * gamma_h / n_sub >= 1
+        with pytest.raises(ValueError, match="substep"):
+            run_ensemble(StateVector.basis(schedule.n_qubits, 0), 1, schedule, noise, 3, n_sub=4)
+
 
 class TestCoolingDecay:
     def test_excited_ancilla_decays_exponentially(self):
@@ -194,15 +210,17 @@ class TestRunRound:
         psi = np.kron(amps / np.linalg.norm(amps), [1.0, 0.0])
         acc, rec = one_round(StateVector(4, psi), self.CLOSED, noise)
         assert rec.jumps == []
+        # the idle ancilla is a classical qubit unless the cold coupling acts on it
+        assert acc.classical == ((3,) if noise.Gamma_c == 0 else ())
         expected = schedule_net_unitary(self.CLOSED).matrix @ psi
-        assert np.abs(acc.rho_total[0, -1] - np.outer(expected, expected.conj())).max() < 1e-12
+        assert np.abs(acc.mean_rho("total", 0).elements - np.outer(expected, expected.conj())).max() < 1e-12
 
     def test_fresh_ancilla_zero_noise_identity(self):
         acc, _ = one_round(StateVector.basis(6, 0), MEASURED, ZERO_NOISE)
         assert np.all(np.abs(acc.f2_data[0] - 1) < 1e-9)
         # ancillas pass through superpositions mid-gate but end clean
         assert abs(acc.f2_anc[0, 0] - 1) < 1e-9 and abs(acc.f2_anc[0, -1] - 1) < 1e-9
-        assert abs(acc.rho_total[0, -1, 0, 0] - 1) < 1e-9
+        assert abs(acc.mean_rho("total", 0).elements[0, 0] - 1) < 1e-9
 
     @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
     def test_single_flip_corrected(self, schedule):
@@ -219,7 +237,7 @@ class TestRunRound:
             acc, _ = one_round(StateVector.basis(n, bit_mask(qa, n) ^ bit_mask(qb, n)), schedule, ZERO_NOISE)
             assert acc.f2_data[0, -1] < 1e-9
             # data register lands on the complementary codeword
-            pop = acc.rho_total[0, -1].diagonal().real.reshape(8, 2 ** (n - 3))[7].sum()
+            pop = acc.mean_rho("total", 0).elements.diagonal().real.reshape(8, 2 ** (n - 3))[7].sum()
             assert abs(pop - 1.0) < 1e-9
 
 
@@ -454,6 +472,53 @@ class TestCooledDrawOrder:
         assert np.isfinite(acc.rho_total).all() and np.isfinite(acc.s_total).all()
 
 
+class TestSplitDrawOrder:
+    """Runs of the measured round from states with classical qubits, so that
+    rows hold a pattern of them and amplitudes on the other qubits, against
+    `TestCooledDrawOrder.walk` on the whole register: the data register's
+    ground state with random ancilla amplitudes (classical qubits 0, 1, 2)
+    and the qubit-1 superposition (0, 2). The flip rate puts data flips in
+    pushing-gate steps, which replay in the whole register. The round cut
+    before its measurement ends on states whose ancilla phases depend on
+    the data pattern, which the measurement would project away."""
+
+    ROUNDS = 2
+    N_TRAJ = 4
+    UNMEASURED = GateSchedule(6, MEASURED.data_qubits, MEASURED.ancilla_qubits, MEASURED.steps[:14])
+
+    @staticmethod
+    def initial(kind):
+        if kind == "superposed":
+            return TestClassicalQubits.superposed(1), (0, 2)
+        rng = np.random.default_rng(5)
+        anc = rng.normal(size=8) + 1j * rng.normal(size=8)
+        return StateVector(6, np.kron(np.eye(8)[0], anc / np.linalg.norm(anc))), (0, 1, 2)
+
+    @pytest.mark.parametrize("n_sub", [3, 20])
+    @pytest.mark.parametrize("cooling", ["window", "always"])
+    @pytest.mark.parametrize("kind", ["data-ground", "superposed"])
+    @pytest.mark.parametrize("schedule", [MEASURED, UNMEASURED], ids=["measured", "cut"])
+    def test_split_state_follows_the_walk(self, schedule, kind, cooling, n_sub):
+        init, classical = self.initial(kind)
+        # held on through every step, the cold coupling is weaker, or its
+        # jumps would leave every ancilla in a basis state at the round end
+        noise = NoiseParams(0.3, 3.0 if cooling == "window" else 0.1, 0.5, cooling_gate=cooling)
+        acc, records = run_ensemble(
+            init, self.ROUNDS, schedule, noise, self.N_TRAJ, master_seed=4, n_sub=n_sub, store="full", record=True
+        )
+        assert acc.classical == classical
+        rho_end = np.zeros((self.ROUNDS, 64, 64), dtype=complex)
+        for k, rec in enumerate(records):
+            jumps, outcomes, ends = TestCooledDrawOrder.walk(init.amplitudes, 4, k, schedule, noise, n_sub, self.ROUNDS)
+            assert rec.jumps == jumps
+            assert rec.outcomes == outcomes
+            rho_end += ends
+        for rnd in range(self.ROUNDS):
+            assert np.abs(acc.mean_rho("total", rnd).elements * self.N_TRAJ - rho_end[rnd]).max() < 1e-12
+        kinds = {(q in classical, kind) for rec in records for _, q, kind in rec.jumps}
+        assert {(True, JUMP_BIT_FLIP), (False, JUMP_BIT_FLIP), (False, JUMP_COOL)} <= kinds
+
+
 class TestPropagators:
     """The kernel's one table of step propagators, `_SchedulePlan.propagators`,
     and the flips that commute with their step, `_SchedulePlan.commutes`."""
@@ -581,7 +646,8 @@ class TestClassicalQubits:
         acc, _ = run_ensemble(self.superposed(1), 1, MEASURED, self.NOISE, 4, store="full")
         assert acc.classical == (0, 2)
         crossed = (np.arange(64)[:, None] ^ np.arange(64)[None, :]) & bit_mask(1, 6) != 0
-        assert np.any(acc.rho_total[..., crossed])  # the run keeps qubit 1's coherence
+        totals = np.array([acc.mean_rho("total", 0, s).elements for s in range(len(MEASURED))])
+        assert np.any(totals[:, crossed])  # the run keeps qubit 1's coherence
         basis, _ = run_ensemble(StateVector.basis(6, 5), 1, MEASURED, self.NOISE, 4, store="full")
         assert basis.classical == (0, 1, 2)
 
@@ -594,9 +660,9 @@ class TestClassicalQubits:
         # total, data and ancilla registers, in the accumulator's order
         seen = []
 
-        def recording(grid, count, layout):
-            seen.append(layout.shape)
-            return mean_entropies(grid, count, layout)
+        def recording(blocks, count):
+            seen.append(blocks.shape[2:4])
+            return mean_entropies(blocks, count)
 
         monkeypatch.setattr(dynamics, "mean_entropies", recording)
         run_ensemble(StateVector.basis(schedule.n_qubits, 0), 1, schedule, self.NOISE, 2, store="full")
@@ -604,13 +670,19 @@ class TestClassicalQubits:
 
     @pytest.mark.parametrize("cooling", ["window", "always"])
     def test_split_run_matches_dense_run(self, monkeypatch, cooling):
+        # the run forced dense (no classical qubit: rows of 64 amplitudes and
+        # one 64x64 block) multiplies, samples and sums other arrays, so the
+        # two agree to rounding: every held step's whole-register mean, the
+        # entropies and f2, with and without matrix sums
         noise = NoiseParams(5e-2, 3.0, 0.1, cooling_gate=cooling)
 
-        def run():
-            acc, _ = run_ensemble(StateVector.basis(6, 0), 3, MEASURED, noise, 30, master_seed=11, store="full")
-            return acc
+        def runs():
+            return {
+                store: run_ensemble(StateVector.basis(6, 0), 3, MEASURED, noise, 30, master_seed=11, store=store)[0]
+                for store in ("full", "scalar")
+            }
 
-        split = run()
+        split = runs()
 
         class DensePlan(_SchedulePlan):
             def __init__(self, *args, **kwargs):
@@ -618,12 +690,30 @@ class TestClassicalQubits:
                 self.classical = ()
 
         monkeypatch.setattr(dynamics, "_SchedulePlan", DensePlan)
-        dense = run()
-        assert split.classical == (0, 1, 2) and dense.classical == ()
-        assert np.array_equal(split.rho_total, dense.rho_total)
+        dense = runs()
+        assert split["full"].classical == (0, 1, 2) and dense["full"].classical == ()
+        assert split["full"].rho_total.shape[2:] == (64, 8) and dense["full"].rho_total.shape[2:] == (64, 64)
+        for rnd in range(3):
+            for step in range(len(MEASURED)):
+                a, b = (acc.mean_rho("total", rnd, step).elements for acc in (split["full"], dense["full"]))
+                assert np.abs(a - b).max() < 1e-12
         for name in ("s_total", "s_data", "s_anc"):
-            assert np.abs(getattr(split, name) - getattr(dense, name)).max() < 1e-12, name
-        assert split.s_total.max() > 0.5 and split.s_data.max() > 0.1  # the run is noisy
+            assert np.abs(getattr(split["full"], name) - getattr(dense["full"], name)).max() < 1e-12, name
+        for store in ("full", "scalar"):
+            for mean in ("mean_f2_data", "mean_f2_anc"):
+                assert np.abs(getattr(split[store], mean)() - getattr(dense[store], mean)()).max() < 1e-12
+        assert split["full"].s_total.max() > 0.5 and split["full"].s_data.max() > 0.1  # the run is noisy
+
+    def test_kernel_classical_sets(self):
+        # the plan's classical qubits that the initial state leaves
+        # unsuperposed; a qubit that a measurement or the cold coupling acts
+        # on is not one
+        noise = NoiseParams(1e-3, 3.0, 0.01)
+        for schedule, expect in ((MEASURED, (0, 1, 2)), (MEASUREMENT_FREE, ())):
+            acc, _ = run_ensemble(StateVector.basis(schedule.n_qubits, 0), 1, schedule, noise, 2, store="scalar")
+            assert acc.classical == expect
+        measured = GateSchedule(4, (0, 1, 2, 3), (), (Step(measure=(0,)),))
+        assert _SchedulePlan(measured, ZERO_NOISE, 20).classical == (1, 2, 3)
 
     def oracle_layouts(self, monkeypatch, inputs, schedule=MEASURED):
         """The distinct layouts of the oracle's positivity checks."""
@@ -755,9 +845,10 @@ class TestAccumulator:
         data = np.arange(64) >> 3  # data qubits 0-2 are the high bits
         across = data[:, None] != data[None, :]
         within = ~across & ~np.eye(64, dtype=bool)
-        assert not np.any(acc.rho_total[..., across])
-        assert np.any(acc.rho_total[..., 8:, 8:])  # data errors happened
-        assert np.any(acc.rho_total[..., within])  # ancilla coherences inside the blocks
+        totals = np.array([[acc.mean_rho("total", r, s).elements for s in range(len(MEASURED))] for r in range(2)])
+        assert not np.any(totals[..., across])
+        assert np.any(totals[..., 8:, 8:])  # data errors happened
+        assert np.any(totals[..., within])  # ancilla coherences inside the blocks
 
     # ancilla qubit 0 leads the basis index; the data register follows in
     # either order
@@ -811,9 +902,9 @@ class TestAccumulator:
         psi = rng.normal(size=(4, 2**n)) + 1j * rng.normal(size=(4, 2**n))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         acc = EnsembleAccumulator(1, steps, n, MEASUREMENT_FREE.data_qubits, MEASUREMENT_FREE.ancilla_qubits, "full")
-        plan = _SchedulePlan(MEASUREMENT_FREE, ZERO_NOISE, 4)
+        split = _SplitPlan(_SchedulePlan(MEASUREMENT_FREE, ZERO_NOISE, 4), ())
         bank = _StreamBank([np.random.default_rng(i) for i in range(4)])
-        _run_batch(psi.copy(), 1, plan, bank, acc)
+        _run_batch(np.zeros(4, dtype=np.int64), psi.copy(), 1, split, bank, acc)
         u = np.eye(2**n, dtype=complex)
         for s, step in enumerate(MEASUREMENT_FREE.steps):
             u = step_unitary(step, n) @ u
@@ -873,9 +964,11 @@ class TestWindows:
 
     @staticmethod
     def window_of(monkeypatch, store, rounds):
-        # the window holds `rounds` rounds of the largest kept register
-        d = 64 if store == "full" else 8
-        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", rounds * len(MEASURED) * d * d * 16)
+        # the window holds `rounds` rounds of all kept registers: the data
+        # and ancilla 8x8 matrices and, with store "full", the 8 blocks of
+        # 8x8 of the whole register
+        cells = 2 * 8 * 8 + (8 * 8 * 8 if store == "full" else 0)
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", rounds * len(MEASURED) * cells * 16)
 
     @pytest.mark.parametrize("batch_size", [dynamics.BATCH_SIZE, 4], ids=["one_batch", "batches_of_4"])
     @pytest.mark.parametrize("store", ["full", "reduced"])
@@ -912,17 +1005,18 @@ class TestWindows:
             acc.mean_rho("ancilla", 9, 3)
 
     def test_peak_memory_does_not_grow_with_rounds(self):
-        # a whole-run grid of 64x64 matrices would take 1 MiB per round
+        # a whole-run grid of the measured round's blocks would take 160 KiB
+        # per round; both runs fill a window of 51 rounds
         peaks = {}
-        for n in (40, 160):
+        for n in (60, 240):
             tracemalloc.start()
             try:
                 compute_step_metrics(self.run("full", rounds=n, n_traj=2, noise=NoiseParams(1e-3, 3.0, 0.01)))
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert abs(peaks[160] / peaks[40] - 1) < 0.25
-        assert peaks[160] < 32 * 2**20
+        assert abs(peaks[240] / peaks[60] - 1) < 0.25
+        assert peaks[240] < 32 * 2**20
 
 
 class TestMasterEquationOracle:
@@ -1034,15 +1128,15 @@ class TestOracleResult:
         def no_unitaries(*args, **kwargs):
             raise AssertionError("oracle built a step unitary")
 
-        def no_decay_table(plan):
-            raise AssertionError("oracle built the cooling window's decay table")
+        def no_split(*args):
+            raise AssertionError("oracle built the kernel's split tables")
 
         def no_propagators(plan):
             raise AssertionError("oracle built the kernel's propagator table")
 
         monkeypatch.setattr(dynamics, "step_unitary", no_unitaries)
         monkeypatch.setattr(dynamics, "step_eigenbasis", no_unitaries)
-        monkeypatch.setattr(_SchedulePlan, "decay_table", property(no_decay_table))
+        monkeypatch.setattr(dynamics, "_SplitPlan", no_split)
         monkeypatch.setattr(_SchedulePlan, "propagators", property(no_propagators))
         evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE)
 

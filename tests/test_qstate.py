@@ -133,7 +133,7 @@ class TestMeasurement:
         acc, _ = run_ensemble(
             s, 1, sched, NoiseParams(0.0, 0.0, 0.0), 1, master_seed=3, traj_indices=[0], store="full"
         )
-        assert np.abs(acc.rho_total[0, -1] - s.projector().elements).max() < 1e-12
+        assert np.abs(acc.mean_rho("total", 0).elements - s.projector().elements).max() < 1e-12
 
     def test_bell_statistics(self):
         bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
