@@ -14,9 +14,9 @@ once per distinct (term, cooled qubits) group and shared by every step with
 that group):
 
 * a quantum-trajectory Monte Carlo engine (pure states, stochastic jumps)
-  with one batched kernel, which `run_ensemble` runs on batches of
-  trajectories, reading its tables over the basis from a `_SplitPlan` of
-  the schedule plan, and
+  with one batched kernel, which `run_ensemble` runs on all its
+  trajectories as one batch, reading its tables over the basis from a
+  `_SplitPlan` of the schedule plan, and
 * the exact master-equation propagator, used as the oracle: within a step
   the Lindbladian is a sum of commuting terms on disjoint qubit groups, so
   each step's map is a tensor product of small exact channels. It takes one
@@ -117,24 +117,23 @@ Per step the kernel keeps two samples: the basis populations summed over
 the batch and, unless the store is "scalar", the batch's Gram matrix of
 each pattern, the sum of amp^T @ conj(amp) over its rows, both from the
 rows laid out in the register's block order. Once per round the
-populations give the f2 sums, and the round's Gram blocks, one stack per
-step, are added to the round's row of the accumulator's window: to the
-whole-register sums (store "full"; `rho_total` holds them as (window,
-steps, 2^c * 2^q, 2^q), the blocks stacked in pattern order) and, as
-partial traces, to the dense data and ancilla reductions; the round-end
-matrices are those of the last step. A window holds as many rounds as fit
-`_WINDOW_BYTES` of all kept registers together (51 rounds of the measured
-round's blocks and reductions); the batches advance together through each
-window, which is then reduced to its entropies and reused, so a run's
-memory does not grow with rounds x steps.
+populations give the f2 sums, and each register the store keeps adds the
+partial trace of the round's Gram blocks, one stack per step, to the
+round's row of its blocks in the accumulator's window (on the measured
+round the whole register is 8 blocks of 8x8, the data register 8 of 1x1);
+the round-end matrices are those of the last step. A window holds as many
+rounds as fit `_WINDOW_BYTES` of all kept registers together (56 rounds of
+the measured round's); the batch runs through each window, which is then
+reduced to its entropies and reused, so whatever its rounds x steps a run
+holds one 16 KiB stream buffer per trajectory plus one 8 MiB window.
 
-The entropies solve the whole-register blocks directly, and the data and
-ancilla matrices, and the oracle's positivity check, in one block per
-pattern of their classical qubits. The oracle's layout takes the plan's
-classical qubits on which every input is block-diagonal. Flips, jumps,
-measurements and corrections keep that structure, so the entries between
-blocks are exact zeros. The measurement-free round has no classical qubit,
-and its matrices are solved dense.
+The entropies solve every register's blocks directly, and the oracle's
+positivity check solves its matrices in one block per pattern of their
+classical qubits: the plan's classical qubits on which every input is
+block-diagonal. Flips, jumps, measurements and corrections keep that
+structure, so the entries between blocks are exact zeros. The
+measurement-free round has no classical qubit, and its matrices are solved
+dense.
 """
 
 from __future__ import annotations
@@ -143,6 +142,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,8 +162,7 @@ from .qstate import (
 )
 
 DEFAULT_N_SUB = 20
-BATCH_SIZE = 8192  # trajectories per kernel call; bounds the working memory
-_WINDOW_BYTES = 2**23  # matrix sums of the largest kept register per window of rounds
+_WINDOW_BYTES = 2**23  # matrix sums of all kept registers per window of rounds
 _PARSE_ROWS = 256  # rows per window block when reading a group's draws
 
 JUMP_BIT_FLIP = "bit_flip"
@@ -536,31 +535,42 @@ class _StreamBank:
         return vals
 
 
+_KEPT = {"scalar": (), "reduced": ("data", "ancilla"), "full": ("total", "data", "ancilla")}  # registers per store
+
+
+class _Register(NamedTuple):
+    """A kept register of `EnsembleAccumulator`: its qubits, their block
+    layout, its block sums and its entropies."""
+
+    qubits: tuple[int, ...]
+    layout: np.ndarray
+    grid: np.ndarray
+    entropies: np.ndarray
+
+
 @dataclass
 class EnsembleAccumulator:
     """Sums of trajectory projectors and scalar overlaps over `count`
     trajectories, for every step of every round.
 
     Scalar samples (populations of the data/ancilla ground patterns) are
-    kept for all rounds. Density-matrix sums are kept according to `store`:
-    "scalar" none, "reduced" data+ancilla reductions, "full" those plus the
-    whole-register sums. The matrix grids hold one window of rounds,
-    `window` rounds from `window_start`, at most `_WINDOW_BYTES` for all
-    kept registers together: `reduce_window` turns the held rounds' sums
-    into their entropies (`s_total`, `s_data`, `s_anc`, (rounds, steps)
-    arrays, nan where no matrix is kept) and, given `reference` round-end
-    matrices and store "full", their round-end `trace_distances`;
-    `next_window` drops the sums to hold the next rounds.
+    kept for all rounds. Density-matrix sums are kept for the registers that
+    `store` names (`registers`): "scalar" none, "reduced" the data and
+    ancilla registers, "full" those and the whole register. Each register's
+    sums (`rho_total`, `rho_data`, `rho_anc`) are kept in the block layout
+    of the `classical` qubits among its own qubits (`run_ensemble` passes
+    its kernel's set; built directly, an accumulator has none): (window,
+    steps, patterns * size, size), the blocks of one matrix stacked in
+    pattern order, so that with no classical qubit they are the dense
+    matrices. `mean_rho` assembles a dense matrix from them.
 
-    The whole-register sums are kept in the block layout of the `classical`
-    qubits (`layout`, `qstate.pattern_blocks`; `run_ensemble` passes its
-    kernel's set): `rho_total` is (window, steps, patterns * size, size),
-    the blocks of one matrix stacked in pattern order, so that with no
-    classical qubit it holds the dense matrices. `mean_rho("total", ...)`
-    assembles a dense matrix from them. The data and ancilla sums
-    (`rho_data`, `rho_anc`) are dense. Each register's entropies are solved
-    in one block per pattern of its classical qubits; built directly, an
-    accumulator has none and solves its matrices dense.
+    The grids hold one window of rounds, `window` rounds from
+    `window_start`, at most `_WINDOW_BYTES` for all kept registers together:
+    `reduce_window` solves each register's blocks for the held rounds'
+    entropies (`s_total`, `s_data`, `s_anc`, (rounds, steps) arrays, nan
+    where no matrix is kept) and, given `reference` round-end matrices and
+    store "full", their round-end `trace_distances`; `next_window` drops the
+    sums to hold the next rounds.
     """
 
     n_rounds: int
@@ -577,7 +587,7 @@ class EnsembleAccumulator:
     rho_data: np.ndarray | None = field(init=False, default=None)
     rho_anc: np.ndarray | None = field(init=False, default=None)
     rho_total: np.ndarray | None = field(init=False, default=None)
-    layout: np.ndarray = field(init=False, repr=False)
+    registers: dict[str, _Register] = field(init=False, repr=False)
     window: int = field(init=False)
     window_start: int = field(init=False, default=0)
     s_total: np.ndarray = field(init=False, repr=False)
@@ -587,25 +597,33 @@ class EnsembleAccumulator:
     _reduced: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self):
-        if self.store not in ("scalar", "reduced", "full"):
+        if self.store not in _KEPT:
             raise ValueError(f"unknown store mode {self.store!r}")
         shape = (self.n_rounds, self.n_steps)
         self.f2_data, self.f2_anc = np.zeros((2,) + shape)
         self.s_total, self.s_data, self.s_anc = np.full((3,) + shape, math.nan)
-        self.layout = pattern_blocks(self.n_qubits, self.classical)
-        grids = {}  # the kept registers' (rows, columns) per step
-        if self.store != "scalar":
-            registers = {"rho_data": self.data_qubits, "rho_anc": self.ancilla_qubits}
-            grids = {name: (2 ** len(qubits),) * 2 for name, qubits in registers.items()}
-        if self.store == "full":
-            grids["rho_total"] = (self.layout.size, self.layout.shape[1])
+        table = {  # register: (its qubits, its sums' attribute, its entropies)
+            "total": (tuple(range(self.n_qubits)), "rho_total", self.s_total),
+            "data": (self.data_qubits, "rho_data", self.s_data),
+            "ancilla": (self.ancilla_qubits, "rho_anc", self.s_anc),
+        }
+        layouts = {
+            which: pattern_blocks(len(qubits), [i for i, q in enumerate(qubits) if q in self.classical])
+            for which, (qubits, _, _) in table.items()
+            if which in _KEPT[self.store]
+        }
+        cells = sum(layout.size * layout.shape[1] for layout in layouts.values())  # per step
         self.window = self.n_rounds
-        if grids:
-            per_round = self.n_steps * sum(r * c for r, c in grids.values()) * np.dtype(complex).itemsize
+        if cells:
+            per_round = self.n_steps * cells * np.dtype(complex).itemsize
             self.window = min(self.n_rounds, max(1, _WINDOW_BYTES // per_round))
-        for name, rc in grids.items():
-            setattr(self, name, np.zeros((self.window, self.n_steps) + rc, dtype=complex))
-        if self.reference is not None and self.rho_total is not None:
+        self.registers = {}
+        for which, layout in layouts.items():
+            qubits, name, entropies = table[which]
+            grid = np.zeros((self.window, self.n_steps, layout.size, layout.shape[1]), dtype=complex)
+            setattr(self, name, grid)
+            self.registers[which] = _Register(qubits, layout, grid, entropies)
+        if self.reference is not None and "total" in self.registers:
             d = 2**self.n_qubits
             if np.shape(self.reference) != (self.n_rounds, d, d):
                 raise ValueError(f"reference must be {self.n_rounds} round-end ({d}, {d}) matrices")
@@ -622,16 +640,9 @@ class EnsembleAccumulator:
         if self._reduced:
             return
         held = self._held()
-        if self.rho_total is not None:
-            blocks = self.rho_total[: len(held)].reshape((len(held), self.n_steps) + self.layout.shape + (-1,))
-            self.s_total[held.start : held.stop] = mean_entropies(blocks, self.count)
-        for grid, ents, qubits in (
-            (self.rho_data, self.s_data, self.data_qubits),
-            (self.rho_anc, self.s_anc, self.ancilla_qubits),
-        ):
-            if grid is not None:
-                layout = pattern_blocks(len(qubits), [qubits.index(q) for q in self.classical if q in qubits])
-                ents[held.start : held.stop] = mean_entropies(gather_blocks(grid[: len(held)], layout), self.count)
+        for reg in self.registers.values():
+            blocks = reg.grid[: len(held)].reshape((len(held), self.n_steps) + reg.layout.shape + (-1,))
+            reg.entropies[held.start : held.stop] = mean_entropies(blocks, self.count)
         if self.trace_distances is not None:
             for rnd in held:
                 ref = DensityMatrix(self.n_qubits, self.reference[rnd])
@@ -643,9 +654,8 @@ class EnsembleAccumulator:
         hold the next `window` rounds."""
         self.reduce_window()
         self.window_start += self.window
-        for grid in (self.rho_data, self.rho_anc, self.rho_total):
-            if grid is not None:
-                grid[...] = 0.0
+        for reg in self.registers.values():
+            reg.grid[...] = 0.0
         self._reduced = False
 
     # --- normalized views -------------------------------------------------
@@ -657,11 +667,10 @@ class EnsembleAccumulator:
         return self.f2_anc / self.count
 
     def mean_rho(self, which: str, rnd: int, step: int = -1) -> DensityMatrix:
-        """Ensemble-averaged density matrix at (round, step), for a round the
-        window holds; the whole-register matrix is assembled from its
-        blocks."""
-        grid = {"data": self.rho_data, "ancilla": self.rho_anc, "total": self.rho_total}[which]
-        if grid is None:
+        """Ensemble-averaged density matrix of register `which` ("total",
+        "data" or "ancilla") at (round, step), for a round the window holds,
+        assembled from its blocks."""
+        if which not in self.registers:
             raise ValueError(f"{which} matrices were not accumulated (store={self.store!r})")
         held = self._held()
         if rnd not in held:
@@ -669,16 +678,11 @@ class EnsembleAccumulator:
                 f"round {rnd} is not in the held window of rounds {held.start}-{held.stop - 1}: "
                 "its matrices were reduced to entropies and dropped"
             )
-        mat = grid[rnd - self.window_start, step] / self.count
-        if which == "total":
-            blocks, mat = mat, np.zeros((self.layout.size,) * 2, dtype=complex)
-            mat[self.layout[:, :, None], self.layout[:, None, :]] = blocks.reshape(self.layout.shape + (-1,))
-        nq = {
-            "data": len(self.data_qubits),
-            "ancilla": len(self.ancilla_qubits),
-            "total": self.n_qubits,
-        }[which]
-        return DensityMatrix(nq, mat)
+        reg = self.registers[which]
+        blocks = reg.grid[rnd - self.window_start, step] / self.count
+        mat = np.zeros((reg.layout.size,) * 2, dtype=complex)
+        mat[reg.layout[:, :, None], reg.layout[:, None, :]] = blocks.reshape(reg.layout.shape + (-1,))
+        return DensityMatrix(len(reg.qubits), mat)
 
 
 def run_ensemble(
@@ -699,13 +703,18 @@ def run_ensemble(
     Returns (EnsembleAccumulator, list[TrajectoryRecord] or None). The
     accumulator samples every step of every round, holding the matrix sums
     that `store` keeps. Results are deterministic given (master_seed,
-    trajectory indices) and do not depend on how trajectories are batched.
-    The batches advance together, one window of the accumulator's rounds at
-    a time, and each window is reduced to its entropies before the next one
-    starts. `reference`, a (rounds, dim, dim) array of round-end density
-    matrices such as an oracle's `rho_end`, gives with store "full" the
+    trajectory indices). All trajectories advance as one batch, one window
+    of the accumulator's rounds at a time, and each window is reduced to its
+    entropies before the next one starts: the run holds one 16 KiB stream
+    buffer per trajectory (for `n_sub` up to 512) plus one 8 MiB window.
+    `reference`, a (rounds, dim, dim) array of round-end density matrices
+    such as an oracle's `rho_end`, gives with store "full" the
     accumulator's `trace_distances`.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    if initial.n_qubits != schedule.n_qubits:
+        raise ValueError("initial state dimension does not match the schedule")
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     if traj_indices is None:
@@ -727,24 +736,20 @@ def run_ensemble(
         classical=split.classical,
     )
     records = [TrajectoryRecord(master_seed, int(i)) for i in indices] if record else None
-    # every batch's states and streams live through the whole run; a chunk
-    # holds a step's draws even if every substep flips. The initial state
-    # lies on one pattern of the split's classical qubits.
+    # the states and streams live through the whole run; a chunk holds a
+    # step's draws even if every substep flips. The initial state lies on
+    # one pattern of the split's classical qubits.
     chunk = max(_StreamBank.chunk, 2 * n_sub)
-    batches = [indices[lo : lo + BATCH_SIZE] for lo in range(0, n_traj, BATCH_SIZE)]
     start_pattern = basis_patterns(schedule.n_qubits, split.classical)[np.flatnonzero(amps)[0]]
-    patterns = [np.full(len(batch), start_pattern) for batch in batches]
-    states = [np.tile(amps[split.layout[start_pattern]], (len(batch), 1)) for batch in batches]
-    banks = [_StreamBank([trajectory_stream(master_seed, int(i)) for i in batch], chunk) for batch in batches]
+    pattern = np.full(n_traj, start_pattern)
+    amp = np.tile(amps[split.layout[start_pattern]], (n_traj, 1))
+    bank = _StreamBank([trajectory_stream(master_seed, int(i)) for i in indices], chunk)
     acc.count = n_traj
     for start in range(0, rounds, acc.window):
         if start:
             acc.next_window()
-        stop = min(start + acc.window, rounds)
-        for b in range(len(batches)):
-            recs = records[b * BATCH_SIZE : (b + 1) * BATCH_SIZE] if record else None
-            states[b] = _run_batch(patterns[b], states[b], stop, split, banks[b], acc, recs, start)
-    del plan, split, patterns, states, banks  # freed first, so the last reduction reuses their memory
+        amp = _run_batch(pattern, amp, min(start + acc.window, rounds), split, bank, acc, records, start)
+    del plan, split, pattern, amp, bank  # freed first, so the last reduction reuses their memory
     acc.reduce_window()
     return acc, records
 
@@ -833,8 +838,7 @@ def _run_batch(pattern, amp, rounds, split: _SplitPlan, bank: _StreamBank, acc, 
     ground = np.stack([split.data_ground.ravel(), split.anc_ground.ravel()], axis=1)
     ground = np.repeat(ground, 2, axis=0).astype(float)
     placed = np.zeros((B, n_pat, size), dtype=complex) if n_pat > 1 else None
-    kept = acc.store != "scalar"
-    if kept:
+    if acc.registers:
         gram = np.empty((n_steps, split.layout.size, size), dtype=complex)
 
     for rnd in range(start, rounds):
@@ -915,21 +919,16 @@ def _run_batch(pattern, amp, rounds, split: _SplitPlan, bank: _StreamBank, acc, 
                 rows = placed.reshape(B, -1)
             f = rows.view(float)
             np.einsum("bk,bk->k", f, f, out=pops[s])
-            if kept:
+            if acc.registers:
                 np.matmul(rows.T, amp.conj(), out=gram[s])
 
-        # once per round: f2 sums, and the whole-register block sums and
-        # their partial traces into the round's row of the window
+        # once per round: f2 sums, and each kept register's blocks into the
+        # round's row of the window
         f2 = pops @ ground
         acc.f2_data[rnd] += f2[:, 0]
         acc.f2_anc[rnd] += f2[:, 1]
-        row = rnd - acc.window_start
-        if acc.rho_total is not None:
-            acc.rho_total[row] += gram
-        if kept:
-            data, anc = _partial_traces(gram, split)
-            acc.rho_data[row] += data
-            acc.rho_anc[row] += anc
+        for reg in acc.registers.values():
+            reg.grid[rnd - acc.window_start] += _partial_trace(gram, split, reg.qubits)
     return amp
 
 
@@ -1057,31 +1056,26 @@ def _cool_substeps(pattern, amp, split: _SplitPlan, bank: _StreamBank, hot, u3, 
     return amp
 
 
-def _partial_traces(gram: np.ndarray, split: _SplitPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Dense data and ancilla reductions of a (k, patterns * size, size)
-    stack of block sums in the layout of `split`: one einsum each over the
-    blocks, summing the diagonal of the other qubits (a classical qubit has
-    one bit for row and column), then the kept classical qubits' blocks
-    placed in the reduced register's layout."""
+def _partial_trace(gram: np.ndarray, split: _SplitPlan, keep: Sequence[int]) -> np.ndarray:
+    """Reduction to the qubits `keep` of a (k, patterns * size, size) stack
+    of block sums in the layout of `split`, in the block layout of the
+    classical qubits among `keep` (as `EnsembleAccumulator` keeps it): one
+    einsum over the blocks, summing the diagonal of the other qubits (a
+    classical qubit has one bit for row and column). Keeping every qubit
+    returns the stack's blocks unchanged."""
     n, classical = split.plan.n_qubits, split.classical
     quantum = [q for q in range(n) if q not in classical]
     k = len(gram)
     tensor = gram.reshape((k,) + (2,) * (len(classical) + 2 * len(quantum)))
-    out = []
-    for keep in (split.plan.schedule.data_qubits, split.plan.schedule.ancilla_qubits):
-        # axis labels: 0 the stack, 1 + q qubit q's row (and a classical
-        # qubit's column), n + 1 + q a quantum qubit's column; a traced
-        # qubit's column shares its row's label
-        cols = [n + 1 + q if q in keep else 1 + q for q in quantum]
-        keep_c = [q for q in keep if q in classical]
-        keep_q = [q for q in keep if q not in classical]
-        labels = [1 + q for q in keep_c] + [1 + q for q in keep_q] + [n + 1 + q for q in keep_q]
-        blocks = np.einsum(tensor, [0, *(1 + q for q in classical), *(1 + q for q in quantum), *cols], [0, *labels])
-        layout = pattern_blocks(len(keep), [i for i, q in enumerate(keep) if q in classical])
-        dense = np.zeros((k, layout.size, layout.size), dtype=complex)
-        dense[:, layout[:, :, None], layout[:, None, :]] = blocks.reshape((k,) + layout.shape + layout.shape[1:])
-        out.append(dense)
-    return out[0], out[1]
+    # axis labels: 0 the stack, 1 + q qubit q's row (and a classical
+    # qubit's column), n + 1 + q a quantum qubit's column; a traced qubit's
+    # column shares its row's label
+    cols = [n + 1 + q if q in keep else 1 + q for q in quantum]
+    keep_c = [q for q in keep if q in classical]
+    keep_q = [q for q in keep if q not in classical]
+    labels = [1 + q for q in keep_c] + [1 + q for q in keep_q] + [n + 1 + q for q in keep_q]
+    blocks = np.einsum(tensor, [0, *(1 + q for q in classical), *(1 + q for q in quantum), *cols], [0, *labels])
+    return blocks.reshape(k, -1, 2 ** len(keep_q))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from thermoqec.dynamics import (
     run_ensemble,
 )
 from thermoqec.metrics import compute_step_metrics
-from thermoqec.qstate import StateVector, bit_mask, gather_blocks, mean_entropies, pattern_blocks, trace_distance
+from thermoqec.qstate import StateVector, bit_mask, mean_entropies, trace_distance
 from thermoqec.ratemodel import (
     RoundEventParams,
     ancilla_steady_fidelity,
@@ -308,16 +308,16 @@ class TestCriterion9EntropyCycle:
             )[0]
             for g in range(n_groups)
         ]
-        # (groups, rounds, steps, 8, 8) sums, solved in the accumulator's
-        # layouts: the data qubits are classical, the ancilla matrices dense
+        # (groups, rounds, steps, blocks * size, size) sums in the
+        # accumulator's layouts, solved block by block: the data qubits are
+        # classical (8 blocks of 1x1), the ancilla matrices dense (one 8x8)
         assert all(g.classical == (0, 1, 2) and g.window == 10 for g in groups)
         rho_data = np.array([g.rho_data for g in groups])
         rho_anc = np.array([g.rho_anc for g in groups])
-        data_layout, anc_layout = pattern_blocks(3, [0, 1, 2]), pattern_blocks(3, [])
 
         def floors_and_data_means(data, anc, count):
-            s_anc = mean_entropies(gather_blocks(anc, anc_layout), count)
-            s_data = mean_entropies(gather_blocks(data, data_layout), count)
+            s_anc = mean_entropies(anc.reshape(anc.shape[:2] + (1, 8, 8)), count)
+            s_data = mean_entropies(data.reshape(data.shape[:2] + (8, 1, 1)), count)
             return s_anc[3:, 0], s_data.mean(axis=1)
 
         data_sum, anc_sum = rho_data.sum(axis=0), rho_anc.sum(axis=0)

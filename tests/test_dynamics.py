@@ -26,6 +26,7 @@ from thermoqec.dynamics import (
     JUMP_HEAT,
     EnsembleAccumulator,
     NoiseParams,
+    _partial_trace,
     _plain_groups,
     _run_batch,
     _SchedulePlan,
@@ -822,7 +823,53 @@ class TestPlainGroups:
         assert _plain_groups(always, chunk) == {}
 
 
+class TestEnsembleInputs:
+    @pytest.fixture(autouse=True)
+    def no_streams(self, monkeypatch):
+        # the inputs are checked before any trajectory's stream is built
+        def unexpected(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(dynamics, "trajectory_stream", unexpected)
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rejects_rounds_below_one(self, rounds):
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            run_ensemble(StateVector.basis(6, 0), rounds, MEASURED, ZERO_NOISE, 2)
+
+    @pytest.mark.parametrize("n_qubits", [5, 7])
+    def test_rejects_initial_state_of_another_dimension(self, n_qubits):
+        with pytest.raises(ValueError, match="does not match the schedule"):
+            run_ensemble(StateVector.basis(n_qubits, 0), 1, MEASURED, ZERO_NOISE, 2)
+
+
 class TestAccumulator:
+    @pytest.mark.parametrize(
+        "schedule, shapes",
+        [
+            (MEASURED, {"rho_total": (64, 8), "rho_data": (8, 1), "rho_anc": (8, 8)}),
+            (MEASUREMENT_FREE, {"rho_total": (32, 32), "rho_data": (8, 8), "rho_anc": (4, 4)}),
+        ],
+        ids=["measured", "mf"],
+    )
+    def test_register_grid_shapes(self, schedule, shapes):
+        # each register's sums are its blocks stacked in pattern order: on
+        # the measured round the data qubits are classical, so the whole
+        # register holds 8 blocks of 8x8 and the data register 8 of 1x1; the
+        # measurement-free round has no classical qubit and keeps them dense
+        noise = NoiseParams(2e-2, 3.0, 0.1)
+        acc, _ = run_ensemble(StateVector.basis(schedule.n_qubits, 0), 2, schedule, noise, 2, store="full")
+        for name, shape in shapes.items():
+            assert getattr(acc, name).shape == (2, len(schedule)) + shape, name
+
+    @pytest.mark.parametrize("classical", [(0, 1, 2), (0, 2), ()])
+    def test_keeping_every_qubit_returns_the_gram_stack(self, classical):
+        split = _SplitPlan(_SchedulePlan(MEASURED, ZERO_NOISE, 4), classical)
+        rng = np.random.default_rng(3)
+        shape = (5, 64, 64 >> len(classical))
+        gram = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(_partial_trace(gram, split, tuple(range(6))), gram)
+
     def test_single_trajectory_projector(self):
         noise = NoiseParams(5e-3, 3.0, 1e-2)
         acc, _ = run_ensemble(
@@ -878,22 +925,6 @@ class TestAccumulator:
                     for acc in (full, reduced):
                         assert np.abs(acc.mean_rho(which, rnd, step).elements - expect).max() < 1e-12
 
-    @pytest.mark.parametrize("store", ["full", "reduced"])
-    @pytest.mark.parametrize("schedule", [MEASURED, MEASUREMENT_FREE], ids=["measured", "mf"])
-    def test_batches_sum_to_one_batch(self, monkeypatch, schedule, store):
-        # 10 trajectories in batches of 4, 4 and 2 against one batch
-        noise = NoiseParams(2e-2, 3.0, 0.1)
-        init = StateVector.basis(schedule.n_qubits, 0)
-        one, _ = run_ensemble(init, 2, schedule, noise, 10, master_seed=19, store=store)
-        monkeypatch.setattr(dynamics, "BATCH_SIZE", 4)
-        split, _ = run_ensemble(init, 2, schedule, noise, 10, master_seed=19, store=store)
-        assert split.count == one.count == 10
-        for name in ("f2_data", "f2_anc", "rho_data", "rho_anc", "rho_total"):
-            a, b = getattr(split, name), getattr(one, name)
-            assert (a is None) == (b is None) == (name == "rho_total" and store == "reduced")
-            if a is not None:
-                assert np.abs(a - b).max() < 1e-12, name
-
     def test_matrix_sums_match_explicit_outer_products(self):
         # noiseless measurement-free round: every step is its unitary, so the
         # batch's states after each step are known without the kernel
@@ -905,18 +936,19 @@ class TestAccumulator:
         split = _SplitPlan(_SchedulePlan(MEASUREMENT_FREE, ZERO_NOISE, 4), ())
         bank = _StreamBank([np.random.default_rng(i) for i in range(4)])
         _run_batch(np.zeros(4, dtype=np.int64), psi.copy(), 1, split, bank, acc)
+        acc.count = 4
         u = np.eye(2**n, dtype=complex)
         for s, step in enumerate(MEASUREMENT_FREE.steps):
             u = step_unitary(step, n) @ u
             states = psi @ u.T
-            expect = sum(np.outer(v, v.conj()) for v in states)
-            assert np.abs(acc.rho_total[0, s] - expect).max() < 1e-12
-            mean = DensityMatrix(n, expect / 4)
-            for grid, qubits in (
-                (acc.rho_data, MEASUREMENT_FREE.data_qubits),
-                (acc.rho_anc, MEASUREMENT_FREE.ancilla_qubits),
+            mean = DensityMatrix(n, sum(np.outer(v, v.conj()) for v in states) / 4)
+            for which, qubits in (
+                ("total", range(n)),
+                ("data", MEASUREMENT_FREE.data_qubits),
+                ("ancilla", MEASUREMENT_FREE.ancilla_qubits),
             ):
-                assert np.abs(grid[0, s] / 4 - partial_trace(mean, qubits).elements).max() < 1e-12
+                expect = partial_trace(mean, qubits).elements
+                assert np.abs(acc.mean_rho(which, 0, s).elements - expect).max() < 1e-12, which
 
     def test_mean_trace_one(self):
         noise = NoiseParams(5e-3, 3.0, 1e-2)
@@ -965,16 +997,14 @@ class TestWindows:
     @staticmethod
     def window_of(monkeypatch, store, rounds):
         # the window holds `rounds` rounds of all kept registers: the data
-        # and ancilla 8x8 matrices and, with store "full", the 8 blocks of
-        # 8x8 of the whole register
-        cells = 2 * 8 * 8 + (8 * 8 * 8 if store == "full" else 0)
+        # register's 8 blocks of 1x1, the ancilla 8x8 matrix and, with store
+        # "full", the 8 blocks of 8x8 of the whole register
+        cells = 8 * 1 + 8 * 8 + (8 * 8 * 8 if store == "full" else 0)
         monkeypatch.setattr(dynamics, "_WINDOW_BYTES", rounds * len(MEASURED) * cells * 16)
 
-    @pytest.mark.parametrize("batch_size", [dynamics.BATCH_SIZE, 4], ids=["one_batch", "batches_of_4"])
     @pytest.mark.parametrize("store", ["full", "reduced"])
-    def test_windows_match_one_window(self, monkeypatch, store, batch_size):
+    def test_windows_match_one_window(self, monkeypatch, store):
         oracle = evolve_master_equation(StateVector.basis(6, 0).projector(), MEASURED, self.NOISE, rounds=12)
-        monkeypatch.setattr(dynamics, "BATCH_SIZE", batch_size)
         self.window_of(monkeypatch, store, 12)
         whole = self.run(store, reference=oracle.rho_end)
         assert whole.window == 12 and whole.window_start == 0
@@ -1005,8 +1035,8 @@ class TestWindows:
             acc.mean_rho("ancilla", 9, 3)
 
     def test_peak_memory_does_not_grow_with_rounds(self):
-        # a whole-run grid of the measured round's blocks would take 160 KiB
-        # per round; both runs fill a window of 51 rounds
+        # a whole-run grid of the measured round's blocks would take 146 KiB
+        # per round; both runs fill a window of 56 rounds
         peaks = {}
         for n in (60, 240):
             tracemalloc.start()
