@@ -52,14 +52,14 @@ def chain_series(args) -> int:
 
     a = sp.symbols("a")
     p = event_probabilities(types.SimpleNamespace(F_a=sp.Integer(1), alpha=a, beta=a))
-    # expanded polynomials let the flow table's row-sum check reduce to exact 1
+    # expanded polynomials let the flow matrix's row-sum check reduce to exact 1
     f = flow_coefficients({k: sp.expand(v) for k, v in p.items()})
-    # steady_weight0_ratio's formula, kept symbolic
-    ratio = (f["a0"] + f["a7"]) / (2 * (f["0a"] + f["0b"] + f["a0"] + f["a7"]))
+    # steady_weight0_ratio's formula, kept symbolic (f is an object array)
+    ratio = (f[1, 0] + f[1, 3]) / (2 * (f[0, 1] + f[0, 2] + f[1, 0] + f[1, 3]))
     print("P0* =", sp.series(sp.cancel(ratio), a, 0, 6))
 
     alpha = 1e-3
-    exact = chain_steady_state(flow_coefficients(event_probabilities(RoundEventParams(1.0, alpha, alpha)))).P0
+    exact = chain_steady_state(flow_coefficients(event_probabilities(RoundEventParams(1.0, alpha, alpha))))[0]
     third = 0.5 * (1 - 3 * alpha + 24 * alpha**3)
     matched = steady_weight0_series(alpha)
     print(f"alpha={alpha}: fixed point (eigenvector) {exact:.12f}")

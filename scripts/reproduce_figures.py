@@ -10,6 +10,7 @@ Examples:
 
 import argparse
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -69,6 +70,7 @@ def run(argv=None):
             "configs_s": seconds,
             "total_s": round(sum(seconds.values()), 2),
             "machine": _machine_facts(),
+            "src_matches_head": src_matches_head(),  # false: src/ differs from machine.git_commit
         }
         Path(args.timings).write_text(json.dumps(record, indent=2) + "\n")
         print(f"total {record['total_s']:.1f}s; wrote {args.timings}")
@@ -82,6 +84,23 @@ def _machine_facts() -> dict:
     from run import machine_facts
 
     return machine_facts()
+
+
+def src_matches_head(repo: Path = REPO) -> bool | None:
+    """Whether the tracked files under `repo`/src match its HEAD commit
+    (`git diff --quiet HEAD -- src`); None when git or the repository is
+    unavailable. Untracked files are not compared."""
+
+    def git(*args) -> int:
+        return subprocess.run(["git", *args], cwd=repo, capture_output=True).returncode
+
+    try:
+        # outside a repository `git diff` compares paths instead, so check first
+        if git("rev-parse", "--verify", "--quiet", "HEAD") != 0:
+            return None
+        return {0: True, 1: False}.get(git("diff", "--quiet", "HEAD", "--", "src"))
+    except OSError:
+        return None
 
 
 if __name__ == "__main__":

@@ -42,11 +42,11 @@ from .metrics import compute_step_metrics, round_end_series
 from .qstate import StateVector
 from .ratemodel import (
     CoolingRates,
-    RoundChainState,
     RoundEventParams,
     ancilla_steady_fidelity,
     chain_decay_constant,
     chain_steady_state,
+    cooling_steady_state,
     decay_constant_series,
     event_probabilities,
     first_round_weight0,
@@ -76,6 +76,17 @@ def _schedule_for(cfg: ExperimentConfig) -> GateSchedule:
             f"need n_qubits * gamma_h < {DEFAULT_N_SUB} ({schedule.n_qubits} qubits)"
         )
     return schedule
+
+
+def _round_chain(cfg: ExperimentConfig, schedule: GateSchedule):
+    """The weight-class chain at the configured bath parameters: its event
+    parameters, flow matrix and states after 0..rounds rounds. None when
+    the per-round error load len(schedule) * gamma_h exceeds 1."""
+    if len(schedule) * cfg.gamma_h > 1.0:
+        return None
+    params = RoundEventParams.from_physical(cfg.gamma_h, cfg.n_c, steps=len(schedule))
+    flows = flow_coefficients(event_probabilities(params))
+    return params, flows, iterate_round_chain(flows, cfg.rounds)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -112,12 +123,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         f"final-round data fidelity = {_fmt(ends[-1])}",
         f"steady-state estimate (mean of last {len(tail)} rounds) = {_fmt(tail.mean())}",
     ]
-    if cfg.protocol == "measured" and len(schedule) * cfg.gamma_h <= 1.0:
-        params = RoundEventParams.from_physical(cfg.gamma_h, cfg.n_c, steps=len(schedule))
-        flows = flow_coefficients(event_probabilities(params))
-        chain = iterate_round_chain(RoundChainState.pristine(), flows, cfg.rounds)
+    chain = _round_chain(cfg, schedule) if cfg.protocol == "measured" else None
+    if chain is not None:
+        params, flows, states = chain
         try:
-            steady = _fmt(chain_steady_state(flows).P0)
+            steady = _fmt(chain_steady_state(flows)[0])
         except ValueError as exc:
             steady = f"not unique ({exc})"
         lines += [
@@ -125,7 +135,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             f"  predicted first-round weight-0 = {_fmt(first_round_weight0(params))}",
             f"  simulated first-round data fidelity = {_fmt(ends[0])}",
             f"  predicted steady weight-0 = {steady}",
-            f"  chain after {cfg.rounds} rounds = {_fmt(chain[-1].P0)}",
+            f"  chain after {cfg.rounds} rounds = {_fmt(states[-1, 0])}",
         ]
     elif cfg.protocol == "measured":
         lines.append("rate-model comparison skipped: per-round error load exceeds 1")
@@ -295,7 +305,11 @@ def cmd_rate_model(args) -> int:
             header += [f"P{i}_closed" for i in range(8)]
         _write_table(out / "cooling.csv", header, rows)
         print(f"wrote {out / 'cooling.csv'}")
-        print(f"steady ancilla fidelity at n_c={args.n_c}: {_fmt(ancilla_steady_fidelity(args.n_c))}")
+        try:
+            steady = _fmt(cooling_steady_state(rates)[0])
+        except ValueError as exc:
+            steady = f"not unique ({exc})"
+        print(f"steady ancilla fidelity at n_c={args.n_c}: {steady}")
         return 0
     if args.model == "steady-fidelity":
         rows = [[n_c, ancilla_steady_fidelity(n_c)] for n_c in args.n_c_values]
@@ -306,16 +320,14 @@ def cmd_rate_model(args) -> int:
     if args.model == "chain":
         params = RoundEventParams(args.F_a, args.alpha, args.beta if args.beta is not None else args.alpha)
         flows = flow_coefficients(event_probabilities(params))
-        states = iterate_round_chain(RoundChainState.pristine(), flows, args.rounds)
-        rows = [
-            [n, s.P0, s.Pa, s.Pb, s.P7, perturbative_weight0(max(n, 1), params.alpha)]
-            for n, s in enumerate(states)
-        ]
+        states = iterate_round_chain(flows, args.rounds)
+        series = perturbative_weight0(np.maximum(np.arange(args.rounds + 1), 1), params.alpha)
+        rows = [[n, *s, p] for n, (s, p) in enumerate(zip(states.tolist(), series.tolist()))]
         _write_table(out / "chain.csv", ["round", "P0", "Pa", "Pb", "P7", "P0_series"], rows)
         print(f"wrote {out / 'chain.csv'}")
         print(_series_line("first-round weight-0 (first-order)", first_round_weight0(params)))
         try:
-            steady = chain_steady_state(flows).P0
+            steady = chain_steady_state(flows)[0]
         except ValueError as exc:
             print(f"steady state: not unique ({exc})")
         else:
@@ -351,14 +363,13 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     if cfg.protocol != "measured":
         raise ConfigError("compare mode models the measured protocol only")
     schedule = _schedule_for(cfg)
-    if len(schedule) * cfg.gamma_h > 1.0:
+    chain = _round_chain(cfg, schedule)
+    if chain is None:
         raise ConfigError(
             f"gamma_h = {_fmt(cfg.gamma_h)} too large for the round-chain model: "
             f"need {len(schedule)} * gamma_h <= 1"
         )
-    params = RoundEventParams.from_physical(cfg.gamma_h, cfg.n_c, steps=len(schedule))
-    flows = flow_coefficients(event_probabilities(params))
-    chain = iterate_round_chain(RoundChainState.pristine(), flows, cfg.rounds)
+    _, _, states = chain
     noise = NoiseParams(cfg.gamma_h, cfg.Gamma_c, cfg.n_c, cooling_gate=cfg.cooling)
     initial = StateVector.basis(schedule.n_qubits, 0)
     oracle = evolve_master_equation(initial.projector(), schedule, noise, rounds=cfg.rounds) if cfg.oracle else None
@@ -378,7 +389,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         dists = acc.trace_distances.tolist()
     rows = []
     for rnd in range(cfg.rounds):
-        row = [rnd + 1, float(sim[rnd]), chain[rnd + 1].P0]
+        row = [rnd + 1, float(sim[rnd]), states[rnd + 1, 0]]
         if oracle is not None:
             row += [float(f2_oracle[rnd]), dists[rnd]]
         rows.append(row)

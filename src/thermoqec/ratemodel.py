@@ -6,11 +6,12 @@ Conventions:
   * Ancilla basis states are labelled 0..7 by their bit pattern read as a
     decimal; cooling rates are A = Gamma_c*(n_c+1) down, B = Gamma_c*n_c up.
   * The round chain tracks the data register's error weight classes
-    {0, a, b, 7} = weight {0, 1, 2, 3}. Chain states store per-basis-state
-    probabilities, normalized as P0 + 3*Pa + 3*Pb + P7 = 1; flow
-    coefficients are class-to-class transfer probabilities (each row sums
-    to 1).
-  * In the flow table the a->0 coefficient of the "uncooled, two data
+    {0, a, b, 7} = weight {0, 1, 2, 3}. A chain state is a 4-vector of
+    per-basis-state probabilities (P0, Pa, Pb, P7), normalized as
+    P0 + 3*Pa + 3*Pb + P7 = 1, and a run of states is a (rounds + 1, 4)
+    array. The flows are a 4x4 row-stochastic matrix of class-to-class
+    transfer probabilities in class order (0, a, b, 7).
+  * In the flow matrix the a->0 coefficient of the "uncooled, two data
     errors" event is 2/9, mirroring the misprepared-ancilla column; a 2/3
     coefficient there would break row normalization.
 """
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CLASS_MULTIPLICITY = np.array([1.0, 3.0, 3.0, 1.0])
+PRISTINE = (1.0, 0.0, 0.0, 0.0)  # chain state of an error-free data register
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,10 @@ def cooling_rhs(P, rates: CoolingRates) -> np.ndarray:
 
 
 def cooling_steady_state(rates: CoolingRates) -> np.ndarray:
-    """Detailed-balance fixed point of the cooling chain."""
+    """Detailed-balance fixed point of the cooling chain. Raises ValueError
+    at A = 0 (Gamma_c = 0): every population is then stationary."""
     if rates.A == 0:
-        return np.full(8, 1.0 / 8.0)
+        raise ValueError("Gamma_c = 0: no cooling")
     r = rates.B / rates.A
     p0 = (1.0 + r) ** -3
     out = np.empty(8)
@@ -148,110 +151,83 @@ def event_probabilities(params: RoundEventParams) -> dict[str, float]:
     return out
 
 
-def flow_coefficients(p: dict[str, float]) -> dict[str, float]:
-    """Class-to-class transfer probabilities for one round, from the 16
-    event probabilities. Raises if any destination row fails to sum to 1
-    within 1e-10 (inconsistent inputs)."""
-    f: dict[str, float] = {}
-    f["00"] = p["111"] + p["112"] + p["122"] / 3 + p["212"] / 3
-    f["0a"] = p["121"] + 2 * p["123"] / 3 + p["211"] + 2 * p["213"] / 3
-    f["0b"] = p["113"] + 2 * p["122"] / 3 + p["124"] + 2 * p["212"] / 3 + p["214"]
-    f["07"] = p["114"] + p["123"] / 3 + p["213"] / 3
-    f["a0"] = p["111"] + p["112"] / 3 + p["121"] / 3 + 2 * p["123"] / 9 + p["211"] / 3 + 2 * p["213"] / 9
-    f["aa"] = 2 * p["113"] / 3 + 7 * p["122"] / 9 + 2 * p["124"] / 3 + 7 * p["212"] / 9 + 2 * p["214"] / 3
-    f["ab"] = 2 * p["112"] / 3 + p["114"] + 2 * p["121"] / 3 + 7 * p["123"] / 9 + 2 * p["211"] / 3 + 7 * p["213"] / 9
-    f["a7"] = p["113"] / 3 + 2 * p["122"] / 9 + p["124"] / 3 + 2 * p["212"] / 9 + p["214"] / 3
-    # the code treats the all-zero and all-one codewords symmetrically
-    f["b0"], f["ba"], f["bb"], f["b7"] = f["a7"], f["ab"], f["aa"], f["a0"]
-    f["70"], f["7a"], f["7b"], f["77"] = f["07"], f["0b"], f["0a"], f["00"]
-    for src in "0ab7":
-        row = sum(f[src + dst] for dst in "0ab7")
+def flow_coefficients(p: dict[str, float]) -> np.ndarray:
+    """4x4 row-stochastic class transfer matrix for one round, in class
+    order (0, a, b, 7), from the 16 event probabilities. Raises if any row
+    fails to sum to 1 within 1e-10 (inconsistent inputs)."""
+    row0 = [
+        p["111"] + p["112"] + p["122"] / 3 + p["212"] / 3,
+        p["121"] + 2 * p["123"] / 3 + p["211"] + 2 * p["213"] / 3,
+        p["113"] + 2 * p["122"] / 3 + p["124"] + 2 * p["212"] / 3 + p["214"],
+        p["114"] + p["123"] / 3 + p["213"] / 3,
+    ]
+    row_a = [
+        p["111"] + p["112"] / 3 + p["121"] / 3 + 2 * p["123"] / 9 + p["211"] / 3 + 2 * p["213"] / 9,
+        2 * p["113"] / 3 + 7 * p["122"] / 9 + 2 * p["124"] / 3 + 7 * p["212"] / 9 + 2 * p["214"] / 3,
+        2 * p["112"] / 3 + p["114"] + 2 * p["121"] / 3 + 7 * p["123"] / 9 + 2 * p["211"] / 3 + 7 * p["213"] / 9,
+        p["113"] / 3 + 2 * p["122"] / 9 + p["124"] / 3 + 2 * p["212"] / 9 + p["214"] / 3,
+    ]
+    # the code treats the all-zero and all-one codewords symmetrically, so
+    # rows b and 7 are rows a and 0 reversed
+    m = np.array([row0, row_a, row_a[::-1], row0[::-1]])
+    for src, row in zip("0ab7", m.sum(axis=1)):
         if abs(row - 1.0) > 1e-10:
             raise ValueError(f"flow row {src!r} sums to {row}, expected 1")
-    return f
+    return m
 
 
-def flow_matrix(f: dict[str, float]) -> np.ndarray:
-    """4x4 row-stochastic class transition matrix in order (0, a, b, 7)."""
-    return np.array([[f[src + dst] for dst in "0ab7"] for src in "0ab7"])
-
-
-@dataclass(frozen=True)
-class RoundChainState:
-    """Per-basis-state weight-class probabilities of the data register."""
-
-    P0: float
-    Pa: float
-    Pb: float
-    P7: float
-
-    def __post_init__(self):
-        vals = (self.P0, self.Pa, self.Pb, self.P7)
-        if any(v < -1e-12 for v in vals):
-            raise ValueError("probabilities must be non-negative")
-        if abs(self.normalization() - 1.0) > 1e-9:
-            raise ValueError(f"P0 + 3Pa + 3Pb + P7 = {self.normalization()}, expected 1")
-
-    def normalization(self) -> float:
-        return self.P0 + 3 * self.Pa + 3 * self.Pb + self.P7
-
-    def class_vector(self) -> np.ndarray:
-        """Total probability per class (0, a, b, 7)."""
-        return np.array([self.P0, self.Pa, self.Pb, self.P7]) * CLASS_MULTIPLICITY
-
-    @classmethod
-    def from_class_vector(cls, v) -> "RoundChainState":
-        v = np.asarray(v, dtype=float) / CLASS_MULTIPLICITY
-        return cls(*v)
-
-    @classmethod
-    def pristine(cls) -> "RoundChainState":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-
-def iterate_round_chain(initial: RoundChainState, f: dict[str, float], rounds: int) -> list[RoundChainState]:
-    """Advance the weight-class chain; returns [initial, after round 1, ...]."""
+def iterate_round_chain(m: np.ndarray, rounds: int, initial=PRISTINE) -> np.ndarray:
+    """Advance the weight-class chain under the flow matrix `m`; returns the
+    states before and after each round as a (rounds + 1, 4) array, row 0
+    being `initial`. Raises ValueError unless `initial` is a chain state:
+    4 entries, none below -1e-12, P0 + 3Pa + 3Pb + P7 within 1e-9 of 1."""
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (4,):
+        raise ValueError(f"a chain state has 4 entries (P0, Pa, Pb, P7), got shape {initial.shape}")
+    if np.any(initial < -1e-12):
+        raise ValueError("probabilities must be non-negative")
+    norm = initial @ CLASS_MULTIPLICITY
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"P0 + 3Pa + 3Pb + P7 = {norm}, expected 1")
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    M = flow_matrix(f)
-    out = [initial]
-    v = initial.class_vector()
-    for _ in range(rounds):
-        v = v @ M
-        out.append(RoundChainState.from_class_vector(v))
+    v = np.empty((rounds + 1, 4))  # total probability per class
+    v[0] = initial * CLASS_MULTIPLICITY
+    for n in range(rounds):
+        v[n + 1] = v[n] @ m
+    out = v / CLASS_MULTIPLICITY
+    out[0] = initial  # as given: initial * 3 / 3 can differ in the last bit
     return out
 
 
-def chain_steady_state(f: dict[str, float]) -> RoundChainState:
-    """Exact fixed point of the class chain (left eigenvector at eigenvalue 1).
-    Raises ValueError when eigenvalue 1 is not simple (within 1e-9): the
-    chain then has more than one fixed point."""
-    M = flow_matrix(f)
-    evals, vecs = np.linalg.eig(M.T)
+def chain_steady_state(m: np.ndarray) -> np.ndarray:
+    """Exact fixed point (P0, Pa, Pb, P7) of the class chain (left eigenvector
+    at eigenvalue 1). Raises ValueError when eigenvalue 1 is not simple
+    (within 1e-9): the chain then has more than one fixed point."""
+    evals, vecs = np.linalg.eig(m.T)
     multiplicity = int(np.sum(np.abs(evals - 1.0) < 1e-9))
     if multiplicity > 1:
         raise ValueError(f"eigenvalue 1 of the class chain has multiplicity {multiplicity}: no unique fixed point")
     k = int(np.argmin(np.abs(evals - 1.0)))
     v = np.real(vecs[:, k])
-    v = np.abs(v) / np.abs(v).sum()
-    return RoundChainState.from_class_vector(v)
+    return np.abs(v) / np.abs(v).sum() / CLASS_MULTIPLICITY
 
 
-def chain_decay_constant(f: dict[str, float]) -> float:
+def chain_decay_constant(m: np.ndarray) -> float:
     """Per-round decay constant of the slow relaxation mode: the inverse of
     the subdominant eigenvalue magnitude of the class chain. Infinite when
     that magnitude is below 1e-12, the roundoff of a zero eigenvalue: the
     chain then has no slow mode and reaches its fixed point within three
     rounds."""
-    lam = sorted(np.abs(np.linalg.eigvals(flow_matrix(f))))[-2]
+    lam = sorted(np.abs(np.linalg.eigvals(m)))[-2]
     return float(1.0 / lam) if lam >= 1e-12 else np.inf
 
 
-def steady_weight0_ratio(f: dict[str, float]) -> float:
+def steady_weight0_ratio(m: np.ndarray) -> float:
     """Closed-form weight-0 fixed point of the codeword-symmetric chain:
     (f_a0 + f_a7) / (2 * (f_0a + f_0b + f_a0 + f_a7))."""
-    num = f["a0"] + f["a7"]
-    den = f["0a"] + f["0b"] + f["a0"] + f["a7"]
+    num = m[1, 0] + m[1, 3]
+    den = m[0, 1] + m[0, 2] + m[1, 0] + m[1, 3]
     return float(0.5 * num / den)
 
 
@@ -270,11 +246,12 @@ def decay_constant_series(alpha: float) -> float:
     return 1.0 + 42.0 * alpha**2
 
 
-def perturbative_weight0(n: int, alpha: float) -> float:
+def perturbative_weight0(n, alpha: float):
     """Second-order series for the weight-0 occupation after n rounds with
     a perfect ancilla and equal error loads: 1 - 3*alpha + (33-21n)*alpha^2.
-    Matches the exact chain to O(alpha^2) for n >= 2."""
-    if n < 1:
+    Matches the exact chain to O(alpha^2) for n >= 2. `n` may be an array
+    of round counts."""
+    if np.any(np.asarray(n) < 1):
         raise ValueError("round count must be at least 1")
     return 1.0 - 3.0 * alpha + (33.0 - 21.0 * n) * alpha**2
 

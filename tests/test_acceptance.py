@@ -222,7 +222,7 @@ class TestCriterion7RateChainPerturbative:
         # The exact fixed point: the slow mode decays over 1/(42 a^2) ~ 24,000
         # rounds, too slowly for a plateau fitted to the iterates to resolve
         # the tolerance.
-        exact = chain_steady_state(flows).P0
+        exact = chain_steady_state(flows)[0]
         matched = steady_weight0_series(alpha)
         tol = 10 * alpha**3
         ok = abs(exact - matched) <= tol

@@ -406,6 +406,18 @@ class TestCliRateModel:
         for row in rows[1:]:
             assert [float(v) for v in row[1:9]] == pytest.approx([float(v) for v in row[9:]], abs=1e-12)
 
+    @pytest.mark.parametrize("n_c", ["0", "0.5"])
+    def test_cooling_without_cold_coupling_has_no_fixed_point(self, tmp_path, capsys, n_c):
+        # Gamma_c = 0: the curve stays at its start, and every state is stationary
+        argv = ["rate-model", "cooling", "--Gamma-c", "0", "--n-c", n_c, "--initial", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"steady ancilla fidelity at n_c={float(n_c)}: not unique (Gamma_c = 0: no cooling)"
+        with open(tmp_path / "cooling.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 201
+        assert all(row[1:9] == ["0", "0", "0", "1", "0", "0", "0", "0"] for row in rows)
+
     @pytest.mark.parametrize(
         "argv",
         [

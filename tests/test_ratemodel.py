@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoqec.ratemodel import (
+    PRISTINE,
     CoolingRates,
-    RoundChainState,
     RoundEventParams,
     ancilla_steady_fidelity,
     chain_decay_constant,
@@ -16,7 +16,6 @@ from thermoqec.ratemodel import (
     event_probabilities,
     first_round_weight0,
     flow_coefficients,
-    flow_matrix,
     integrate_cooling,
     iterate_round_chain,
     perturbative_weight0,
@@ -75,6 +74,14 @@ class TestCoolingChain:
         d = cooling_rhs(P, CoolingRates.from_reservoir(2.0, 0.3))
         assert abs(d[1] - d[2]) < 1e-12 and abs(d[1] - d[4]) < 1e-12
         assert abs(d[3] - d[5]) < 1e-12 and abs(d[3] - d[6]) < 1e-12
+
+    def test_no_fixed_point_without_cooling(self):
+        # Gamma_c = 0: every population is stationary, so no state is singled out
+        rates = CoolingRates.from_reservoir(0.0, 0.5)
+        P = np.array([0.5, 0, 0, 0.25, 0, 0, 0, 0.25])
+        assert np.max(np.abs(cooling_rhs(P, rates))) == 0.0
+        with pytest.raises(ValueError, match="Gamma_c = 0: no cooling"):
+            cooling_steady_state(rates)
 
     def test_integration_converges_to_steady_state(self):
         rates = CoolingRates.from_reservoir(1.0, 0.2)
@@ -233,27 +240,37 @@ class TestEventProbabilities:
         assert all(0.0 <= v <= 1.0 for v in p.values())
 
 
+CLASSES = "0ab7"
+
+
+def entry(m, src, dst):
+    """Flow src -> dst of the class transfer matrix."""
+    return m[CLASSES.index(src), CLASSES.index(dst)]
+
+
 class TestFlowCoefficients:
     def test_perfect_round_corrects_single_errors(self):
-        f = flow_coefficients(event_probabilities(RoundEventParams(1.0, 0.0, 0.0)))
-        assert f["00"] == 1.0 and f["a0"] == 1.0
-        assert f["77"] == 1.0 and f["b7"] == 1.0
+        m = flow_coefficients(event_probabilities(RoundEventParams(1.0, 0.0, 0.0)))
+        assert m.shape == (4, 4)
+        assert entry(m, "0", "0") == 1.0 and entry(m, "a", "0") == 1.0
+        assert entry(m, "7", "7") == 1.0 and entry(m, "b", "7") == 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(probabilities, st.floats(0, 0.4), st.floats(0, 0.4))
     def test_rows_sum_to_one(self, fa, alpha, beta):
-        f = flow_coefficients(event_probabilities(RoundEventParams(fa, alpha, beta)))
-        for src in "0ab7":
-            assert abs(sum(f[src + dst] for dst in "0ab7") - 1.0) < 1e-10
+        m = flow_coefficients(event_probabilities(RoundEventParams(fa, alpha, beta)))
+        assert np.abs(m.sum(axis=1) - 1.0).max() < 1e-10
 
     @settings(max_examples=20, deadline=None)
     @given(probabilities, st.floats(0, 0.4), st.floats(0, 0.4))
     def test_codeword_swap_symmetry(self, fa, alpha, beta):
-        f = flow_coefficients(event_probabilities(RoundEventParams(fa, alpha, beta)))
-        assert f["77"] == f["00"]
-        assert f["70"] == f["07"]
-        assert f["b0"] == f["a7"]
-        assert f["bb"] == f["aa"]
+        m = flow_coefficients(event_probabilities(RoundEventParams(fa, alpha, beta)))
+        assert entry(m, "7", "7") == entry(m, "0", "0")
+        assert entry(m, "7", "0") == entry(m, "0", "7")
+        assert entry(m, "b", "0") == entry(m, "a", "7")
+        assert entry(m, "b", "b") == entry(m, "a", "a")
+        # swapping the codewords reverses the class order
+        assert np.array_equal(m[::-1, ::-1], m)
 
     def test_inconsistent_input_rejected(self):
         p = event_probabilities(RoundEventParams(0.9, 0.02, 0.03))
@@ -262,84 +279,98 @@ class TestFlowCoefficients:
             flow_coefficients(p)
 
 
+def normalization(states):
+    """P0 + 3Pa + 3Pb + P7 of each chain state."""
+    return states @ [1.0, 3.0, 3.0, 1.0]
+
+
 class TestRoundChain:
-    def test_per_state_normalization_enforced(self):
-        with pytest.raises(ValueError):
-            RoundChainState(0.5, 0.5, 0.0, 0.0)
-        s = RoundChainState(0.4, 0.1, 0.1, 0.0)
-        assert abs(s.normalization() - 1.0) < 1e-12
+    @pytest.mark.parametrize(
+        "initial, match",
+        [
+            ((0.5, 0.5, 0.0, 0.0), r"P0 \+ 3Pa \+ 3Pb \+ P7 = 2.0, expected 1"),
+            ((1.2, -0.1, 0.0, 0.1), "non-negative"),
+            ((1.0, 0.0, 0.0), "4 entries"),
+        ],
+    )
+    def test_initial_state_checked(self, initial, match):
+        m = flow_coefficients(event_probabilities(RoundEventParams(0.97, 0.015, 0.016)))
+        with pytest.raises(ValueError, match=match):
+            iterate_round_chain(m, 3, initial)
+
+    def test_rounds_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            iterate_round_chain(np.eye(4), -1)
+
+    def test_states_array(self):
+        m = flow_coefficients(event_probabilities(RoundEventParams(0.97, 0.015, 0.016)))
+        states = iterate_round_chain(m, 7)
+        assert states.shape == (8, 4)
+        assert tuple(states[0]) == PRISTINE
+        assert iterate_round_chain(m, 0).shape == (1, 4)
 
     def test_identity_flows_fix_everything(self):
-        f = {a + b: 1.0 if a == b else 0.0 for a in "0ab7" for b in "0ab7"}
-        start = RoundChainState(0.4, 0.1, 0.1, 0.0)
-        states = iterate_round_chain(start, f, 5)
-        for s in states:
-            assert np.allclose(
-                [s.P0, s.Pa, s.Pb, s.P7], [start.P0, start.Pa, start.Pb, start.P7], atol=1e-15
-            )
+        start = (0.4, 0.1, 0.1, 0.0)
+        states = iterate_round_chain(np.eye(4), 5, start)
+        assert np.allclose(states, start, atol=1e-15)
 
     def test_normalization_preserved(self):
-        f = flow_coefficients(event_probabilities(RoundEventParams(0.97, 0.015, 0.016)))
-        states = iterate_round_chain(RoundChainState.pristine(), f, 200)
-        assert all(abs(s.normalization() - 1.0) < 1e-10 for s in states)
+        m = flow_coefficients(event_probabilities(RoundEventParams(0.97, 0.015, 0.016)))
+        states = iterate_round_chain(m, 200)
+        assert np.abs(normalization(states) - 1.0).max() < 1e-10
 
     def test_first_iterate_is_f00_and_matches_first_order(self):
         gamma = 1e-3
         params = RoundEventParams.from_physical(gamma, 1e-2)
-        f = flow_coefficients(event_probabilities(params))
-        states = iterate_round_chain(RoundChainState.pristine(), f, 1)
-        assert states[1].P0 == pytest.approx(f["00"], abs=1e-15)
+        m = flow_coefficients(event_probabilities(params))
+        states = iterate_round_chain(m, 1)
+        assert states[1, 0] == pytest.approx(entry(m, "0", "0"), abs=1e-15)
         first_order = first_round_weight0(params)
         # agreement to first order: the gap carries the neglected second-
         # order terms, bounded by the square of the total error load
-        assert abs(states[1].P0 - first_order) < (3 * params.alpha + params.beta) ** 2
+        assert abs(states[1, 0] - first_order) < (3 * params.alpha + params.beta) ** 2
 
     def test_fixed_point_independent_of_start(self):
-        f = flow_coefficients(event_probabilities(RoundEventParams(1.0, 2e-2, 2e-2)))
-        ss = chain_steady_state(f)
-        for start in (
-            RoundChainState.pristine(),
-            RoundChainState(0.0, 0.0, 0.0, 1.0),
-            RoundChainState(0.25, 0.125, 0.0625, 0.1875),
-        ):
-            out = iterate_round_chain(start, f, 30000)[-1]
-            assert abs(out.P0 - ss.P0) < 1e-8
+        m = flow_coefficients(event_probabilities(RoundEventParams(1.0, 2e-2, 2e-2)))
+        ss = chain_steady_state(m)
+        for start in (PRISTINE, (0.0, 0.0, 0.0, 1.0), (0.25, 0.125, 0.0625, 0.1875)):
+            out = iterate_round_chain(m, 30000, start)[-1]
+            assert abs(out[0] - ss[0]) < 1e-8
 
     def test_fixed_point_swap_invariant(self):
-        f = flow_coefficients(event_probabilities(RoundEventParams(0.95, 1e-2, 1.5e-2)))
-        ss = chain_steady_state(f)
-        assert ss.P0 == pytest.approx(ss.P7, abs=1e-12)
-        assert ss.Pa == pytest.approx(ss.Pb, abs=1e-12)
+        m = flow_coefficients(event_probabilities(RoundEventParams(0.95, 1e-2, 1.5e-2)))
+        p0, pa, pb, p7 = chain_steady_state(m)
+        assert p0 == pytest.approx(p7, abs=1e-12)
+        assert pa == pytest.approx(pb, abs=1e-12)
+        assert normalization(chain_steady_state(m)) == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_point_must_be_unique(self):
         # error-free rounds with perfect cooling absorb both codewords, and
         # rounds that flip every data qubit swap 0 with 7 and a with b: two
         # fixed points each
         for params in (RoundEventParams(1.0, 0.0, 0.0), RoundEventParams(1.0, 0.0, 1.0)):
-            f = flow_coefficients(event_probabilities(params))
+            m = flow_coefficients(event_probabilities(params))
             with pytest.raises(ValueError, match="multiplicity 2: no unique fixed point"):
-                chain_steady_state(f)
+                chain_steady_state(m)
         # never-cooled ancillas give a period-2 mode, eigenvalue -1, beside
         # a simple eigenvalue 1
-        f = flow_coefficients(event_probabilities(RoundEventParams(0.0, 0.0, 0.0)))
-        m = flow_matrix(f)
+        m = flow_coefficients(event_probabilities(RoundEventParams(0.0, 0.0, 0.0)))
         assert np.min(np.abs(np.linalg.eigvals(m) + 1.0)) < 1e-12
-        v = chain_steady_state(f).class_vector()
+        v = chain_steady_state(m) * [1.0, 3.0, 3.0, 1.0]  # total probability per class
         assert np.abs(v @ m - v).max() < 1e-12
 
     def test_error_free_chain_absorbs_codewords(self):
-        f = flow_coefficients(event_probabilities(RoundEventParams(1.0, 0.0, 0.0)))
-        one = iterate_round_chain(RoundChainState(0.0, 1 / 3, 0.0, 0.0), f, 1)[1]
-        assert one.P0 == 1.0
-        m = flow_matrix(f)
+        m = flow_coefficients(event_probabilities(RoundEventParams(1.0, 0.0, 0.0)))
+        one = iterate_round_chain(m, 1, (0.0, 1 / 3, 0.0, 0.0))[1]
+        assert one[0] == 1.0
         assert m[0, 0] == 1.0 and m[3, 3] == 1.0
 
     def test_steady_state_closed_form_ratio(self):
         # the symmetric-chain ratio reproduces the exact fixed point
-        f = flow_coefficients(event_probabilities(RoundEventParams(1.0, 1e-3, 1e-3)))
-        assert steady_weight0_ratio(f) == pytest.approx(chain_steady_state(f).P0, abs=1e-10)
+        m = flow_coefficients(event_probabilities(RoundEventParams(1.0, 1e-3, 1e-3)))
+        assert steady_weight0_ratio(m) == pytest.approx(chain_steady_state(m)[0], abs=1e-10)
         # frozen value: 0.5*(1 - 3a) + O(a^3), not the matched 24 a^2 series
-        assert chain_steady_state(f).P0 == pytest.approx(0.49850001197, abs=1e-9)
+        assert chain_steady_state(m)[0] == pytest.approx(0.49850001197, abs=1e-9)
         assert abs(steady_weight0_series(1e-3) - 0.498512) < 1e-12
 
 
@@ -355,8 +386,8 @@ class TestChainPerturbativeForms:
         # once the fast modes have decayed, successive deviations of the
         # iterated chain from its fixed point shrink by exactly delta0
         f = flow_coefficients(event_probabilities(RoundEventParams(1.0, 1e-3, 1e-3)))
-        seq = [s.P0 for s in iterate_round_chain(RoundChainState.pristine(), f, 3000)]
-        p_ss, delta = chain_steady_state(f).P0, chain_decay_constant(f)
+        seq = iterate_round_chain(f, 3000)[:, 0]
+        p_ss, delta = chain_steady_state(f)[0], chain_decay_constant(f)
         for n in (1000, 2000, 3000):
             assert (seq[n - 1] - p_ss) / (seq[n] - p_ss) == pytest.approx(delta, abs=1e-12)
 
@@ -364,8 +395,8 @@ class TestChainPerturbativeForms:
         # F_a = 0: the slow eigenvalue is -0.994, so the deviation flips sign
         # every round while its magnitude shrinks by delta0
         f = flow_coefficients(event_probabilities(RoundEventParams(0.0, 1e-3, 1e-3)))
-        seq = [s.P0 for s in iterate_round_chain(RoundChainState.pristine(), f, 200)]
-        p_ss, delta = chain_steady_state(f).P0, chain_decay_constant(f)
+        seq = iterate_round_chain(f, 200)[:, 0]
+        p_ss, delta = chain_steady_state(f)[0], chain_decay_constant(f)
         assert delta == pytest.approx(1.00602408024, abs=1e-10)
         for n in (50, 100, 200):
             assert (seq[n - 1] - p_ss) / (seq[n] - p_ss) == pytest.approx(-delta, abs=1e-12)
@@ -375,23 +406,28 @@ class TestChainPerturbativeForms:
         # one round, so every eigenvalue but 1 is 0 (computed as 4e-17)
         f = flow_coefficients(event_probabilities(RoundEventParams(0.0, 0.3, 0.5)))
         assert chain_decay_constant(f) == np.inf
-        assert chain_steady_state(f).P0 == pytest.approx(0.125, abs=1e-15)
+        assert chain_steady_state(f)[0] == pytest.approx(0.125, abs=1e-15)
 
     def test_perturbative_weight0_values(self):
         assert perturbative_weight0(5, 0.0) == 1.0
         assert perturbative_weight0(1, 1e-3) == pytest.approx(0.997012, abs=1e-12)
+        rounds = np.array([1, 2, 5])
+        assert perturbative_weight0(rounds, 1e-3).tolist() == [perturbative_weight0(n, 1e-3) for n in (1, 2, 5)]
+        for n in (0, np.array([3, 0])):
+            with pytest.raises(ValueError, match="at least 1"):
+                perturbative_weight0(n, 1e-3)
 
     def test_perturbative_weight0_tracks_chain(self):
         # exact to O(alpha^2) for n >= 2; the residual grows like n*alpha^3
         alpha = 1e-3
         f = flow_coefficients(event_probabilities(RoundEventParams(1.0, alpha, alpha)))
-        states = iterate_round_chain(RoundChainState.pristine(), f, 20)
+        p0 = iterate_round_chain(f, 20)[:, 0]
         for n in range(2, 21):
-            gap = abs(perturbative_weight0(n, alpha) - states[n].P0)
+            gap = abs(perturbative_weight0(n, alpha) - p0[n])
             assert gap < 350 * n * alpha**3, (n, gap)
         # frozen chain references
-        assert states[2].P0 == pytest.approx(0.9969910758171, abs=1e-12)
-        assert states[20].P0 == pytest.approx(0.9966189844259, abs=1e-12)
+        assert p0[2] == pytest.approx(0.9969910758171, abs=1e-12)
+        assert p0[20] == pytest.approx(0.9966189844259, abs=1e-12)
 
     def test_first_round_value(self):
         params = RoundEventParams(ancilla_steady_fidelity(1e-2), 15e-3, 16e-3)
